@@ -18,14 +18,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .compare import _auto_grid
 from .config import RunConfig, config_to_text, parse_config
 from .errors import ConfigParseError, ConfigValidationError, SpinFringeError
-from .fokker_planck import GridSpec, fp_grid_solve
+from .fokker_planck import GridSpec, auto_grid, fp_grid_solve
 from .fringe import trion_flip_rate
 from .langevin import langevin_ensemble
 from .meanfield import relax_to_steady
@@ -49,10 +49,13 @@ class _RunWriter:
     def write_text(self, name: str, text: str) -> str:
         path = os.path.join(self.out_dir, name)
         tmp = path + ".tmp"
+        # Listed as the .tmp file until the rename lands, so that rollback
+        # also removes a partial write.
+        self.written.append(tmp)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-        self.written.append(path)
+        self.written[-1] = path
         return path
 
     def rollback(self):
@@ -130,11 +133,11 @@ def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:
                         o.cfl, o.n_outputs)
     # Auto-size around the mean-field quasi-equilibrium at this tau.
     w_f = relax_to_steady(0.0, o.tau, cfg.model, cfg.meanfield).omega_f
-    spec = _auto_grid(cfg.lattice, cfg.meanfield, min(w_f, 0.0), max(w_f, 0.0),
-                      o.tau, cfg.model, o.n_cells)
+    spec = auto_grid(cfg.lattice, min(w_f, 0.0), max(w_f, 0.0), o.tau, cfg.model,
+                     o.n_cells)
     width = o.init_width if o.init_width > 0 else spec.init_width
-    return GridSpec(spec.m_min, spec.m_max, o.n_cells, o.init_mean, width,
-                    o.cfl, o.n_outputs)
+    return replace(spec, init_mean=o.init_mean, init_width=width, cfl=o.cfl,
+                   n_outputs=o.n_outputs)
 
 
 def _run_oracle(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
@@ -263,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
             record["tau_ns"] = float(tau)
         print(json.dumps(record), file=sys.stderr)
         return 3
+    except BaseException:
+        writer.rollback()
+        raise
     return 0
 
 

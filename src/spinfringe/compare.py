@@ -2,10 +2,11 @@
 
 For each tau in a schedule, relax the mean-field drift (seeded by
 continuation, as in a sweep) and evolve the full density oracle (grid
-solver for one site, trajectory ensemble otherwise, both carrying their
-state from the previous tau) to quasi-equilibrium.  Rows pair the two
-stationary means with the flatness diagnostic and split the exact trion
-drift into its mean-field part and the site-structure remainder
+solver for one or two sites, trajectory ensemble otherwise, both
+carrying their state from the previous tau) to quasi-equilibrium.  Rows
+pair the two stationary means with the flatness diagnostic and split
+the exact trion drift into its mean-field part and the site-structure
+remainder
 
     remainder = sum_j Gamma_j A_j^3 <m_j C''(Omega)>  -  alpha <Omega C''(Omega)>
 
@@ -16,14 +17,12 @@ otherwise.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridTooSmallError
-from .fokker_planck import GridSpec, fp_grid_solve, fp_grid_solve_2d
-from .fringe import alpha_from_lattice, count_rate, count_rate_curvature
+from .fokker_planck import GridSpec, MomentReport, auto_grid, fp_grid_solve
 from .langevin import evolve_trajectories
 from .meanfield import relax_to_steady
 from .params import Lattice, MeanFieldParams, ModelParams
@@ -45,60 +44,6 @@ class CompareRow:
     remainder: float
 
 
-def _remainder_grid_1d(f: np.ndarray, m: np.ndarray, dm: float, lat: Lattice,
-                       tau: float, p: ModelParams) -> float:
-    a = lat.a[0]
-    gamma = lat.gamma[0]
-    alpha = alpha_from_lattice(lat)
-    _, _, c2 = count_rate_curvature(a * m, tau, p)
-    w = f * dm
-    site = gamma * a ** 3 * float(np.dot(w, m * c2))
-    collective = alpha * float(np.dot(w, (a * m) * c2))
-    return site - collective
-
-
-def _remainder_grid_2d(f: np.ndarray, m: np.ndarray, dm: float, lat: Lattice,
-                       tau: float, p: ModelParams) -> float:
-    a1, a2 = lat.a
-    g1, g2 = lat.gamma
-    alpha = alpha_from_lattice(lat)
-    m1 = m[:, None]
-    m2 = m[None, :]
-    omega = a1 * m1 + a2 * m2
-    _, _, c2 = count_rate_curvature(omega, tau, p)
-    w = f * dm * dm
-    site = float(np.sum(w * (g1 * a1 ** 3 * m1 + g2 * a2 ** 3 * m2) * c2))
-    collective = alpha * float(np.sum(w * omega * c2))
-    return site - collective
-
-
-def _remainder_ensemble(m: np.ndarray, lat: Lattice, tau: float,
-                        p: ModelParams) -> float:
-    a = lat.a_array()
-    gamma = lat.gamma_array()
-    alpha = alpha_from_lattice(lat)
-    omega = m @ a
-    _, _, c2 = count_rate_curvature(omega, tau, p)
-    site = float(np.mean((m @ (gamma * a ** 3)) * c2))
-    collective = alpha * float(np.mean(omega * c2))
-    return site - collective
-
-
-def _auto_grid(lat: Lattice, mf: MeanFieldParams, omega_lo: float, omega_hi: float,
-               tau_ref: float, p: ModelParams, n_cells: int) -> GridSpec:
-    """Size the magnetization grid to hold the expected sweep excursions."""
-    a_scale = max(abs(max(lat.a, key=abs)), 1e-300)
-    c_ref = max(count_rate(0.5 * (omega_lo + omega_hi), tau_ref, p), 0.05)
-    var_omega = (float(np.dot(lat.f_array(), lat.a_array() ** 2))
-                 + alpha_from_lattice(lat) * c_ref) / max(lat.d_bath, 1e-300)
-    width_m = math.sqrt(var_omega) / a_scale
-    lo = omega_lo / a_scale - 9.0 * width_m
-    hi = omega_hi / a_scale + 9.0 * width_m
-    return GridSpec(m_min=lo, m_max=hi, n_cells=n_cells,
-                    init_mean=0.0, init_width=max(width_m / 2.0, 1e-3),
-                    cfl=0.8, n_outputs=8)
-
-
 def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParams,
                       t_end: float | None = None, omega_init: float = 0.0,
                       n_traj: int = 4000, seed: int = 0,
@@ -112,9 +57,9 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     should be built from the lattice (kappa = d_bath, alpha =
     alpha_from_lattice) for the comparison to be meaningful.
 
-    The single-site oracle is the grid solver (two sites use the 2-D
-    grid when ``grid_spec`` is given or n_cells is affordable; larger
-    lattices use the trajectory ensemble).
+    One and two sites always use the grid solver (two sites on at most
+    160 cells per axis); larger lattices, up to eight sites, use the
+    trajectory ensemble.
     """
     taus = [float(t) for t in np.asarray(tau_grid, dtype=float)]
     if not taus:
@@ -131,59 +76,39 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     lo = min(min(mf_omegas), omega_init)
     hi = max(max(mf_omegas), omega_init)
 
-    use_grid = lat.n <= 2
-    rows: list[CompareRow] = []
-    if use_grid:
-        a_vec = lat.a_array()
-        a_norm = float(np.dot(a_vec, a_vec))
-        spec = grid_spec or _auto_grid(lat, mf, lo, hi, taus[len(taus) // 2], p,
-                                       n_cells if lat.n == 1 else min(n_cells, 160))
+    a_vec = lat.a_array()
+    m_init = omega_init * a_vec / float(np.dot(a_vec, a_vec))
+    finals: list[MomentReport] = []
+    if lat.n <= 2:
+        spec = grid_spec or auto_grid(lat, lo, hi, taus[len(taus) // 2], p,
+                                      n_cells if lat.n == 1 else min(n_cells, 160))
         if grid_spec is None and omega_init != 0.0:
-            spec = GridSpec(spec.m_min, spec.m_max, spec.n_cells,
-                            init_mean=omega_init * lat.a[0] / a_norm,
-                            init_width=spec.init_width, cfl=spec.cfl,
-                            n_outputs=spec.n_outputs)
-        solver = fp_grid_solve if lat.n == 1 else fp_grid_solve_2d
+            spec = replace(spec, init_mean=m_init[0])
         density: np.ndarray | None = None
-        for tau, w_mf in zip(taus, mf_omegas):
+        for tau in taus:
             for widen in range(3):
                 try:
-                    grid, reps = solver(lat, tau, t_end, spec, p, init_values=density)
+                    grid, reps = fp_grid_solve(lat, tau, t_end, spec, p, init_values=density)
                     break
                 except GridTooSmallError:
                     if widen == 2:
                         raise
                     pad = 0.25 * (spec.m_max - spec.m_min)
-                    spec = GridSpec(spec.m_min - pad, spec.m_max + pad,
-                                    spec.n_cells, spec.init_mean, spec.init_width,
-                                    spec.cfl, spec.n_outputs)
+                    spec = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
                     density = None  # domain changed; restart from the init profile
             density = grid.values
-            r = reps[-1]
-            if lat.n == 1:
-                rem = _remainder_grid_1d(grid.values, grid.centers(), grid.dm, lat, tau, p)
-            else:
-                rem = _remainder_grid_2d(grid.values, grid.centers(), grid.dm, lat, tau, p)
-            rows.append(CompareRow(
-                tau=tau, oracle_mean=r.mean_omega, oracle_se=0.0,
-                meanfield_omega=w_mf, flatness_error=r.flatness_error,
-                trion_exact=r.trion_drift_exact,
-                trion_meanfield=r.trion_drift_meanfield, remainder=rem))
+            finals.append(reps[-1])
     else:
         if lat.n > 8:
             raise ValueError("ensemble oracle limited to n <= 8 sites")
         rng = np.random.Generator(np.random.Philox(key=seed))
-        a_vec = lat.a_array()
-        m0 = omega_init * a_vec / float(np.dot(a_vec, a_vec))
-        state = np.tile(m0, (n_traj, 1))
-        for tau, w_mf in zip(taus, mf_omegas):
+        state = np.tile(m_init, (n_traj, 1))
+        for tau in taus:
             state, reps = evolve_trajectories(lat, tau, t_end, state, rng, p,
                                               n_outputs=8)
-            r = reps[-1]
-            rem = _remainder_ensemble(state, lat, tau, p)
-            rows.append(CompareRow(
-                tau=tau, oracle_mean=r.mean_omega, oracle_se=r.se_mean or 0.0,
-                meanfield_omega=w_mf, flatness_error=r.flatness_error,
-                trion_exact=r.trion_drift_exact,
-                trion_meanfield=r.trion_drift_meanfield, remainder=rem))
-    return rows
+            finals.append(reps[-1])
+    return [CompareRow(
+        tau=tau, oracle_mean=r.mean_omega, oracle_se=r.se_mean or 0.0,
+        meanfield_omega=w_mf, flatness_error=r.flatness_error,
+        trion_exact=r.trion_drift_exact, trion_meanfield=r.trion_drift_meanfield,
+        remainder=r.remainder) for tau, w_mf, r in zip(taus, mf_omegas, finals)]

@@ -1,47 +1,51 @@
-"""Direct grid solvers for the joint nuclear-magnetization density.
+"""Direct grid solver for the joint nuclear-magnetization density.
 
-For a single site (optionally two) the full density equation is solved
-on a uniform grid:
+For a lattice of one or two sites the full density equation is solved on
+a uniform tensor grid with one magnetization axis per site:
 
-    df/dt = d/dm (D_bath m f)  +  [F + Gamma C(A m, tau)] d^2 f / dm^2
+    df/dt = sum_j { d/dm_j [v_j f]  +  [F_j + Gamma_j C(Omega, tau)] d^2 f / dm_j^2 }
 
-plus, for two sites, the inter-site flattening drift
-d/dm_j [ D (m_j - m_k) f ].  The bath drift uses a conservative
-central-flux finite-volume form with no-flux boundaries.  The
-trion/fluctuation term keeps its coefficient outside the second
-derivative, exactly as the mean-field reduction requires: integrating
-its first moment by parts gives d<Omega>/dt = Gamma A^2 <d^2/dOmega^2
-[Omega C]>, the bracket that the flatness assumption later collapses to
-the mean.  In that form the operator does not conserve total
-probability when C varies (the density is renormalized after every step
-and the pre-renormalization drift is reported per step as
+with Omega = sum_j A_j m_j and velocity v_j = D_bath m_j (both sites of
+a pair sit on the chain boundary) plus, for two sites, the inter-site
+flattening drift D (m_j - m_k).  The drift uses a conservative
+central-flux finite-volume form with no-flux boundaries, applied axis by
+axis.  The trion/fluctuation term keeps its coefficient outside the
+second derivative, exactly as the mean-field reduction requires:
+integrating its first moment by parts gives d<Omega>/dt = Gamma A^2
+<d^2/dOmega^2 [Omega C]>, the bracket that the flatness assumption later
+collapses to the mean.  In that form the operator does not conserve
+total probability when C varies (the density is renormalized after every
+step and the pre-renormalization drift is reported per step as
 ``mass_err``); with Gamma = 0 the scheme is conservative to roundoff.
 
-Moments are reported as normalized averages together with the exact and
-mean-field trion drifts, whose relative difference is the flatness
-diagnostic that gates oracle/mean-field comparisons.
+Moments of the grid cells and of the Langevin trajectories come from one
+function over weighted points, ``_weighted_moments``: normalized
+averages together with the exact and mean-field trion drifts, whose
+relative difference is the flatness diagnostic that gates
+oracle/mean-field comparisons, and the site-structure remainder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import CflViolationError, GridTooSmallError
-from .fringe import alpha_from_lattice, count_rate_curvature
+from .fringe import alpha_from_lattice, count_rate, count_rate_curvature
 from .params import Lattice, ModelParams
 
-__all__ = ["PdfGrid", "GridSpec", "MomentReport", "fp_grid_solve", "fp_grid_solve_2d"]
+__all__ = ["PdfGrid", "GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
 
 
 @dataclass
 class PdfGrid:
-    """Discretized density on uniform cells of one magnetization axis.
+    """Discretized density on uniform cells of each magnetization axis.
 
-    values has one entry per cell (or an (n, n) array for two sites);
-    the density integrates to 1 over the domain throughout evolution.
+    values is an (n_cells,) * sites array; the density integrates to 1
+    over the domain throughout evolution.
     """
 
     m_min: float
@@ -87,6 +91,26 @@ class GridSpec:
             raise ValueError("init_width > 0 required")
 
 
+def auto_grid(lat: Lattice, omega_lo: float, omega_hi: float, tau_ref: float,
+              p: ModelParams, n_cells: int) -> GridSpec:
+    """Size the magnetization grid to hold the expected sweep excursions.
+
+    The domain covers omega_lo..omega_hi, in magnetization units of the
+    largest hyperfine weight, padded by nine stationary widths of the
+    fluctuation balance at the count rate of the window's centre.
+    """
+    a_scale = max(abs(max(lat.a, key=abs)), 1e-300)
+    c_ref = max(count_rate(0.5 * (omega_lo + omega_hi), tau_ref, p), 0.05)
+    var_omega = (float(np.dot(lat.f_array(), lat.a_array() ** 2))
+                 + alpha_from_lattice(lat) * c_ref) / max(lat.d_bath, 1e-300)
+    width_m = math.sqrt(var_omega) / a_scale
+    lo = omega_lo / a_scale - 9.0 * width_m
+    hi = omega_hi / a_scale + 9.0 * width_m
+    return GridSpec(m_min=lo, m_max=hi, n_cells=n_cells,
+                    init_mean=0.0, init_width=max(width_m / 2.0, 1e-3),
+                    cfl=0.8, n_outputs=8)
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """Normalized moments of Omega plus the drift-closure diagnostics.
@@ -95,6 +119,9 @@ class MomentReport:
                            <2 A_j C' + A_j^2 m_j C''>  [rad/ns^2]
     trion_drift_meanfield  alpha * d^2/domega^2[omega C] at <Omega>
     flatness_error         relative difference of the two drifts
+    remainder              site-structure part of the exact drift,
+                           sum_j Gamma_j A_j^3 <m_j C''> - alpha <Omega C''>;
+                           identically zero for a single site
     se_mean / se_var       ensemble standard errors (None for grid runs)
     mass_err               cumulative |mass change| of the raw operator
                            since t = 0 (each step renormalizes; with
@@ -107,114 +134,127 @@ class MomentReport:
     trion_drift_exact: float
     trion_drift_meanfield: float
     flatness_error: float
+    remainder: float
     se_mean: float | None = None
     se_var: float | None = None
     mass_err: float = 0.0
 
 
-def _flatness(exact: float, mean_field: float) -> float:
+def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
+                      tau: float, p: ModelParams, ddof: int = 0,
+                      mass_err: float = 0.0) -> MomentReport:
+    """Moments and drift diagnostics of weighted points in magnetization space.
+
+    ``m`` holds one row of site magnetizations per point and ``w`` the
+    nonnegative point weights in any normalization: grid cells pass their
+    density values, trajectories pass 1 each.  ``ddof`` is taken off the
+    total weight in the variance (1 gives the unbiased ensemble
+    estimate).  One curvature evaluation covers the points and <Omega>.
+    """
+    w_sum = float(w.sum())
+
+    def average(x: np.ndarray, ddof: int = 0) -> float:
+        return float(np.sum(w * x)) / (w_sum - ddof)
+
+    a = lat.a_array()
+    alpha = alpha_from_lattice(lat)
+    omega = m @ a
+    mean = average(omega)
+    var = average((omega - mean) ** 2, ddof)
+    _, c1, c2 = count_rate_curvature(np.append(omega, mean), tau, p)
+    site = m @ (lat.gamma_array() * a ** 3)
+    exact = average(2.0 * alpha * c1[:-1] + site * c2[:-1])
+    mean_field = alpha * float(2.0 * c1[-1] + mean * c2[-1])
+    remainder = average((site - alpha * omega) * c2[:-1])
     scale = max(abs(exact), abs(mean_field))
-    if scale < 1e-300:
-        return 0.0
-    return abs(exact - mean_field) / scale
+    return MomentReport(
+        t=t, mean_omega=mean, var_omega=var, trion_drift_exact=exact,
+        trion_drift_meanfield=mean_field,
+        flatness_error=abs(exact - mean_field) / scale if scale >= 1e-300 else 0.0,
+        remainder=remainder, mass_err=mass_err,
+    )
 
 
-def _meanfield_drift_at(omega: float, tau: float, p: ModelParams, alpha: float) -> float:
-    _, c1, c2 = count_rate_curvature(omega, tau, p)
-    return alpha * (2.0 * c1 + omega * c2)
-
-
-def _laplacian(f: np.ndarray, dm: float) -> np.ndarray:
-    """Second difference with zero-gradient ghost cells (f'[edge] = 0)."""
+def _laplacian(f: np.ndarray, dm: float, axis: int = 0) -> np.ndarray:
+    """Second difference along ``axis`` with zero-gradient ghost cells."""
+    f = f.swapaxes(0, axis)
     out = np.empty_like(f)
     out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
     out[0] = f[1] - f[0]
     out[-1] = f[-2] - f[-1]
-    return out / (dm * dm)
+    return (out / (dm * dm)).swapaxes(0, axis)
 
 
-def _drift_divergence(f: np.ndarray, vel_faces: np.ndarray, dm: float) -> np.ndarray:
-    """d/dm of (vel * f) with central face values and no-flux edges.
+def _drift_divergence(f: np.ndarray, vel_faces: np.ndarray, dm: float,
+                      axis: int = 0) -> np.ndarray:
+    """d/dm of (vel * f) along ``axis`` with central face values and no-flux edges.
 
-    ``vel_faces`` holds vel at the n_cells - 1 interior faces.  Returns
-    the conservative rate (phi_{i+1/2} - phi_{i-1/2}) / dm with zero
-    boundary-face flux, so summed mass is conserved exactly.
+    ``vel_faces`` holds vel at the n_cells - 1 interior faces of the
+    axis.  Returns the conservative rate (phi_{i+1/2} - phi_{i-1/2}) / dm
+    with zero boundary-face flux, so summed mass is conserved exactly.
     """
-    phi = vel_faces * 0.5 * (f[1:] + f[:-1])
+    f = f.swapaxes(0, axis)
+    phi = vel_faces.swapaxes(0, axis) * 0.5 * (f[1:] + f[:-1])
     out = np.empty_like(f)
     out[0] = phi[0]
     out[-1] = -phi[-1]
     out[1:-1] = phi[1:] - phi[:-1]
-    return out / dm
-
-
-def _moment_report_1d(grid: PdfGrid, lat: Lattice, tau: float, p: ModelParams,
-                      mass_err: float) -> MomentReport:
-    m = grid.centers()
-    f = grid.values
-    dm = grid.dm
-    a = lat.a[0]
-    gamma = lat.gamma[0]
-    alpha = alpha_from_lattice(lat)
-
-    w = f * dm
-    mean_m = float(np.dot(w, m))
-    var_m = float(np.dot(w, (m - mean_m) ** 2))
-    mean_omega = a * mean_m
-    var_omega = a * a * var_m
-
-    omega = a * m
-    _, c1, c2 = count_rate_curvature(omega, tau, p)
-    exact = gamma * a * float(np.dot(w, 2.0 * a * c1 + a * a * m * c2))
-    mean_field = _meanfield_drift_at(mean_omega, tau, p, alpha)
-    return MomentReport(
-        t=grid.t, mean_omega=mean_omega, var_omega=var_omega,
-        trion_drift_exact=exact, trion_drift_meanfield=mean_field,
-        flatness_error=_flatness(exact, mean_field), mass_err=mass_err,
-    )
+    return (out / dm).swapaxes(0, axis)
 
 
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   p: ModelParams, init_values: np.ndarray | None = None,
                   ) -> tuple[PdfGrid, list[MomentReport]]:
-    """Evolve the single-site density to t_end, reporting moments en route.
+    """Evolve the density of a one- or two-site lattice to t_end, reporting moments en route.
 
-    Explicit Heun stepping; the step obeys the diffusion stability bound
-    cfl * dm^2 / (2 max g) and the advection bound cfl * dm / max|v|,
+    The density lives on an (n_cells,) * lat.n tensor grid.  Explicit
+    Heun stepping; the step obeys the diffusion stability bound
+    cfl * dm^2 / (2 n max g) and the advection bound cfl * dm / (n max|v|),
     shrinking automatically to land on output times.  ``init_values``
-    replaces the Gaussian initial profile (continuation across tau).
-    Raises CflViolationError if the stable step underflows the time span
-    and GridTooSmallError if mass reaches the edge cells.
+    replaces the Gaussian initial profile, an outer product over the
+    axes (continuation across tau).  Raises CflViolationError if the
+    stable step underflows the time span and GridTooSmallError if mass
+    reaches the edge cells.
     """
-    if lat.n != 1:
-        raise ValueError("fp_grid_solve requires a single-site lattice")
+    n = lat.n
+    if n not in (1, 2):
+        raise ValueError("fp_grid_solve requires a one- or two-site lattice")
 
-    grid = PdfGrid(spec.m_min, spec.m_max, spec.n_cells,
-                   values=np.zeros(spec.n_cells), t=0.0)
+    shape = (spec.n_cells,) * n
+    grid = PdfGrid(spec.m_min, spec.m_max, spec.n_cells, values=np.zeros(shape))
     m = grid.centers()
     dm = grid.dm
+    cell = dm ** n
     if init_values is not None:
-        if init_values.shape != (spec.n_cells,):
+        if init_values.shape != shape:
             raise ValueError("init_values shape mismatch")
         f = np.array(init_values, dtype=float)
     else:
-        f = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
-    f /= f.sum() * dm
+        prof = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
+        f = reduce(np.multiply.outer, [prof] * n)
+    f /= f.sum() * cell
     grid.values = f
 
-    a = lat.a[0]
-    g_diff = lat.f[0] + lat.gamma[0] * np.maximum(
-        count_rate_curvature(a * m, tau, p)[0], 0.0)
-    faces = grid.m_min + dm * np.arange(1, spec.n_cells)
-    vel = lat.d_bath * faces  # drift flux coefficient at interior faces
+    def along(x: np.ndarray, j: int) -> np.ndarray:
+        """x laid along axis j of the grid, broadcastable over the others."""
+        return x.reshape([-1 if k == j else 1 for k in range(n)])
 
-    g_max = float(np.max(g_diff))
-    v_max = float(np.max(np.abs(vel))) if vel.size else 0.0
+    omega_cells = sum(lat.a[j] * along(m, j) for j in range(n))
+    c_pos = np.maximum(count_rate_curvature(omega_cells, tau, p)[0], 0.0)
+    g_diff = [lat.f[j] + lat.gamma[j] * c_pos for j in range(n)]
+    faces = grid.m_min + dm * np.arange(1, spec.n_cells)
+    vel = [lat.d_bath * along(faces, j) for j in range(n)]
+    if n == 2:
+        vel = [v + lat.d[0] * (along(faces, j) - along(m, 1 - j))
+               for j, v in enumerate(vel)]
+
+    g_max = max(float(np.max(g)) for g in g_diff)
+    v_max = max(float(np.max(np.abs(v))) for v in vel)
     bounds = [math.inf]
     if g_max > 0.0:
-        bounds.append(dm * dm / (2.0 * g_max))
+        bounds.append(dm * dm / (2.0 * n * g_max))
     if v_max > 0.0:
-        bounds.append(dm / v_max)
+        bounds.append(dm / (n * v_max))
     dt_stable = spec.cfl * min(bounds)
     if not math.isfinite(dt_stable):
         dt_stable = t_end / max(spec.n_outputs, 1)
@@ -222,11 +262,18 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         raise CflViolationError(
             f"stable step {dt_stable!r} below floor for t_end {t_end!r}")
 
-    def rhs(fv: np.ndarray) -> np.ndarray:
-        return _drift_divergence(fv, vel, dm) + g_diff * _laplacian(fv, dm)
+    def axis_rate(fv: np.ndarray, j: int) -> np.ndarray:
+        return _drift_divergence(fv, vel[j], dm, j) + g_diff[j] * _laplacian(fv, dm, j)
 
+    def rhs(fv: np.ndarray) -> np.ndarray:
+        out = axis_rate(fv, 0)
+        for j in range(1, n):
+            out += axis_rate(fv, j)
+        return out
+
+    points = np.stack(np.meshgrid(*[m] * n, indexing="ij"), axis=-1).reshape(-1, n)
     out_times = np.linspace(0.0, t_end, spec.n_outputs + 1)
-    reports = [_moment_report_1d(grid, lat, tau, p, mass_err=0.0)]
+    reports = [_weighted_moments(0.0, f.ravel(), points, lat, tau, p)]
     t = 0.0
     mass_err = 0.0
     for t_next in out_times[1:]:
@@ -235,132 +282,16 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
             k1 = rhs(f)
             k2 = rhs(f + dt * k1)
             f = f + 0.5 * dt * (k1 + k2)
-            mass = f.sum() * dm
+            mass = f.sum() * cell
             mass_err += abs(mass - 1.0)
             f /= mass
             t += dt
-        grid.values = f
-        grid.t = t
-        edge_mass = (f[0] + f[-1]) * dm
+        edge_mass = sum(f.take(0, j).sum() + f.take(-1, j).sum() for j in range(n)) * cell
         if edge_mass > 1e-6:
             raise GridTooSmallError(
                 f"edge cells hold {edge_mass!r} of the mass at t={t!r}")
-        reports.append(_moment_report_1d(grid, lat, tau, p, mass_err=mass_err))
-    return grid, reports
-
-
-def _moment_report_2d(values: np.ndarray, m: np.ndarray, dm: float, t: float,
-                      lat: Lattice, tau: float, p: ModelParams,
-                      mass_err: float) -> MomentReport:
-    a1, a2 = lat.a
-    g1, g2 = lat.gamma
-    alpha = alpha_from_lattice(lat)
-    w = values * dm * dm
-    m1 = m[:, None]
-    m2 = m[None, :]
-    omega = a1 * m1 + a2 * m2
-    mean_omega = float(np.sum(w * omega))
-    var_omega = float(np.sum(w * (omega - mean_omega) ** 2))
-    _, c1, c2 = count_rate_curvature(omega, tau, p)
-    exact = float(np.sum(w * (2.0 * (g1 * a1 * a1 + g2 * a2 * a2) * c1
-                              + (g1 * a1 ** 3 * m1 + g2 * a2 ** 3 * m2) * c2)))
-    mean_field = _meanfield_drift_at(mean_omega, tau, p, alpha)
-    return MomentReport(
-        t=t, mean_omega=mean_omega, var_omega=var_omega,
-        trion_drift_exact=exact, trion_drift_meanfield=mean_field,
-        flatness_error=_flatness(exact, mean_field), mass_err=mass_err,
-    )
-
-
-def fp_grid_solve_2d(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
-                     p: ModelParams, init_values: np.ndarray | None = None,
-                     ) -> tuple[PdfGrid, list[MomentReport]]:
-    """Two-site extension of ``fp_grid_solve`` on an (n, n) tensor grid.
-
-    Both sites sit on the chain boundary, so each carries the bath drift;
-    the inter-site dissipative drift d/dm_j [D (m_j - m_k) f] uses the
-    same conservative face fluxes axis by axis.
-    """
-    if lat.n != 2:
-        raise ValueError("fp_grid_solve_2d requires a two-site lattice")
-
-    n = spec.n_cells
-    grid = PdfGrid(spec.m_min, spec.m_max, n, values=np.zeros((n, n)), t=0.0)
-    m = grid.centers()
-    dm = grid.dm
-    if init_values is not None:
-        if init_values.shape != (n, n):
-            raise ValueError("init_values shape mismatch")
-        f = np.array(init_values, dtype=float)
-    else:
-        prof = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
-        f = prof[:, None] * prof[None, :]
-    f /= f.sum() * dm * dm
-    a1, a2 = lat.a
-    d12 = lat.d[0]
-
-    omega_cells = a1 * m[:, None] + a2 * m[None, :]
-    cvals = np.maximum(count_rate_curvature(omega_cells, tau, p)[0], 0.0)
-    g1 = lat.f[0] + lat.gamma[0] * cvals
-    g2 = lat.f[1] + lat.gamma[1] * cvals
-
-    faces = grid.m_min + dm * np.arange(1, n)
-    # Velocities on x-faces (axis 0) and y-faces (axis 1).
-    vx = lat.d_bath * faces[:, None] + d12 * (faces[:, None] - m[None, :])
-    vy = lat.d_bath * faces[None, :] + d12 * (faces[None, :] - m[:, None])
-
-    g_max = max(float(np.max(g1)), float(np.max(g2)))
-    v_max = max(float(np.max(np.abs(vx))), float(np.max(np.abs(vy))), 1e-300)
-    dt_stable = spec.cfl * min(dm * dm / (4.0 * g_max) if g_max > 0 else math.inf,
-                               dm / (2.0 * v_max))
-    if not math.isfinite(dt_stable):
-        dt_stable = t_end / max(spec.n_outputs, 1)
-    if dt_stable < 1e-12 * t_end:
-        raise CflViolationError(
-            f"stable step {dt_stable!r} below floor for t_end {t_end!r}")
-
-    def rhs(fv: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(fv)
-        # Axis 0 drift.
-        phi = vx * 0.5 * (fv[1:, :] + fv[:-1, :])
-        out[0, :] += phi[0, :] / dm
-        out[-1, :] -= phi[-1, :] / dm
-        out[1:-1, :] += (phi[1:, :] - phi[:-1, :]) / dm
-        # Axis 1 drift.
-        phi = vy * 0.5 * (fv[:, 1:] + fv[:, :-1])
-        out[:, 0] += phi[:, 0] / dm
-        out[:, -1] -= phi[:, -1] / dm
-        out[:, 1:-1] += (phi[:, 1:] - phi[:, :-1]) / dm
-        # Diffusion, coefficient outside the second difference.
-        lap = np.empty_like(fv)
-        lap[1:-1, :] = fv[2:, :] - 2.0 * fv[1:-1, :] + fv[:-2, :]
-        lap[0, :] = fv[1, :] - fv[0, :]
-        lap[-1, :] = fv[-2, :] - fv[-1, :]
-        out += g1 * lap / (dm * dm)
-        lap[:, 1:-1] = fv[:, 2:] - 2.0 * fv[:, 1:-1] + fv[:, :-2]
-        lap[:, 0] = fv[:, 1] - fv[:, 0]
-        lap[:, -1] = fv[:, -2] - fv[:, -1]
-        out += g2 * lap / (dm * dm)
-        return out
-
-    out_times = np.linspace(0.0, t_end, spec.n_outputs + 1)
-    reports = [_moment_report_2d(f, m, dm, 0.0, lat, tau, p, 0.0)]
-    t = 0.0
-    mass_err = 0.0
-    for t_next in out_times[1:]:
-        while t < t_next - 1e-12 * t_end:
-            dt = min(dt_stable, t_next - t)
-            k1 = rhs(f)
-            k2 = rhs(f + dt * k1)
-            f = f + 0.5 * dt * (k1 + k2)
-            mass = f.sum() * dm * dm
-            mass_err += abs(mass - 1.0)
-            f /= mass
-            t += dt
-        edge = (f[0, :].sum() + f[-1, :].sum() + f[:, 0].sum() + f[:, -1].sum()) * dm * dm
-        if edge > 1e-6:
-            raise GridTooSmallError(f"edge cells hold {edge!r} of the mass at t={t!r}")
         grid.values = f
         grid.t = t
-        reports.append(_moment_report_2d(f, m, dm, t, lat, tau, p, mass_err))
+        reports.append(_weighted_moments(t, f.ravel(), points, lat, tau, p,
+                                         mass_err=mass_err))
     return grid, reports

@@ -78,11 +78,12 @@ def count_rate(omega, tau, p: ModelParams):
     """Steady-state trion count rate C(omega, tau), dimensionless in [0, 2 s_p].
 
     The removable 0/0 point (vanishing pumping at a fringe center)
-    evaluates to 0 by continuity.
+    evaluates to 0 by continuity; a NaN input gives NaN.
     """
     _, _, _, n_num, d_den = _fringe_terms(omega, tau, p)
-    safe = np.where(d_den > 0.0, d_den, 1.0)
-    out = np.where(d_den > 0.0, p.s_p * n_num / safe, 0.0)
+    ok = d_den != 0.0  # only the removable point; NaN propagates
+    safe = np.where(ok, d_den, 1.0)
+    out = np.where(ok, p.s_p * n_num / safe, 0.0)
     return out if out.ndim else float(out)
 
 
@@ -93,7 +94,8 @@ def count_rate_curvature(omega, tau, p: ModelParams):
     count-rate quotient with the Gaussian pumping profile; validated in
     the test suite against five-point central finite differences.  At the
     removable 0/0 point all three values are 0 (the function is
-    identically zero along the underflowed-pumping region).
+    identically zero along the underflowed-pumping region); a NaN input
+    gives NaN.
     """
     omega = np.asarray(omega, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
@@ -123,7 +125,7 @@ def count_rate_curvature(omega, tau, p: ModelParams):
     d1 = q1 * (u - 1.0) + q * u1
     d2 = q2 * (u - 1.0) + 2.0 * q1 * u1 + q * u2
 
-    ok = d0 > 0.0
+    ok = d0 != 0.0  # only the removable point; NaN propagates
     d0s = np.where(ok, d0, 1.0)
     cval = p.s_p * n0 / d0s
     cd1 = p.s_p * (n1 * d0 - n0 * d1) / (d0s * d0s)
@@ -140,70 +142,25 @@ _PULSE_TOL = 1e-13
 _PLAIN_ITER_CAP = 20000
 
 
-def pulse_map_fixed_point(omega: float, tau: float, p: ModelParams,
-                          tol: float = _PULSE_TOL) -> tuple[PulseMapState, float]:
-    """Iterate the per-period pulse map to its fixed point; count = s_f - s_i.
+def _pulse_map(omega, tau, p: ModelParams, tol: float):
+    """Pulse-map fixed point over broadcastable inputs; returns (s_f, count).
 
     One period maps the post-pumping polarization s through
 
         pump:               s -> s_p + (s_prev - s_p) * exp(-beta T)
         rotate-precess-rotate:  s_i = s_f * cos((omega0 + omega) * tau)
 
-    The count per period is s_f - s_i = s_f * (1 - cos(theta)).  This is
-    the independent validation route for ``count_rate`` and shares no
-    algebra with it beyond the map itself.
-
-    If plain iteration converges too slowly (contraction factor near 1),
-    the map is composed with itself (period doubling), which is still an
-    iteration of the same physical per-period map.  The degenerate
-    non-contractive point (pumping underflowed to zero and |cos| = 1)
-    returns count 0 by continuity.
+    and the count per period is s_f - s_i = s_f * (1 - cos(theta)).  The
+    iteration runs on every point at once with per-point convergence
+    control: points whose residual bound is below ``tol`` drop out of the
+    active set.  If plain iteration converges too slowly (contraction
+    factor near 1), the map is composed with itself (period doubling),
+    which is still an iteration of the same physical per-period map.  The
+    degenerate non-contractive point (pumping underflowed to zero and
+    |cos| = 1) gives s_f = 0 and count 0 by continuity.
 
     Raises NonConvergedError if the residual bound cannot be brought
     below ``tol`` (unreachable for finite inputs; kept as a guard).
-    """
-    bt = pump_rate(omega, p) * p.T
-    q = math.exp(-bt)
-    theta = (p.omega0 + omega) * tau
-    sh = math.sin(0.5 * theta)
-    u = 2.0 * sh * sh
-    c = 1.0 - u
-
-    if q == 1.0 and abs(c) >= 1.0:
-        return PulseMapState(s_f=0.0, s_i=0.0), 0.0
-
-    a = c * q
-    b = p.s_p * (-math.expm1(-bt))
-    one_minus_a = 1.0 - a
-
-    s = 0.0
-    for _ in range(_PLAIN_ITER_CAP):
-        s_next = a * s + b
-        delta = s_next - s
-        s = s_next
-        if u * abs(a * delta) <= tol * one_minus_a:
-            return PulseMapState(s_f=s, s_i=c * s), u * s
-
-    # Period doubling: compose the affine per-period map with itself.
-    ak, bk = a, b
-    for _ in range(64):
-        bk = ak * bk + bk
-        ak = ak * ak
-        s_next = ak * s + bk
-        delta = s_next - s
-        s = s_next
-        if u * abs(delta) <= tol * 0.5:
-            return PulseMapState(s_f=s, s_i=c * s), u * s
-    raise NonConvergedError(
-        f"pulse map did not converge at omega={omega!r}, tau={tau!r}")
-
-
-def pulse_map_count(omega, tau, p: ModelParams, tol: float = _PULSE_TOL) -> np.ndarray:
-    """Vectorized pulse-map fixed-point count over broadcastable inputs.
-
-    Same iteration as ``pulse_map_fixed_point``, run simultaneously on
-    every grid point with per-point convergence control; points whose
-    residual bound is below ``tol`` drop out of the active set.
     """
     omega = np.asarray(omega, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
@@ -247,9 +204,25 @@ def pulse_map_count(omega, tau, p: ModelParams, tol: float = _PULSE_TOL) -> np.n
             sub = np.flatnonzero(live)
             live[sub[uv[live] * np.abs(delta) <= tol * 0.5]] = False
         if live.any():
-            raise NonConvergedError("pulse-map grid iteration did not converge")
+            raise NonConvergedError("pulse-map iteration did not converge")
         s[active] = sv
-    return (u * s).reshape(shape)
+    return s.reshape(shape), (u * s).reshape(shape)
+
+
+def pulse_map_fixed_point(omega: float, tau: float, p: ModelParams,
+                          tol: float = _PULSE_TOL) -> tuple[PulseMapState, float]:
+    """Iterate the per-period pulse map to its fixed point; count = s_f - s_i.
+
+    This is the independent validation route for ``count_rate`` and
+    shares no algebra with it beyond the map itself (see ``_pulse_map``).
+    """
+    s_f, count = (float(x) for x in _pulse_map(omega, tau, p, tol))
+    return PulseMapState(s_f=s_f, s_i=s_f - count), count
+
+
+def pulse_map_count(omega, tau, p: ModelParams, tol: float = _PULSE_TOL) -> np.ndarray:
+    """Pulse-map fixed-point count over broadcastable inputs (``_pulse_map``)."""
+    return _pulse_map(omega, tau, p, tol)[1]
 
 
 def trion_flip_rate(h: HoleNuclearParams) -> float:

@@ -19,36 +19,15 @@ bit-reproducible for a fixed seed regardless of host parallelism.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .fokker_planck import MomentReport, _flatness, _meanfield_drift_at
-from .fringe import alpha_from_lattice, count_rate_curvature
+from .fokker_planck import MomentReport, _weighted_moments
+from .fringe import count_rate_curvature
 from .params import Lattice, ModelParams
 
 __all__ = ["langevin_ensemble", "evolve_trajectories"]
-
-
-def _ensemble_report(t: float, m: np.ndarray, lat: Lattice, tau: float,
-                     p: ModelParams, alpha: float) -> MomentReport:
-    a = lat.a_array()
-    gamma = lat.gamma_array()
-    n_traj = m.shape[0]
-    omega = m @ a
-    mean_omega = float(omega.mean())
-    var_omega = float(omega.var(ddof=1)) if n_traj > 1 else 0.0
-    se_mean = float(np.sqrt(var_omega / n_traj))
-    se_var = float(var_omega * np.sqrt(2.0 / max(n_traj - 1, 1)))
-
-    _, c1, c2 = count_rate_curvature(omega, tau, p)
-    site_term = m @ (gamma * a ** 3)
-    exact = float(np.mean(2.0 * np.dot(gamma, a * a) * c1 + site_term * c2))
-    mean_field = _meanfield_drift_at(mean_omega, tau, p, alpha)
-    return MomentReport(
-        t=t, mean_omega=mean_omega, var_omega=var_omega,
-        trion_drift_exact=exact, trion_drift_meanfield=mean_field,
-        flatness_error=_flatness(exact, mean_field),
-        se_mean=se_mean, se_var=se_var,
-    )
 
 
 def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
@@ -65,7 +44,6 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     a = lat.a_array()
     gamma = lat.gamma_array()
     f_const = lat.f_array()
-    alpha = alpha_from_lattice(lat)
 
     bath = np.zeros(n)
     bath[0] = lat.d_bath
@@ -82,8 +60,16 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     two_a_gamma = 2.0 * gamma * a
     a2_gamma = gamma * a * a
 
+    n_traj = m.shape[0]
+    ones = np.ones(n_traj)
+
+    def report(t: float, m: np.ndarray) -> MomentReport:
+        r = _weighted_moments(t, ones, m, lat, tau, p, ddof=1 if n_traj > 1 else 0)
+        return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
+                       se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
+
     out_times = np.linspace(0.0, t_end, n_outputs + 1)
-    reports = [_ensemble_report(0.0, m, lat, tau, p, alpha)]
+    reports = [report(0.0, m)]
     t = 0.0
     for t_next in out_times[1:]:
         while t < t_next - 1e-12 * t_end:
@@ -100,7 +86,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
             m = m + step * drift \
                 + np.sqrt(2.0 * g_noise * step) * rng.standard_normal(m.shape)
             t += step
-        reports.append(_ensemble_report(t, m, lat, tau, p, alpha))
+        reports.append(report(t, m))
     return m, reports
 
 

@@ -105,9 +105,12 @@ def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
     result therefore lies in the basin containing omega_init, which is
     what gives sweeps their hysteresis memory.
 
-    Raises NoConvergenceError when t' exceeds relax_t_max and
+    Raises ValueError for a non-finite omega_init or tau,
+    NoConvergenceError when t' exceeds relax_t_max and
     BracketEscapeError when |omega| exceeds omega_bracket.
     """
+    if not (math.isfinite(omega_init) and math.isfinite(tau)):
+        raise ValueError(f"non-finite omega_init {omega_init!r} or tau {tau!r}")
     if abs(omega_init) > mf.omega_bracket:
         raise BracketEscapeError(
             f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=tau)
@@ -191,7 +194,10 @@ def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[Stead
     refinement of every sign change to the residual tolerance and
     sign-based stability classification.  The decay term dominates at
     |omega| = W >= 4 sigma, so the scan always brackets at least one root.
+    Raises ValueError for a non-finite tau.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"non-finite tau {tau!r}")
     w_max = mf.omega_bracket
     step = p.sigma / 8.0
     if tau > 0.0:

@@ -178,3 +178,15 @@ def test_sidecar_echoes_every_schema_key(tmp_path):
     for key in _SCHEMA:
         assert f"{key} = " in meta
     assert "hole.g_h = 0.4\n" in meta  # explicitly set: no default marker
+
+
+def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch):
+    # A rename that fails after the .tmp file is written must not leave
+    # the partial file behind once the run rolls back.
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("spinfringe.cli.os.replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        main(["rate", "--out", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 import spinfringe as sf
-from spinfringe.compare import (
-    _remainder_ensemble,
-    _remainder_grid_1d,
-    _remainder_grid_2d,
-    compare_meanfield,
-)
+from spinfringe.compare import compare_meanfield
+from spinfringe.fokker_planck import _weighted_moments
 from spinfringe.meanfield import d2_omega_C, steady_states
 
 P = sf.ModelParams()
@@ -51,10 +47,10 @@ def test_two_site_remainder_matches_bruteforce_and_bound():
     tau = 0.17
     spec = sf.GridSpec(m_min=-3.2, m_max=3.2, n_cells=128, init_mean=0.0,
                        init_width=0.2, cfl=0.8, n_outputs=6)
-    grid, _ = sf.fp_grid_solve_2d(lat, tau, 220.0, spec, P)
+    grid, reports = sf.fp_grid_solve(lat, tau, 220.0, spec, P)
     m = grid.centers()
     dm = grid.dm
-    reported = _remainder_grid_2d(grid.values, m, dm, lat, tau, P)
+    reported = reports[-1].remainder
 
     # Brute force: accumulate the integrand cell by cell.
     a1, a2 = lat.a
@@ -85,7 +81,7 @@ def test_ensemble_remainder_consistent_with_grid_form():
     lat = sf.Lattice(n=3, a=(0.9, 1.2, 0.5), gamma=(0.01, 0.013, 0.006),
                      d=(0.01, 0.01), f=(1e-4, 1e-4, 1e-4), d_bath=0.02)
     m = rng.normal(0.2, 0.3, size=(4000, 3))
-    rem = _remainder_ensemble(m, lat, 0.19, P)
+    rem = _weighted_moments(0.0, np.ones(m.shape[0]), m, lat, 0.19, P).remainder
     # Independent accumulation trajectory by trajectory.
     a = np.array(lat.a)
     gamma = np.array(lat.gamma)

@@ -122,7 +122,7 @@ def test_two_site_solver_conserves_and_reports():
                      f=(4e-4, 4e-4), d_bath=0.02)
     spec = sf.GridSpec(m_min=-1.2, m_max=1.2, n_cells=96, init_mean=0.3,
                        init_width=0.15, n_outputs=6, cfl=0.8)
-    grid, reports = sf.fp_grid_solve_2d(lat, 0.2, 120.0, spec, P)
+    grid, reports = sf.fp_grid_solve(lat, 0.2, 120.0, spec, P)
     assert reports[-1].mass_err <= 1e-8
     assert grid.values.sum() * grid.dm ** 2 == pytest.approx(1.0, abs=1e-10)
     # Mean decays through bath plus flattening; bounded by the slower rate.
@@ -137,7 +137,7 @@ def test_two_site_mean_decay_via_bath():
                      f=(0.0, 0.0), d_bath=d_bath)
     spec = sf.GridSpec(m_min=-0.8, m_max=0.8, n_cells=220, init_mean=0.2,
                        init_width=0.05, n_outputs=5, cfl=0.4)
-    _, reports = sf.fp_grid_solve_2d(lat, 0.2, 0.5 / d_bath, spec, P)
+    _, reports = sf.fp_grid_solve(lat, 0.2, 0.5 / d_bath, spec, P)
     for r in reports[1:]:
         assert r.mean_omega == pytest.approx(0.4 * math.exp(-d_bath * r.t),
                                              rel=1e-4)

@@ -162,3 +162,13 @@ def test_alpha_matches_bruteforce_sum():
                      f=tuple(0.0 for _ in range(n)), d_bath=0.0)
     brute = math.fsum(g * x * x for g, x in zip(gamma, a))
     assert sf.alpha_from_lattice(lat) == pytest.approx(brute, rel=1e-14)
+
+
+def test_nan_inputs_propagate_through_fringe_kernels():
+    # Only the removable 0/0 point maps to 0; NaN must not be swallowed.
+    assert math.isnan(sf.count_rate(math.nan, 0.3, P))
+    assert math.isnan(sf.count_rate(0.2, math.nan, P))
+    assert all(math.isnan(v) for v in sf.count_rate_curvature(math.nan, 0.3, P))
+    out = sf.count_rate(np.array([math.nan, 0.0]), 2.0 * math.pi / P.omega0,
+                        sf.ModelParams(beta0=0.0))
+    assert math.isnan(out[0]) and out[1] == 0.0

@@ -152,3 +152,18 @@ def test_relax_time_cap_raises_with_tau_attached():
     with pytest.raises(sf.NoConvergenceError) as err:
         sf.relax_to_steady(30.0, 0.7, P, mf)
     assert err.value.tau == 0.7
+
+
+@pytest.mark.parametrize("omega_init, tau", [(0.0, math.nan), (math.nan, 0.7),
+                                             (math.inf, 0.7), (0.0, -math.inf)])
+def test_relax_rejects_non_finite_inputs(omega_init, tau):
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 0.01)
+    with pytest.raises(ValueError, match="non-finite"):
+        sf.relax_to_steady(omega_init, tau, P, mf)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_steady_states_rejects_non_finite_tau(tau):
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 0.01)
+    with pytest.raises(ValueError, match="non-finite"):
+        sf.steady_states(tau, P, mf)

@@ -1,0 +1,133 @@
+"""Oracle final reports pinned to 1e-12 against recorded values.
+
+The values were recorded from the separate single-site and two-site grid
+solvers and the per-module moment and remainder functions that the
+tensor-grid solver and the shared weighted-moments function replaced.
+Cases: a 1-site grid run, the 2-site lattice of the benchmark's oracle
+workload on the grid, a 2-site Langevin ensemble, and the compare rows
+of both grid lattices and of a 3-site ensemble.
+
+Every field is compared at 1e-12 relative, except two that pass through
+zero: ``mean_omega`` is compared on the scale of sqrt(var_omega), and the
+single-site remainder, a difference of two equal terms, on the scale of
+the exact trion drift.
+"""
+
+import math
+
+import pytest
+
+import spinfringe as sf
+
+P = sf.ModelParams()
+ONE = sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02)
+TWO = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                 f=(5e-5, 5e-5), d_bath=0.02)
+THREE = sf.Lattice.chain(n=3, a_peak=0.8, gamma_peak=0.012, d=0.01, f=2e-4,
+                         d_bath=0.02)
+REL = 1e-12
+
+GRID1 = {
+    "t": 100.0,
+    "mean_omega": -0.03358234976018592,
+    "var_omega": 0.3017174523237349,
+    "trion_drift_exact": -0.0013934412724795353,
+    "trion_drift_meanfield": -0.0014095414294612505,
+    "flatness_error": 0.011422265883925755,
+    "se_mean": None,
+    "se_var": None,
+    "mass_err": 0.00612657450496501,
+    "remainder": 0.0,
+}
+GRID2 = {
+    "t": 100.0,
+    "mean_omega": -0.05019120259670731,
+    "var_omega": 0.4838105503168135,
+    "trion_drift_exact": -0.0022767115994502896,
+    "trion_drift_meanfield": -0.0023064092368029285,
+    "flatness_error": 0.012876135283695307,
+    "se_mean": None,
+    "se_var": None,
+    "mass_err": 0.009845411002068927,
+    "remainder": -1.2480493003865851e-05,
+}
+ENS2 = {
+    "t": 20.0,
+    "mean_omega": 0.32255747567406234,
+    "var_omega": 0.2582805475754609,
+    "trion_drift_exact": -0.0023811246129949643,
+    "trion_drift_meanfield": -0.002412260091032899,
+    "flatness_error": 0.012907181175725868,
+    "se_mean": 0.03593609241246611,
+    "se_var": 0.025892868045795624,
+    "mass_err": 0.0,
+}
+CMP1 = {
+    "oracle_mean": -0.06031357440140296,
+    "oracle_se": 0.0,
+    "meanfield_omega": -0.07012957641638998,
+    "flatness_error": 0.011437098375651688,
+    "trion_exact": -0.001388323685794009,
+    "trion_meanfield": -0.0014043857841648693,
+    "remainder": 0.0,
+}
+CMP2 = {
+    "oracle_mean": -0.09794734918400902,
+    "oracle_se": 0.0,
+    "meanfield_omega": -0.11428319998059921,
+    "flatness_error": 0.010991852335011782,
+    "trion_exact": -0.002265892901362904,
+    "trion_meanfield": -0.0022910760712261,
+    "remainder": -1.4404796754662948e-05,
+}
+CMP3 = {
+    "oracle_mean": -0.020278295263663457,
+    "oracle_se": 0.034003587011844257,
+    "meanfield_omega": -0.07779955543880068,
+    "flatness_error": 0.006552518742397276,
+    "trion_exact": -0.0015581581742518432,
+    "trion_meanfield": -0.0015684353764522858,
+    "remainder": -3.386142188950741e-06,
+}
+
+
+def _assert_pinned(got, want: dict, scale: dict):
+    for key, value in want.items():
+        actual = getattr(got, key)
+        if value is None:
+            assert actual is None, key
+            continue
+        assert actual == pytest.approx(value, rel=REL, abs=REL * scale.get(key, 0.0)), key
+
+
+def _spec(n_cells: int) -> sf.GridSpec:
+    return sf.GridSpec(m_min=-3.0, m_max=3.0, n_cells=n_cells, init_mean=0.2,
+                       init_width=0.3, cfl=0.8, n_outputs=4)
+
+
+@pytest.mark.parametrize("lat, n_cells, want", [(ONE, 96, GRID1), (TWO, 40, GRID2)],
+                         ids=["one-site", "two-site"])
+def test_grid_final_report_pinned(lat, n_cells, want):
+    grid, reports = sf.fp_grid_solve(lat, 0.17, 100.0, _spec(n_cells), P)
+    assert grid.values.shape == (n_cells,) * lat.n
+    _assert_pinned(reports[-1], want, {
+        "mean_omega": math.sqrt(want["var_omega"]),
+        "remainder": abs(want["trion_drift_exact"]),
+    })
+
+
+def test_ensemble_final_report_pinned():
+    reports = sf.langevin_ensemble(TWO, 0.17, 20.0, n_traj=200, seed=3, p=P,
+                                   n_outputs=2, init_mean=0.3)
+    _assert_pinned(reports[-1], ENS2, {"mean_omega": math.sqrt(ENS2["var_omega"])})
+
+
+@pytest.mark.parametrize("lat, kwargs, want", [
+    (ONE, {"t_end": 100.0, "n_cells": 96}, CMP1),
+    (TWO, {"t_end": 100.0, "n_cells": 40}, CMP2),
+    (THREE, {"t_end": 20.0, "n_traj": 200, "seed": 5}, CMP3),
+], ids=["one-site-grid", "two-site-grid", "three-site-ensemble"])
+def test_compare_row_pinned(lat, kwargs, want):
+    mf = sf.MeanFieldParams(kappa=lat.d_bath, alpha=sf.alpha_from_lattice(lat))
+    (row,) = sf.compare_meanfield(lat, [0.17], P, mf, **kwargs)
+    _assert_pinned(row, want, {"remainder": abs(want["trion_exact"])})
