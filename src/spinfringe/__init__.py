@@ -14,7 +14,6 @@ from .errors import (
     ConfigParseError,
     ConfigValidationError,
     GridTooSmallError,
-    NoConvergenceError,
     NonConvergedError,
     SpinFringeError,
 )

@@ -6,16 +6,17 @@
 Subcommands: fringe-map, sweep, steady, oracle, rate.  Every run writes
 its data file(s) and a ``<subcommand>_meta.txt`` sidecar holding the
 full effective configuration (defaults marked), the seed, and library
-versions, so runs sharing an output directory keep their provenance.  Identical configuration and seed give byte-identical data
-files.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure (a
-machine-readable JSON error record goes to stderr).
+versions, so runs sharing an output directory keep their provenance.
+Identical configuration and seed give byte-identical data files.  Exit
+codes: 0 ok, 2 configuration or I/O error, 3 numeric failure (a
+machine-readable JSON error record goes to stderr and partial outputs
+are removed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -44,9 +45,9 @@ class _RunWriter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         self.written: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
 
     def write_text(self, name: str, text: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         tmp = path + ".tmp"
         # Listed as the .tmp file until the rename lands, so that rollback
@@ -232,43 +233,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    writer = _RunWriter(args.out)
     try:
         text = ""
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         cfg = parse_config(text, overrides=list(args.set))
-    except (ConfigParseError, ConfigValidationError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(json.dumps({"error": "IOError", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-
-    seed = cfg.seed if args.seed is None else args.seed
-    writer = _RunWriter(args.out)
-    try:
+        seed = cfg.seed if args.seed is None else args.seed
         outputs = _RUNNERS[args.subcommand](cfg, writer, seed)
         writer.write_text(f"{args.subcommand}_meta.txt",
                           _sidecar(cfg, args.subcommand, seed, outputs))
-    except (ConfigParseError, ConfigValidationError) as exc:
+    except BaseException as exc:
         writer.rollback()
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
-    except SpinFringeError as exc:
-        writer.rollback()
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        tau = getattr(exc, "tau", None)
-        if tau is not None and not (isinstance(tau, float) and math.isnan(tau)):
-            record["tau_ns"] = float(tau)
+        if not isinstance(exc, (OSError, SpinFringeError)):
+            raise
+        record = {"error": "IOError" if isinstance(exc, OSError) else type(exc).__name__,
+                  "message": str(exc)}
+        if getattr(exc, "tau", None) is not None:
+            record["tau_ns"] = float(exc.tau)
         print(json.dumps(record), file=sys.stderr)
-        return 3
-    except BaseException:
-        writer.rollback()
-        raise
+        return 2 if isinstance(exc, (OSError, ConfigParseError, ConfigValidationError)) else 3
     return 0
 
 

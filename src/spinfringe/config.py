@@ -124,14 +124,12 @@ _SCHEMA: dict[str, tuple[str, Any]] = {
     "model.T": ("float", 26.0),
     "model.beta0": ("float", _DERIVED),        # 3 / T
     "model.s_p": ("float", 0.5),
-    "model.t_rep": ("float", 143.0),
     "meanfield.ratio": ("float", 1.0e4),
     "meanfield.ratio_units": ("enum:ns2,ghz2,ps2", "ps2"),
     "meanfield.kappa": ("float", 1.0e-3),
     "meanfield.omega_bracket": ("float", _DERIVED),  # 6 sigma
     "meanfield.fd_step": ("float", 0.02),
     "meanfield.relax_tol": ("float", 1.0e-6),
-    "meanfield.relax_t_max": ("float", 1.0e4),
     "sweep.tau_start": ("float", 0.05),
     "sweep.tau_end": ("float", 1.5),
     "sweep.tau_step": ("float", 0.002),
@@ -240,7 +238,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
         model = ModelParams(
             omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
             T=t_pump, beta0=beta0, sigma=sigma,
-            s_p=get("model.s_p"), t_rep=get("model.t_rep"))
+            s_p=get("model.s_p"))
     except ValueError as exc:
         raise ConfigValidationError(str(exc), key="model",
                                     line=where.get("model.T"))
@@ -259,8 +257,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
             kappa=kappa, alpha=kappa / ratio_internal,
             omega_bracket=omega_bracket,
             fd_step=get("meanfield.fd_step"),
-            relax_tol=get("meanfield.relax_tol"),
-            relax_t_max=get("meanfield.relax_t_max"))
+            relax_tol=get("meanfield.relax_tol"))
     except ValueError as exc:
         raise ConfigValidationError(str(exc), key="meanfield",
                                     line=where.get("meanfield.kappa"))

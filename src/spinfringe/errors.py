@@ -9,16 +9,8 @@ class NonConvergedError(SpinFringeError):
     """Pulse-map fixed-point iteration failed to reach tolerance."""
 
 
-class NoConvergenceError(SpinFringeError):
-    """Steady-state relaxation exceeded its integration-time cap."""
-
-    def __init__(self, message: str, tau: float | None = None):
-        super().__init__(message)
-        self.tau = tau
-
-
 class BracketEscapeError(SpinFringeError):
-    """Relaxation trajectory left the configured search bracket."""
+    """Relaxation seed outside the search bracket, or no root between it and the edge."""
 
     def __init__(self, message: str, tau: float | None = None):
         super().__init__(message)

@@ -6,9 +6,10 @@ The average shift omega obeys
 
 balancing spin-diffusion decay against the trion-induced nuclear random
 walk whose rate follows the count rate C.  This module evaluates the
-right-hand side in closed form, relaxes it to quasi-equilibrium with an
-adaptive explicit integrator (the continuation step used by sweeps), and
-enumerates every steady state on a bracket with stability classification.
+right-hand side in closed form and finds its roots on one scan grid: all
+of them with stability classification (``steady_states``), or the one
+the flow carries a seed to (``relax_to_steady``, the continuation step
+used by sweeps).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import BracketEscapeError, NoConvergenceError
+from .errors import BracketEscapeError
 from .fringe import count_rate_curvature
 from .params import MeanFieldParams, ModelParams, SteadyState
 
@@ -85,29 +86,22 @@ def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float,
     return mid, g(mid)
 
 
-def _step_cap(tau: float, sigma: float) -> float:
-    """Largest omega move per integration step: a sliver of a fringe."""
-    cap = sigma / 10.0
-    if tau > 0.0:
-        cap = min(cap, math.pi / (10.0 * tau))
-    return cap
+_WALK_CHUNK = 32  # scan points per drift call on the walk to the next root
 
 
 def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
                     mf: MeanFieldParams) -> SteadyState:
-    """Integrate the drift from omega_init to its quasi-equilibrium.
+    """The root the drift carries omega_init to: the first in its direction.
 
-    Uses Heun's method in dimensionless time t' = kappa*t with step-size
-    control on the predictor/corrector discrepancy and a per-step omega
-    cap well below the fringe scale, so the trajectory cannot hop across
-    an intervening root; a step whose endpoint changes the drift sign has
-    bracketed the attracting root and is finished by bisection.  The
-    result therefore lies in the basin containing omega_init, which is
-    what gives sweeps their hysteresis memory.
+    A seed within the residual tolerance is kept.  Otherwise the walk
+    follows the ``steady_states`` scan grid from the point behind the seed
+    to the first drift sign change and bisects that cell as
+    ``steady_states`` does, so the result is one of its roots bit for bit.
+    It lies in the basin of omega_init: sweeps keep branch memory.
 
-    Raises ValueError for a non-finite omega_init or tau,
-    NoConvergenceError when t' exceeds relax_t_max and
-    BracketEscapeError when |omega| exceeds omega_bracket.
+    Raises ValueError for a non-finite omega_init or tau, and
+    BracketEscapeError (tau attached) for |omega_init| > omega_bracket or
+    no root between the seed and the bracket edge.
     """
     if not (math.isfinite(omega_init) and math.isfinite(tau)):
         raise ValueError(f"non-finite omega_init {omega_init!r} or tau {tau!r}")
@@ -118,44 +112,35 @@ def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
     def g(w: float) -> float:
         return drift(w, tau, p, mf)
 
-    tol_abs = _residual_tol(p, mf)
-    # Time scale for nondimensionalization; alpha-only systems still relax.
-    rate = mf.kappa if mf.kappa > 0 else mf.alpha / p.sigma ** 2
-    h_max = _step_cap(tau, p.sigma)
-    err_tol = 0.02 * p.sigma
-
-    w = float(omega_init)
-    gw = g(w)
-    t_nd = 0.0
-    dt = 0.05
-    while t_nd < mf.relax_t_max:
-        if abs(gw) <= tol_abs:
-            break
-        dt_eff = min(dt, h_max * rate / abs(gw), mf.relax_t_max - t_nd + 1e-12)
-        w_euler = w + dt_eff * gw / rate
-        if abs(w_euler) > mf.omega_bracket:
-            raise BracketEscapeError(
-                f"relaxation left |omega| <= {mf.omega_bracket!r} at tau={tau!r}", tau=tau)
-        g_euler = g(w_euler)
-        if gw * g_euler < 0.0:
-            w, gw = _bisect(g, w, w_euler, gw, g_euler, tol_abs)
-            break
-        w_heun = w + 0.5 * dt_eff * (gw + g_euler) / rate
-        err = abs(w_heun - w_euler)
-        if err > err_tol:
-            dt = 0.5 * dt_eff
+    w0 = float(omega_init)
+    g0 = g(w0)
+    if abs(g0) <= _residual_tol(p, mf):
+        return SteadyState(omega_f=w0, stable=_is_stable(g, w0, mf.fd_step),
+                           residual=abs(g0), basin_seed=w0)
+    grid = _scan_grid(tau, p, mf)
+    i = int(np.searchsorted(grid, w0, side="right" if g0 > 0.0 else "left"))
+    path = grid[i - 1:] if g0 > 0.0 else grid[i::-1]
+    near = (w0, g0)  # the last point on the path with the seed's drift sign
+    for start in range(0, path.size, _WALK_CHUNK):
+        pts = path[start:start + _WALK_CHUNK]
+        vals = np.asarray(drift(pts, tau, p, mf))
+        if start == 0:  # the point behind the seed opens the first cell if it has g0's sign
+            near = (pts[0], vals[0]) if vals[0] * g0 > 0.0 else near
+            pts, vals = pts[1:], vals[1:]
+        pts, vals = np.r_[near[0], pts], np.r_[near[1], vals]
+        k = int(np.argmax(vals * g0 <= 0.0))
+        if k == 0:
+            near = (pts[-1], vals[-1])
             continue
-        w = w_heun
-        gw = g(w)
-        t_nd += dt_eff
-        dt = min(dt_eff * (1.5 if err < 0.25 * err_tol else 1.0), 50.0)
-    else:
-        raise NoConvergenceError(
-            f"no steady state within t' <= {mf.relax_t_max!r} at tau={tau!r}", tau=tau)
-
-    stable = _is_stable(g, w, mf.fd_step)
-    return SteadyState(omega_f=w, stable=stable, residual=abs(gw),
-                       basin_seed=float(omega_init))
+        w, gw = float(pts[k]), float(vals[k])
+        if gw == 0.0:
+            return SteadyState(omega_f=w, stable=_is_stable(g, w, mf.fd_step),
+                               residual=0.0, basin_seed=w0)
+        # _bisect treats its two ends alike, so this is the steady_states cell.
+        w, gw = _bisect(g, float(pts[k - 1]), w, float(vals[k - 1]), gw, _residual_tol(p, mf))
+        return SteadyState(omega_f=w, stable=True, residual=abs(gw), basin_seed=w0)
+    raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
+                             tau=tau)
 
 
 def _null_clusters(tau: float, p: ModelParams, w_max: float) -> list[np.ndarray]:
@@ -185,19 +170,9 @@ def _null_clusters(tau: float, p: ModelParams, w_max: float) -> list[np.ndarray]
     return clusters
 
 
-def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
-    """All roots of the drift on [-W, W], sorted by omega, with stability.
-
-    Dense scan with step at most a twentieth of the fringe period 2 pi/tau
-    (and of sigma/8, whichever is smaller), enriched near fringe nulls
-    where the root features narrow with weak pumping, then bisection
-    refinement of every sign change to the residual tolerance and
-    sign-based stability classification.  The decay term dominates at
-    |omega| = W >= 4 sigma, so the scan always brackets at least one root.
-    Raises ValueError for a non-finite tau.
-    """
-    if not math.isfinite(tau):
-        raise ValueError(f"non-finite tau {tau!r}")
+def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
+    """Sorted scan points on [-W, W]: a step of at most a twentieth of the
+    fringe period 2 pi/tau and of sigma/8, enriched near fringe nulls."""
     w_max = mf.omega_bracket
     step = p.sigma / 8.0
     if tau > 0.0:
@@ -207,7 +182,23 @@ def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[Stead
     if mf.alpha > 0.0:
         parts.extend(_null_clusters(tau, p, w_max))
     grid = np.unique(np.concatenate(parts))
-    grid = grid[(grid >= -w_max) & (grid <= w_max)]
+    return grid[(grid >= -w_max) & (grid <= w_max)]
+
+
+def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
+    """All roots of the drift on [-W, W] the scan finds, sorted, with stability.
+
+    Bisection of every sign change of the drift on the ``_scan_grid``
+    points to the residual tolerance, and sign-based stability.  Where the
+    drift points inward at both edges, as decay usually ensures at
+    W >= 4 sigma, the count is odd; a trion-term spike on an edge
+    (tau = 1.42857 ns at the defaults) turns that edge outward, and a root
+    pair straddles it.  A root pair within one scan cell can be missed.
+    Raises ValueError for a non-finite tau.
+    """
+    if not math.isfinite(tau):
+        raise ValueError(f"non-finite tau {tau!r}")
+    grid = _scan_grid(tau, p, mf)
     gvals = np.asarray(drift(grid, tau, p, mf))
 
     def g(w: float) -> float:

@@ -27,7 +27,6 @@ class ModelParams:
     beta0    peak pumping rate [1/ns]
     sigma    pumping-profile width in angular frequency [rad/ns]
     s_p      saturation polarization, 1/2 for perfect pumping [spin-z]
-    t_rep    sequence repetition period [ns]
     """
 
     omega0: float = TWO_PI * 10.0
@@ -35,7 +34,6 @@ class ModelParams:
     beta0: float = 3.0 / _DEF_T
     sigma: float = _DEF_SIGMA
     s_p: float = 0.5
-    t_rep: float = 143.0
 
     def __post_init__(self):
         if not self.T > 0:
@@ -44,8 +42,6 @@ class ModelParams:
             raise ValueError("beta0 >= 0 required")
         if not self.sigma > 0:
             raise ValueError("sigma > 0 required")
-        if not self.t_rep >= self.T:
-            raise ValueError("t_rep >= T required")
         if not 0.0 < self.s_p <= 0.5:
             raise ValueError("0 < s_p <= 1/2 required")
 
@@ -90,15 +86,14 @@ class PulseMapState:
 
 @dataclass(frozen=True)
 class MeanFieldParams:
-    """Parameters of the mean-field nuclear drift equation and its solvers.
+    """Parameters of the mean-field nuclear drift equation and its root search.
 
     kappa          boundary-diffusion decay rate [1/ns]
     alpha          trion-walk strength [rad^2/ns^3]
-    omega_bracket  half-width W of the steady-state search window [rad/ns]
+    omega_bracket  half-width W of the root search window [rad/ns]
     fd_step        finite-difference step for stability slopes [rad/ns]
-    relax_tol      dimensionless residual tolerance; converged when
-                   |drift| <= relax_tol * kappa * sigma
-    relax_t_max    cap on dimensionless integration time t' = kappa * t
+    relax_tol      dimensionless residual tolerance; roots and kept
+                   relaxation seeds have |drift| <= relax_tol * kappa * sigma
     """
 
     kappa: float
@@ -106,7 +101,6 @@ class MeanFieldParams:
     omega_bracket: float = 6.0 * _DEF_SIGMA
     fd_step: float = 0.02
     relax_tol: float = 1e-6
-    relax_t_max: float = 1e4
 
     def __post_init__(self):
         if self.kappa < 0 or self.alpha < 0:
@@ -119,8 +113,6 @@ class MeanFieldParams:
             raise ValueError("fd_step > 0 required")
         if not self.relax_tol > 0:
             raise ValueError("relax_tol > 0 required")
-        if not self.relax_t_max > 0:
-            raise ValueError("relax_t_max > 0 required")
 
     @property
     def ratio(self) -> float:

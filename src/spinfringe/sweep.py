@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketEscapeError, NoConvergenceError
 from .fringe import count_rate, pump_rate
 from .meanfield import relax_to_steady, steady_states
 from .params import MeanFieldParams, ModelParams, SteadyState, SweepSchedule, TraceSample
@@ -51,11 +50,7 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
             tau = float(tau)
             if s.reset_omega_every > 0 and index > 0 and index % s.reset_omega_every == 0:
                 omega = float(s.omega_init)
-            try:
-                ss = relax_to_steady(omega, tau, p, mf)
-            except (NoConvergenceError, BracketEscapeError) as exc:
-                exc.tau = tau
-                raise
+            ss = relax_to_steady(omega, tau, p, mf)
             jumped = index > 0 and abs(ss.omega_f - omega) > _jump_threshold(tau)
             samples.append(TraceSample(
                 tau=tau,

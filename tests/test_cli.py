@@ -180,13 +180,15 @@ def test_sidecar_echoes_every_schema_key(tmp_path):
     assert "hole.g_h = 0.4\n" in meta  # explicitly set: no default marker
 
 
-def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch):
+def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
     # A rename that fails after the .tmp file is written must not leave
-    # the partial file behind once the run rolls back.
+    # the partial file behind once the run rolls back, and it exits 2
+    # with the I/O error record.
     def refuse(src, dst):
         raise OSError("rename refused")
 
     monkeypatch.setattr("spinfringe.cli.os.replace", refuse)
-    with pytest.raises(OSError, match="rename refused"):
-        main(["rate", "--out", str(tmp_path)])
+    assert main(["rate", "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "IOError", "message": "rename refused"}
     assert list(tmp_path.iterdir()) == []

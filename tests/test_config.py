@@ -14,7 +14,6 @@ def test_empty_document_gives_paper_defaults():
     assert cfg.model.T == 26.0
     assert cfg.model.beta0 == pytest.approx(3.0 / 26.0, rel=1e-15)
     assert cfg.model.sigma == pytest.approx(TWO_PI * 1.6, rel=1e-15)
-    assert cfg.model.t_rep == 143.0
     assert cfg.model.s_p == 0.5
     assert "model.T" in cfg.defaulted
 

@@ -122,16 +122,25 @@ def test_beta_dips_before_jumps_and_recovers():
 
 def test_sweep_roots_lie_on_nullcline():
     # Full round trip so the backward pass carries large-tau memory into
-    # the multistable region; every visited point must be a drift root,
-    # and somewhere the two passes must sit on different branches.
+    # the multistable region; every visited point must be exactly one of
+    # the enumerated roots, or its seed kept within the residual
+    # tolerance, and somewhere the two passes must sit on different branches.
     sched = sf.SweepSchedule(tau_start=0.05, tau_end=1.5, tau_step=0.004)
-    fwd, bwd = split_passes(run(sched))
-    tol = 10 * MF_REPRO.fd_step
+    samples = run(sched)
+    tol = MF_REPRO.relax_tol * MF_REPRO.kappa * P.sigma
+    roots = {float(t): {r.omega_f for r in sf.steady_states(float(t), P, MF_REPRO)}
+             for t in sched.grid()[::8]}
+    seeds = [sched.omega_init] + [s.omega_f for s in samples[:-1]]
+    checked = 0
+    for s, seed in zip(samples, seeds):
+        if s.tau in roots:
+            kept = s.omega_f == seed and abs(sf.drift(seed, s.tau, P, MF_REPRO)) <= tol
+            assert s.omega_f in roots[s.tau] or kept, (s.tau, s.direction)
+            checked += 1
+    assert checked == 2 * len(roots)
+    fwd, bwd = split_passes(samples)
     hysteretic = 0
     for sf_, sb in zip(fwd[::8], bwd[::8]):
-        roots = np.array([r.omega_f for r in sf.steady_states(sf_.tau, P, MF_REPRO)])
-        assert np.min(np.abs(roots - sf_.omega_f)) <= tol
-        assert np.min(np.abs(roots - sb.omega_f)) <= tol
         if abs(sf_.omega_f - sb.omega_f) > math.pi / sf_.tau:
             hysteretic += 1
     assert hysteretic > 0  # the two passes ride different branches somewhere
