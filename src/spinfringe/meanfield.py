@@ -9,7 +9,11 @@ walk whose rate follows the count rate C.  This module evaluates the
 right-hand side in closed form and finds its roots on one scan grid: all
 of them with stability classification (``steady_states``), or the one
 the flow carries a seed to (``relax_to_steady``, the continuation step
-used by sweeps).
+used by sweeps).  ``steady_states`` bisects all sign-change cells of one
+delay together, one array drift call per bisection step; a relaxation
+has a single cell and bisects it with scalar calls, which cost less on
+one point.  Both take the same midpoints, so they give the same roots
+bit for bit.
 """
 
 from __future__ import annotations
@@ -68,10 +72,12 @@ def _is_stable(g, omega: float, fd_step: float) -> bool:
     return g(omega + h) - g(omega - h) <= 0.0
 
 
-def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float,
-            tol_abs: float, max_iter: int = 200) -> tuple[float, float]:
+_BISECT_MAX_ITER = 200  # shared by both bisections, so they stop on the same step
+
+
+def _bisect(g, lo: float, hi: float, g_lo: float, tol_abs: float) -> tuple[float, float]:
     """Bisection on a sign change until |g| <= tol_abs or float resolution."""
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -81,9 +87,42 @@ def _bisect(g, lo: float, hi: float, g_lo: float, g_hi: float,
         if (g_lo < 0.0) == (g_mid < 0.0):
             lo, g_lo = mid, g_mid
         else:
-            hi, g_hi = mid, g_mid
+            hi = mid
     mid = 0.5 * (lo + hi)
     return mid, g(mid)
+
+
+def _bisect_brackets(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
+                     tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_bisect`` on every bracket at once, with one call of the array drift
+    ``g`` per step on the midpoints of the brackets still active.
+
+    Each bracket takes the scalar steps in the same order, so its midpoints,
+    and hence its root and drift, equal ``_bisect``'s bit for bit.
+    """
+    lo, hi, g_lo = (np.array(a, dtype=float) for a in (lo, hi, g_lo))
+    w, gw = np.empty_like(lo), np.empty_like(lo)
+    active = np.arange(lo.size)
+    resolved = []  # brackets that reached float resolution
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo[active] + hi[active])
+        flat = (mid == lo[active]) | (mid == hi[active])
+        resolved.append(active[flat])
+        active, mid = active[~flat], mid[~flat]
+        if not active.size:
+            break
+        g_mid = g(mid)
+        done = np.abs(g_mid) <= tol_abs
+        w[active[done]], gw[active[done]] = mid[done], g_mid[done]
+        active, mid, g_mid = active[~done], mid[~done], g_mid[~done]
+        same = (g_lo[active] < 0.0) == (g_mid < 0.0)
+        lo[active[same]], g_lo[active[same]] = mid[same], g_mid[same]
+        hi[active[~same]] = mid[~same]
+    rest = np.concatenate(resolved + [active])
+    if rest.size:
+        w[rest] = 0.5 * (lo[rest] + hi[rest])
+        gw[rest] = g(w[rest])
+    return w, gw
 
 
 _WALK_CHUNK = 32  # scan points per drift call on the walk to the next root
@@ -137,27 +176,28 @@ def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
             return SteadyState(omega_f=w, stable=_is_stable(g, w, mf.fd_step),
                                residual=0.0, basin_seed=w0)
         # _bisect treats its two ends alike, so this is the steady_states cell.
-        w, gw = _bisect(g, float(pts[k - 1]), w, float(vals[k - 1]), gw, _residual_tol(p, mf))
+        w, gw = _bisect(g, float(pts[k - 1]), w, float(vals[k - 1]), _residual_tol(p, mf))
         return SteadyState(omega_f=w, stable=True, residual=abs(gw), basin_seed=w0)
     raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
                              tau=tau)
 
 
-def _null_clusters(tau: float, p: ModelParams, w_max: float) -> list[np.ndarray]:
+def _null_clusters(tau: float, p: ModelParams, w_max: float) -> np.ndarray:
     """Extra scan points around fringe nulls, where drift roots are narrow.
 
     Near a null of 1 - cos((omega0 + omega) tau) and weak pumping, the
     trion term spikes over a window of angular width ~ sqrt(8 beta T), so
     a uniform fringe-scale scan can step over the sign changes.  Each
     null inside the bracket gets a cluster of points spanning a few such
-    widths.  Nulls where the pumping factor underflows carry no spike
-    (the count is identically zero there) and are skipped.
+    widths: 41 points, built for all nulls in one ``linspace`` call.
+    Nulls where the pumping factor underflows carry no spike (the count
+    is identically zero there) and are skipped.
     """
     if tau <= 0.0 or p.beta0 <= 0.0:
-        return []
+        return np.empty(0)
     theta_lo = (p.omega0 - w_max) * tau
     theta_hi = (p.omega0 + w_max) * tau
-    clusters = []
+    centres, halves = [], []
     fringe = 2.0 * math.pi / tau
     for k in range(int(math.ceil(theta_lo / (2 * math.pi))),
                    int(math.floor(theta_hi / (2 * math.pi))) + 1):
@@ -165,9 +205,10 @@ def _null_clusters(tau: float, p: ModelParams, w_max: float) -> list[np.ndarray]
         bt = p.beta0 * math.exp(-0.5 * (omega_k / p.sigma) ** 2) * p.T
         if math.exp(-bt) == 1.0:
             continue
-        half = min(4.0 * math.sqrt(8.0 * bt) / tau, 0.45 * fringe)
-        clusters.append(omega_k + np.linspace(-half, half, 41))
-    return clusters
+        centres.append(omega_k)
+        halves.append(min(4.0 * math.sqrt(8.0 * bt) / tau, 0.45 * fringe))
+    h = np.array(halves)
+    return (np.array(centres)[:, None] + np.linspace(-h, h, 41, axis=1)).ravel()
 
 
 def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
@@ -180,7 +221,7 @@ def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
     n = max(int(math.ceil(2.0 * w_max / step)) + 1, 9)
     parts = [np.linspace(-w_max, w_max, n)]
     if mf.alpha > 0.0:
-        parts.extend(_null_clusters(tau, p, w_max))
+        parts.append(_null_clusters(tau, p, w_max))
     grid = np.unique(np.concatenate(parts))
     return grid[(grid >= -w_max) & (grid <= w_max)]
 
@@ -188,23 +229,24 @@ def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
 def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
     """All roots of the drift on [-W, W] the scan finds, sorted, with stability.
 
-    Bisection of every sign change of the drift on the ``_scan_grid``
-    points to the residual tolerance, and sign-based stability.  Where the
-    drift points inward at both edges, as decay usually ensures at
-    W >= 4 sigma, the count is odd; a trion-term spike on an edge
-    (tau = 1.42857 ns at the defaults) turns that edge outward, and a root
-    pair straddles it.  A root pair within one scan cell can be missed.
-    Raises ValueError for a non-finite tau.
+    Every sign change of the drift on the ``_scan_grid`` points is bisected
+    to the residual tolerance, or to float resolution where the drift moves
+    by more than the tolerance per ulp.  All cells of the delay advance
+    together, with one array drift call per step on the midpoints still
+    open.  Stability is sign-based.  Where the drift points inward at both
+    edges, as decay usually ensures at W >= 4 sigma, the count is odd; a
+    trion-term spike on an edge (tau = 1.42857 ns at the defaults) turns
+    that edge outward, and a root pair straddles it.  A root pair within
+    one scan cell can be missed.  Raises ValueError for a non-finite tau.
     """
     if not math.isfinite(tau):
         raise ValueError(f"non-finite tau {tau!r}")
     grid = _scan_grid(tau, p, mf)
     gvals = np.asarray(drift(grid, tau, p, mf))
 
-    def g(w: float) -> float:
+    def g(w):
         return drift(w, tau, p, mf)
 
-    tol_abs = _residual_tol(p, mf)
     roots: list[SteadyState] = []
     exact = np.flatnonzero(gvals == 0.0)
     for i in exact:
@@ -212,9 +254,9 @@ def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[Stead
         roots.append(SteadyState(omega_f=w, stable=_is_stable(g, w, mf.fd_step),
                                  residual=0.0, basin_seed=w))
     change = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
-    for i in change:
-        w, gw = _bisect(g, float(grid[i]), float(grid[i + 1]),
-                        float(gvals[i]), float(gvals[i + 1]), tol_abs)
+    ws, gws = _bisect_brackets(g, grid[change], grid[change + 1], gvals[change],
+                               _residual_tol(p, mf))
+    for i, w, gw in zip(change, ws.tolist(), gws.tolist()):
         # Transversal crossing: falling through zero means attracting.
         roots.append(SteadyState(omega_f=w, stable=float(gvals[i]) > 0.0,
                                  residual=abs(gw), basin_seed=w))

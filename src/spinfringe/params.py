@@ -8,7 +8,7 @@ layer converts those into ``ConfigValidationError`` with key locations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,13 @@ from .constants import TWO_PI
 
 _DEF_SIGMA = TWO_PI * 1.6  # rad/ns, Gaussian pumping-profile width
 _DEF_T = 26.0              # ns, optical pumping duration
+
+
+def _require_finite(obj) -> None:
+    """Raise ValueError naming the first non-finite field of a dataclass."""
+    for f in fields(obj):
+        if not math.isfinite(getattr(obj, f.name)):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,7 @@ class ModelParams:
     s_p: float = 0.5
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.T > 0:
             raise ValueError("T > 0 required")
         if self.beta0 < 0:
@@ -103,6 +111,7 @@ class MeanFieldParams:
     relax_tol: float = 1e-6
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa < 0 or self.alpha < 0:
             raise ValueError("kappa >= 0 and alpha >= 0 required")
         if self.kappa == 0 and self.alpha == 0:

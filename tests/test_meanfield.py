@@ -7,7 +7,7 @@ import pytest
 
 import spinfringe as sf
 from spinfringe.errors import BracketEscapeError
-from spinfringe.meanfield import _scan_grid
+from spinfringe.meanfield import _bisect, _bisect_brackets, _residual_tol, _scan_grid
 
 P = sf.ModelParams()
 
@@ -209,3 +209,85 @@ def test_steady_states_rejects_non_finite_tau(tau):
     mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 0.01)
     with pytest.raises(ValueError, match="non-finite"):
         sf.steady_states(tau, P, mf)
+
+
+def _scan_grid_per_null(tau, p, mf):
+    """Reference scan grid: one linspace call per fringe-null cluster."""
+    w_max = mf.omega_bracket
+    step = p.sigma / 8.0
+    if tau > 0.0:
+        step = min(step, 2.0 * math.pi / (20.0 * tau))
+    parts = [np.linspace(-w_max, w_max, max(int(math.ceil(2.0 * w_max / step)) + 1, 9))]
+    if tau > 0.0 and p.beta0 > 0.0 and mf.alpha > 0.0:
+        fringe = 2.0 * math.pi / tau
+        for k in range(int(math.ceil((p.omega0 - w_max) * tau / (2 * math.pi))),
+                       int(math.floor((p.omega0 + w_max) * tau / (2 * math.pi))) + 1):
+            omega_k = 2.0 * math.pi * k / tau - p.omega0
+            bt = p.beta0 * math.exp(-0.5 * (omega_k / p.sigma) ** 2) * p.T
+            if math.exp(-bt) != 1.0:
+                half = min(4.0 * math.sqrt(8.0 * bt) / tau, 0.45 * fringe)
+                parts.append(omega_k + np.linspace(-half, half, 41))
+    grid = np.unique(np.concatenate(parts))
+    return grid[(grid >= -w_max) & (grid <= w_max)]
+
+
+def test_scan_grid_matches_per_null_clusters():
+    rng = np.random.default_rng(3)
+    models = (P, sf.ModelParams(beta0=1e-6), sf.ModelParams(T=5.0, sigma=4.0),
+              sf.ModelParams(beta0=0.0))
+    for _ in range(300):
+        p = models[rng.integers(len(models))]
+        mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 10 ** rng.uniform(-4, 0))
+        tau = float(rng.choice([0.0, rng.uniform(0.02, 1.5)]))
+        assert np.array_equal(_scan_grid(tau, p, mf), _scan_grid_per_null(tau, p, mf))
+
+
+def _bisection_cases():
+    """Criterion 3's draws, then the ps2 decades at three delays."""
+    rng = np.random.default_rng(42)
+    for _ in range(20):
+        ratio = 10 ** rng.uniform(-4, 0)
+        kappa = 10 ** rng.uniform(-4, -2)
+        tau = rng.uniform(0.02, 1.5)
+        yield tau, sf.MeanFieldParams(kappa=kappa, alpha=kappa / ratio)
+    for ratio in (1e2, 1e3, 1e4, 1e5, 1e6):
+        for tau in (0.31, 1.09, 1.42857):
+            yield tau, _ps2(ratio)
+
+
+def test_bisect_brackets_equals_scalar_bisect():
+    # tol_abs = 0 makes every bracket run to float resolution; at the
+    # residual tolerance nearly all stop early, and some still run out.
+    n_cells = {"tolerance": 0, "resolution": 0}
+    for tau, mf in _bisection_cases():
+        def g(w):
+            return sf.drift(w, tau, P, mf)
+        grid = _scan_grid(tau, P, mf)
+        gvals = np.asarray(g(grid))
+        cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
+        for tol_abs in (_residual_tol(P, mf), 0.0):
+            ws, gws = _bisect_brackets(g, grid[cells], grid[cells + 1], gvals[cells], tol_abs)
+            for i, w, gw in zip(cells, ws, gws):
+                want = _bisect(g, float(grid[i]), float(grid[i + 1]), float(gvals[i]), tol_abs)
+                assert (w, gw) == want
+                n_cells["tolerance" if abs(gw) <= tol_abs else "resolution"] += 1
+    assert n_cells["tolerance"] > 1000 and n_cells["resolution"] > 1000
+
+
+def test_bisect_brackets_empty():
+    w, gw = _bisect_brackets(lambda x: pytest.fail("no drift call expected"),
+                             np.empty(0), np.empty(0), np.empty(0), 1e-9)
+    assert w.size == 0 and gw.size == 0
+
+
+@pytest.mark.parametrize("cls, field", [
+    (sf.ModelParams, "omega0"), (sf.ModelParams, "T"), (sf.ModelParams, "beta0"),
+    (sf.ModelParams, "sigma"), (sf.ModelParams, "s_p"),
+    (sf.MeanFieldParams, "kappa"), (sf.MeanFieldParams, "alpha"),
+    (sf.MeanFieldParams, "omega_bracket"), (sf.MeanFieldParams, "fd_step"),
+    (sf.MeanFieldParams, "relax_tol")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(cls, field, value):
+    base = {"kappa": 1e-3, "alpha": 0.1} if cls is sf.MeanFieldParams else {}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**{**base, field: value})

@@ -1,0 +1,97 @@
+"""Property tests: fringe bounds and symmetry, steady-state structure, config text."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import spinfringe as sf
+from spinfringe.config import config_to_text, parse_config
+
+P = sf.ModelParams()
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
+
+models = st.builds(sf.ModelParams, omega0=st.floats(0.0, 200.0), T=st.floats(0.1, 100.0),
+                   beta0=st.floats(0.0, 10.0), sigma=st.floats(0.1, 50.0),
+                   s_p=st.floats(0.01, 0.5))
+omegas = st.floats(-200.0, 200.0)
+
+
+@st.composite
+def meanfield_draws(draw):
+    """Criterion 3's ranges: ratio 1e-4..1, kappa 1e-4..1e-2, tau 0.02..1.5 ns."""
+    ratio = 10 ** draw(st.floats(-4.0, 0.0))
+    kappa = 10 ** draw(st.floats(-4.0, -2.0))
+    return draw(st.floats(0.02, 1.5)), sf.MeanFieldParams(kappa=kappa, alpha=kappa / ratio)
+
+
+@SETTINGS
+@given(models, omegas, st.floats(0.0, 3.0))
+def test_count_rate_within_saturation_bounds(p, omega, tau):
+    assert 0.0 <= sf.count_rate(omega, tau, p) <= 2.0 * p.s_p
+
+
+@SETTINGS
+@given(models, omegas)
+def test_pump_rate_exactly_even(p, omega):
+    assert sf.pump_rate(-omega, p) == sf.pump_rate(omega, p)
+
+
+@SETTINGS
+@given(meanfield_draws())
+def test_steady_states_sorted_converged_alternating(draw):
+    tau, mf = draw
+    roots = sf.steady_states(tau, P, mf)
+    omegas_f = [r.omega_f for r in roots]
+    assert omegas_f == sorted(omegas_f)
+    for r in roots:
+        # Where the drift moves by more than the tolerance per ulp, the
+        # bisection stops at float resolution: a sign change within one ulp.
+        g_prev, g, g_next = (sf.drift(np.nextafter(r.omega_f, d), tau, P, mf)
+                             for d in (-np.inf, r.omega_f, np.inf))
+        tol = mf.relax_tol * mf.kappa * P.sigma
+        assert r.residual <= tol or g_prev * g <= 0.0 or g * g_next <= 0.0
+    assert all(a.stable != b.stable for a, b in zip(roots, roots[1:]))
+
+
+@SETTINGS
+@given(meanfield_draws())
+def test_root_count_parity_follows_edge_drift(draw):
+    # Every sign change between -W and W is a root, so the count is odd
+    # exactly when the drift has opposite signs at the two edges.
+    tau, mf = draw
+    g_lo, g_hi = (sf.drift(w, tau, P, mf) for w in (-mf.omega_bracket, mf.omega_bracket))
+    assume(g_lo != 0.0 and g_hi != 0.0)
+    n_roots = len(sf.steady_states(tau, P, mf))
+    assert (n_roots % 2 == 1) == ((g_lo > 0.0) != (g_hi > 0.0))
+
+
+config_values = st.fixed_dictionaries({}, optional={
+    "model.omega0_ghz": st.floats(0.0, 50.0),
+    "model.sigma_ghz": st.floats(0.5, 3.0),
+    "model.T": st.floats(1.0, 100.0),
+    "model.s_p": st.floats(0.01, 0.5),
+    "meanfield.ratio": st.floats(1e-2, 1e8),
+    "meanfield.ratio_units": st.sampled_from(["ns2", "ghz2", "ps2"]),
+    "meanfield.kappa": st.floats(1e-6, 1.0),
+    "sweep.direction": st.sampled_from(["forward", "backward", "round-trip"]),
+    "sweep.omega_init": st.floats(-20.0, 20.0),
+    "lattice.n": st.integers(1, 6),
+    "lattice.envelope_width": st.floats(0.0, 4.0),
+    "oracle.n_traj": st.integers(100, 10 ** 5),
+    "output.format": st.sampled_from(["csv", "ndjson"]),
+    "output.precision": st.integers(3, 17),
+    "seed": st.integers(0, 2 ** 31),
+})
+
+
+@SETTINGS
+@given(config_values)
+def test_config_text_round_trips(values):
+    text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                   for k, v in values.items())
+    cfg = parse_config(text)
+    echoed = config_to_text(cfg)
+    cfg2 = parse_config(echoed)
+    assert cfg2 == cfg
+    assert config_to_text(cfg2) == echoed
+    assert all(dict(cfg.effective)[k] == v for k, v in values.items())
