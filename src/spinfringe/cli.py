@@ -4,10 +4,13 @@
                [--out <dir>] [--seed N]
 
 Subcommands: fringe-map, sweep, steady, oracle, rate.  Every run writes
-its data file(s) and a ``<subcommand>_meta.txt`` sidecar holding the
-full effective configuration (defaults marked), the seed, and library
+its data file and a ``<subcommand>_meta.txt`` sidecar holding the full
+effective configuration (defaults marked), the seed, and library
 versions, so runs sharing an output directory keep their provenance.
-Identical configuration and seed give byte-identical data files.  Exit
+``--seed N`` is the override ``seed = N``, applied after the ``--set``
+items: the echo shows it, and ``--seed`` with ``--set seed=...`` is a
+duplicate key.  A seed lies in [0, 2**128).  Identical configuration
+and seed give byte-identical data files.  Exit
 codes: 0 ok, 2 configuration or I/O error, 3 numeric failure (a
 machine-readable JSON error record goes to stderr and partial outputs
 are removed).
@@ -32,11 +35,31 @@ from .langevin import langevin_ensemble
 from .meanfield import relax_to_steady
 from .sweep import fringe_map, nullcline, run_sweep
 
-_SUBCOMMANDS = ("fringe-map", "sweep", "steady", "oracle", "rate")
 
+def _table(name: str, header: list[str], columns: list, precision: int) -> str:
+    """The text of data file ``name``: CSV, or NDJSON for a ``.ndjson`` name.
 
-def _fmt(x: float, precision: int) -> str:
-    return format(float(x), f".{precision}g")
+    One %-template formats each row: ``%.{precision}g`` for a float
+    column, ``%d`` for an int or flag column, ``%s`` for a text column
+    and nothing for a column of None (an empty cell).  An NDJSON record
+    holds the same cells, ``float(cell)`` for a number and null for an
+    empty cell.
+    """
+    fields, values = [], []
+    for col in columns:
+        col = np.asarray(col)
+        if col.dtype == object:
+            fields.append("")
+            continue
+        fields.append({"f": f"%.{precision}g", "U": "%s"}.get(col.dtype.kind, "%d"))
+        values.append(col.tolist())
+    template = ",".join(fields)
+    rows = [template % row for row in zip(*values)]
+    if name.endswith(".ndjson"):
+        return "".join(json.dumps({k: float(c) if c else None
+                                   for k, c in zip(header, row.split(","))}) + "\n"
+                       for row in rows)
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 class _RunWriter:
@@ -67,19 +90,13 @@ class _RunWriter:
                 pass
 
 
-def _csv(rows: list[list[str]], header: list[str]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _sidecar(cfg: RunConfig, subcommand: str, seed: int, outputs: list[str]) -> str:
+def _sidecar(cfg: RunConfig, subcommand: str, output: str) -> str:
     lines = [
         f"tool = spinfringe {__version__}",
         f"numpy = {np.__version__}",
         f"subcommand = {subcommand}",
-        f"seed = {seed}",
-        f"outputs = {','.join(sorted(os.path.basename(o) for o in outputs))}",
+        f"seed = {cfg.seed}",
+        f"outputs = {output}",
         "",
         "# effective configuration (defaults marked)",
         config_to_text(cfg, mark_defaults=True).rstrip("\n"),
@@ -87,43 +104,29 @@ def _sidecar(cfg: RunConfig, subcommand: str, seed: int, outputs: list[str]) -> 
     return "\n".join(lines) + "\n"
 
 
-def _run_fringe_map(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
-    prec = cfg.output.precision
+def _run_fringe_map(cfg: RunConfig):
     w = cfg.meanfield.omega_bracket
     omega = np.linspace(-w, w, cfg.map.n_omega)
     tau = np.linspace(cfg.sweep.tau_start, cfg.sweep.tau_end, cfg.map.n_tau)
     grid = fringe_map(omega, tau, cfg.model)
-    rows = []
-    for i, om in enumerate(omega):
-        for j, tv in enumerate(tau):
-            rows.append([_fmt(om, prec), _fmt(tv, prec), _fmt(grid[i, j], prec)])
-    return [writer.write_text("fringe_map.csv", _csv(
-        rows, ["omega_rad_per_ns", "tau_ns", "count"]))]
+    return ("fringe_map.csv", ["omega_rad_per_ns", "tau_ns", "count"],
+            [np.repeat(omega, tau.size), np.tile(tau, omega.size), grid.ravel()])
 
 
-def _run_sweep(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
-    prec = cfg.output.precision
+def _run_sweep(cfg: RunConfig):
     samples = run_sweep(cfg.sweep, cfg.model, cfg.meanfield)
-    rows = [[_fmt(s.tau, prec), _fmt(s.omega_f, prec), _fmt(s.count, prec),
-             _fmt(s.beta_f, prec), str(int(s.stable)), str(int(s.jumped)),
-             s.direction] for s in samples]
-    return [writer.write_text("sweep.csv", _csv(
-        rows, ["tau_ns", "omega_f_rad_per_ns", "count", "beta_per_ns",
-               "stable", "jumped", "pass"]))]
+    return ("sweep.csv", ["tau_ns", "omega_f_rad_per_ns", "count", "beta_per_ns",
+                          "stable", "jumped", "pass"],
+            [[getattr(s, a) for s in samples] for a in
+             ("tau", "omega_f", "count", "beta_f", "stable", "jumped", "direction")])
 
 
-def _run_steady(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
-    prec = cfg.output.precision
-    taus = cfg.sweep.grid()
-    points = nullcline(taus, cfg.model, cfg.meanfield)
-    rows = []
-    for pt in points:
-        for root, branch in zip(pt.roots, pt.branch_ids):
-            rows.append([_fmt(pt.tau, prec), _fmt(root.omega_f, prec),
-                         str(int(root.stable)), _fmt(root.residual, prec),
-                         str(branch)])
-    return [writer.write_text("steady.csv", _csv(
-        rows, ["tau_ns", "omega_f_rad_per_ns", "stable", "residual", "branch"]))]
+def _run_steady(cfg: RunConfig):
+    points = nullcline(cfg.sweep.grid(), cfg.model, cfg.meanfield)
+    rows = [(pt.tau, root.omega_f, root.stable, root.residual, branch)
+            for pt in points for root, branch in zip(pt.roots, pt.branch_ids)]
+    return ("steady.csv", ["tau_ns", "omega_f_rad_per_ns", "stable", "residual",
+                           "branch"], list(zip(*rows)))
 
 
 def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:
@@ -141,70 +144,33 @@ def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:
                    n_outputs=o.n_outputs)
 
 
-def _run_oracle(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
+def _run_oracle(cfg: RunConfig):
     o = cfg.oracle
     lat = cfg.lattice
     t_end = o.t_end if o.t_end > 0 else 10.0 / max(lat.d_bath, 1e-300)
-    method = o.method
-    if method == "auto":
-        method = "grid" if lat.n == 1 else "langevin"
-    if method == "grid":
-        if lat.n != 1:
-            raise ConfigValidationError(
-                "oracle.method = grid requires lattice.n = 1", key="oracle.method")
+    if o.method == "grid" or (o.method == "auto" and lat.n == 1):
         _, reports = fp_grid_solve(lat, o.tau, t_end, _oracle_grid_spec(cfg),
                                    cfg.model)
     else:
-        dt = o.dt if o.dt > 0 else None
-        width = o.init_width if o.init_width > 0 else 0.0
-        reports = langevin_ensemble(lat, o.tau, t_end, o.n_traj, seed,
-                                    cfg.model, dt=dt, n_outputs=o.n_outputs,
-                                    init_mean=o.init_mean, init_width=width)
-
-    prec = cfg.output.precision
-    fields = ["t_ns", "mean_omega_rad_per_ns", "var_omega", "trion_drift_exact",
-              "trion_drift_meanfield", "flatness_error", "se_mean", "se_var",
-              "mass_err"]
-    if cfg.output.format == "ndjson":
-        lines = []
-        for r in reports:
-            rec = {
-                "t_ns": float(_fmt(r.t, prec)),
-                "mean_omega_rad_per_ns": float(_fmt(r.mean_omega, prec)),
-                "var_omega": float(_fmt(r.var_omega, prec)),
-                "trion_drift_exact": float(_fmt(r.trion_drift_exact, prec)),
-                "trion_drift_meanfield": float(_fmt(r.trion_drift_meanfield, prec)),
-                "flatness_error": float(_fmt(r.flatness_error, prec)),
-                "se_mean": None if r.se_mean is None else float(_fmt(r.se_mean, prec)),
-                "se_var": None if r.se_var is None else float(_fmt(r.se_var, prec)),
-                "mass_err": float(_fmt(r.mass_err, prec)),
-            }
-            lines.append(json.dumps(rec, sort_keys=False))
-        return [writer.write_text("oracle.ndjson", "\n".join(lines) + "\n")]
-    rows = []
-    for r in reports:
-        rows.append([
-            _fmt(r.t, prec), _fmt(r.mean_omega, prec), _fmt(r.var_omega, prec),
-            _fmt(r.trion_drift_exact, prec), _fmt(r.trion_drift_meanfield, prec),
-            _fmt(r.flatness_error, prec),
-            "" if r.se_mean is None else _fmt(r.se_mean, prec),
-            "" if r.se_var is None else _fmt(r.se_var, prec),
-            _fmt(r.mass_err, prec),
-        ])
-    return [writer.write_text("oracle.csv", _csv(rows, fields))]
+        reports = langevin_ensemble(lat, o.tau, t_end, o.n_traj, cfg.seed, cfg.model,
+                                    dt=o.dt if o.dt > 0 else None,
+                                    n_outputs=o.n_outputs, init_mean=o.init_mean,
+                                    init_width=o.init_width)
+    # Grid reports carry no standard errors: those columns are empty.
+    attrs = ("t", "mean_omega", "var_omega", "trion_drift_exact",
+             "trion_drift_meanfield", "flatness_error", "se_mean", "se_var", "mass_err")
+    return (f"oracle.{cfg.output.format}", ["t_ns", "mean_omega_rad_per_ns", *attrs[2:]],
+            [[getattr(r, a) for r in reports] for a in attrs])
 
 
-def _run_rate(cfg: RunConfig, writer: _RunWriter, seed: int) -> list[str]:
-    prec = cfg.output.precision
+def _run_rate(cfg: RunConfig):
     h = cfg.hole
-    rate = trion_flip_rate(h)
-    rows = [[_fmt(h.b0, prec), _fmt(h.g_h, prec), _fmt(h.gamma_rad, prec),
-             _fmt(h.inv_r3_avg, prec), _fmt(rate, prec)]]
-    return [writer.write_text("rate.csv", _csv(
-        rows, ["b0_tesla", "g_h", "gamma_rad_per_ns", "inv_r3_avg_per_nm3",
-               "trion_flip_rate_per_ns"]))]
+    return ("rate.csv", ["b0_tesla", "g_h", "gamma_rad_per_ns", "inv_r3_avg_per_nm3",
+                         "trion_flip_rate_per_ns"],
+            [[h.b0], [h.g_h], [h.gamma_rad], [h.inv_r3_avg], [trion_flip_rate(h)]])
 
 
+# Each runner returns (file name, header, columns) for ``_table``.
 _RUNNERS = {
     "fringe-map": _run_fringe_map,
     "sweep": _run_sweep,
@@ -219,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinfringe",
         description="Nuclear-feedback Ramsey-fringe simulator")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
+    for name in _RUNNERS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None,
                         help="configuration file (defaults apply if omitted)")
@@ -227,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a configuration key")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None,
-                        help="override the configured seed")
+                        help="the 'seed' override: same as --set seed=N")
     return parser
 
 
@@ -239,11 +205,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        cfg = parse_config(text, overrides=list(args.set))
-        seed = cfg.seed if args.seed is None else args.seed
-        outputs = _RUNNERS[args.subcommand](cfg, writer, seed)
+        seed = [] if args.seed is None else [f"seed = {args.seed}"]
+        cfg = parse_config(text, overrides=[*args.set, *seed])
+        name, header, columns = _RUNNERS[args.subcommand](cfg)
+        writer.write_text(name, _table(name, header, columns, cfg.output.precision))
         writer.write_text(f"{args.subcommand}_meta.txt",
-                          _sidecar(cfg, args.subcommand, seed, outputs))
+                          _sidecar(cfg, args.subcommand, name))
     except BaseException as exc:
         writer.rollback()
         if not isinstance(exc, (OSError, SpinFringeError)):

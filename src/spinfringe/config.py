@@ -62,6 +62,12 @@ class OracleConfig:
             raise ValueError("oracle.n_traj >= 100 required")
         if self.n_outputs < 1:
             raise ValueError("oracle.n_outputs >= 1 required")
+        if self.m_min > self.m_max:
+            raise ValueError("oracle.m_min <= oracle.m_max required")
+        if self.n_cells < 16:
+            raise ValueError("oracle.n_cells >= 16 required")
+        if not 0.0 < self.cfl <= 0.9:
+            raise ValueError("0 < oracle.cfl <= 0.9 required")
 
 
 @dataclass(frozen=True)
@@ -108,8 +114,6 @@ class RunConfig:
     output: OutputConfig
     map: MapConfig
     seed: int
-    ratio: float
-    ratio_units: str
     defaulted: tuple[str, ...] = field(default=(), compare=False)
     effective: tuple[tuple[str, Any], ...] = field(default=(), compare=False)
 
@@ -223,10 +227,18 @@ def _parse_lines(lines: list[tuple[int, str]]) -> tuple[dict[str, Any], dict[str
 
 def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     def get(key: str) -> Any:
-        if key in raw:
-            return raw[key]
-        default = _SCHEMA[key][1]
-        return default
+        return raw.get(key, _SCHEMA[key][1])
+
+    def valid(key: str, line_key: str | None, check) -> Any:
+        """``check()``, or the requirement ``check = (ok, message)``; a
+        failure is a ConfigValidationError at ``key`` and ``line_key``'s line."""
+        try:
+            if callable(check):
+                return check()
+            if not check[0]:
+                raise ValueError(check[1])
+        except ValueError as exc:
+            raise ConfigValidationError(str(exc), key=key, line=where.get(line_key))
 
     defaulted = tuple(sorted(k for k in _SCHEMA if k not in raw))
 
@@ -234,88 +246,63 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     t_pump = get("model.T")
     beta0 = raw.get("model.beta0", 3.0 / t_pump if t_pump > 0 else 0.0)
     sigma = ghz_to_rad_per_ns(get("model.sigma_ghz"))
-    try:
-        model = ModelParams(
-            omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
-            T=t_pump, beta0=beta0, sigma=sigma,
-            s_p=get("model.s_p"))
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="model",
-                                    line=where.get("model.T"))
+    model = valid("model", "model.T", lambda: ModelParams(
+        omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
+        T=t_pump, beta0=beta0, sigma=sigma, s_p=get("model.s_p")))
 
     ratio = get("meanfield.ratio")
-    ratio_units = get("meanfield.ratio_units")
-    if ratio <= 0:
-        raise ConfigValidationError("meanfield.ratio > 0 required",
-                                    key="meanfield.ratio",
-                                    line=where.get("meanfield.ratio"))
-    ratio_internal = ratio * RATIO_UNIT_FACTORS[ratio_units]
+    valid("meanfield.ratio", "meanfield.ratio",
+          (ratio > 0, "meanfield.ratio > 0 required"))
+    ratio_internal = ratio * RATIO_UNIT_FACTORS[get("meanfield.ratio_units")]
     kappa = get("meanfield.kappa")
     omega_bracket = raw.get("meanfield.omega_bracket", 6.0 * sigma)
-    try:
-        meanfield = MeanFieldParams(
-            kappa=kappa, alpha=kappa / ratio_internal,
-            omega_bracket=omega_bracket,
-            fd_step=get("meanfield.fd_step"),
-            relax_tol=get("meanfield.relax_tol"))
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="meanfield",
-                                    line=where.get("meanfield.kappa"))
-    if omega_bracket < 4.0 * sigma:
-        raise ConfigValidationError(
-            "meanfield.omega_bracket >= 4 sigma required",
-            key="meanfield.omega_bracket", line=where.get("meanfield.omega_bracket"))
+    meanfield = valid("meanfield", "meanfield.kappa", lambda: MeanFieldParams(
+        kappa=kappa, alpha=kappa / ratio_internal, omega_bracket=omega_bracket,
+        fd_step=get("meanfield.fd_step"), relax_tol=get("meanfield.relax_tol")))
+    valid("meanfield.omega_bracket", "meanfield.omega_bracket",
+          (omega_bracket >= 4.0 * sigma, "meanfield.omega_bracket >= 4 sigma required"))
 
-    try:
-        sweep = SweepSchedule(
-            tau_start=get("sweep.tau_start"), tau_end=get("sweep.tau_end"),
-            tau_step=get("sweep.tau_step"), direction=get("sweep.direction"),
-            omega_init=get("sweep.omega_init"),
-            reset_omega_every=get("sweep.reset_omega_every"))
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="sweep",
-                                    line=where.get("sweep.tau_start"))
-    if not meanfield.fd_step < TWO_PI / (10.0 * sweep.tau_end):
-        raise ConfigValidationError(
-            "meanfield.fd_step must stay below the fringe scale "
-            "2 pi / (10 * sweep.tau_end)",
-            key="meanfield.fd_step", line=where.get("meanfield.fd_step"))
+    sweep = valid("sweep", "sweep.tau_start", lambda: SweepSchedule(
+        tau_start=get("sweep.tau_start"), tau_end=get("sweep.tau_end"),
+        tau_step=get("sweep.tau_step"), direction=get("sweep.direction"),
+        omega_init=get("sweep.omega_init"),
+        reset_omega_every=get("sweep.reset_omega_every")))
+    valid("meanfield.fd_step", "meanfield.fd_step",
+          (meanfield.fd_step < TWO_PI / (10.0 * sweep.tau_end),
+           "meanfield.fd_step must stay below the fringe scale "
+           "2 pi / (10 * sweep.tau_end)"))
 
     a_peak = get("lattice.a_peak")
     gamma_peak = raw.get("lattice.gamma_peak",
                          kappa / (ratio_internal * a_peak * a_peak) if a_peak else 0.0)
     envelope = raw.get("lattice.envelope_width", 0.0)
-    try:
-        lattice = Lattice.chain(
-            n=get("lattice.n"), a_peak=a_peak, gamma_peak=gamma_peak,
-            d=get("lattice.d"), f=get("lattice.f"),
-            d_bath=raw.get("lattice.d_bath", kappa),
-            envelope_width=envelope if envelope > 0 else None)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="lattice",
-                                    line=where.get("lattice.n"))
+    lattice = valid("lattice", "lattice.n", lambda: Lattice.chain(
+        n=get("lattice.n"), a_peak=a_peak, gamma_peak=gamma_peak,
+        d=get("lattice.d"), f=get("lattice.f"),
+        d_bath=raw.get("lattice.d_bath", kappa),
+        envelope_width=envelope if envelope > 0 else None))
 
-    try:
-        hole = HoleNuclearParams(
-            b0=get("hole.b0"), g_h=get("hole.g_h"),
-            gamma_rad=ghz_to_rad_per_ns(get("hole.gamma_ghz")),
-            inv_r3_avg=get("hole.inv_r3_avg"))
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="hole", line=where.get("hole.b0"))
+    hole = valid("hole", "hole.b0", lambda: HoleNuclearParams(
+        b0=get("hole.b0"), g_h=get("hole.g_h"),
+        gamma_rad=ghz_to_rad_per_ns(get("hole.gamma_ghz")),
+        inv_r3_avg=get("hole.inv_r3_avg")))
 
-    try:
-        oracle = OracleConfig(
+    oracle, output, map_cfg = valid("oracle/output/map", None, lambda: (
+        OracleConfig(
             tau=get("oracle.tau"), t_end=get("oracle.t_end"),
             method=get("oracle.method"), n_traj=get("oracle.n_traj"),
             dt=get("oracle.dt"), n_outputs=get("oracle.n_outputs"),
             m_min=get("oracle.m_min"), m_max=get("oracle.m_max"),
             n_cells=get("oracle.n_cells"), init_mean=get("oracle.init_mean"),
-            init_width=get("oracle.init_width"), cfl=get("oracle.cfl"))
-        output = OutputConfig(format=get("output.format"),
-                              precision=get("output.precision"))
-        map_cfg = MapConfig(n_omega=get("map.n_omega"), n_tau=get("map.n_tau"))
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc), key="oracle/output/map")
+            init_width=get("oracle.init_width"), cfl=get("oracle.cfl")),
+        OutputConfig(format=get("output.format"), precision=get("output.precision")),
+        MapConfig(n_omega=get("map.n_omega"), n_tau=get("map.n_tau"))))
+
+    valid("oracle.method", "oracle.method",
+          (oracle.method != "grid" or lattice.n == 1,
+           "oracle.method = grid requires lattice.n = 1"))
+    seed = get("seed")
+    valid("seed", "seed", (0 <= seed < 2 ** 128, "seed must be in [0, 2**128)"))
 
     resolved = {
         "model.beta0": beta0,
@@ -328,8 +315,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
         for key in _SCHEMA)
     return RunConfig(model=model, meanfield=meanfield, sweep=sweep,
                      lattice=lattice, hole=hole, oracle=oracle, output=output,
-                     map=map_cfg, seed=get("seed"), ratio=ratio,
-                     ratio_units=ratio_units, defaulted=defaulted,
+                     map=map_cfg, seed=seed, defaulted=defaulted,
                      effective=effective)
 
 

@@ -202,6 +202,16 @@ def _drift_divergence(f: np.ndarray, vel_faces: np.ndarray, dm: float,
     return (out / dm).swapaxes(0, axis)
 
 
+def _check_step_floor(dt: float, t_end: float) -> None:
+    """Raise CflViolationError if a step of ``dt`` is below 1e-12 of ``t_end``.
+
+    Below that floor a time loop needs over 1e12 steps, or stalls where
+    ``t + dt == t``.
+    """
+    if dt < 1e-12 * t_end:
+        raise CflViolationError(f"stable step {dt!r} below floor for t_end {t_end!r}")
+
+
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   p: ModelParams, init_values: np.ndarray | None = None,
                   ) -> tuple[PdfGrid, list[MomentReport]]:
@@ -258,9 +268,7 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     dt_stable = spec.cfl * min(bounds)
     if not math.isfinite(dt_stable):
         dt_stable = t_end / max(spec.n_outputs, 1)
-    if dt_stable < 1e-12 * t_end:
-        raise CflViolationError(
-            f"stable step {dt_stable!r} below floor for t_end {t_end!r}")
+    _check_step_floor(dt_stable, t_end)
 
     def axis_rate(fv: np.ndarray, j: int) -> np.ndarray:
         return _drift_divergence(fv, vel[j], dm, j) + g_diff[j] * _laplacian(fv, dm, j)

@@ -52,8 +52,10 @@ def pump_rate(omega, p: ModelParams):
 def _fringe_terms(omega, tau, p: ModelParams):
     """Shared subexpressions of the count rate and its omega-derivatives.
 
-    Returns (u, q, one_minus_q, n_num, d_den) where u = 1 - cos(theta)
-    computed as 2 sin^2(theta/2) so that the numerator and denominator
+    Returns (bt, q, one_minus_q, theta, u, n_num, d_den) where
+    bt = beta(omega) T, q = exp(-bt), theta = (omega0 + omega) tau and
+    u = 1 - cos(theta) computed as 2 sin^2(theta/2) so that the numerator
+    and denominator
 
         n_num = (1 - q) * u,      d_den = (1 - q) + q * u
 
@@ -71,7 +73,7 @@ def _fringe_terms(omega, tau, p: ModelParams):
     u = 2.0 * sin_half * sin_half
     n_num = one_minus_q * u
     d_den = one_minus_q + q * u
-    return u, q, one_minus_q, n_num, d_den
+    return bt, q, one_minus_q, theta, u, n_num, d_den
 
 
 def count_rate(omega, tau, p: ModelParams):
@@ -80,7 +82,7 @@ def count_rate(omega, tau, p: ModelParams):
     The removable 0/0 point (vanishing pumping at a fringe center)
     evaluates to 0 by continuity; a NaN input gives NaN.
     """
-    _, _, _, n_num, d_den = _fringe_terms(omega, tau, p)
+    *_, n_num, d_den = _fringe_terms(omega, tau, p)
     ok = d_den != 0.0  # only the removable point; NaN propagates
     safe = np.where(ok, d_den, 1.0)
     out = np.where(ok, p.s_p * n_num / safe, 0.0)
@@ -100,28 +102,20 @@ def count_rate_curvature(omega, tau, p: ModelParams):
     omega = np.asarray(omega, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
     sig2 = p.sigma * p.sigma
+    bt, q, one_minus_q, theta, u, n0, d0 = _fringe_terms(omega, tau_arr, p)
 
-    bt = pump_rate(omega, p) * p.T
     bt1 = -(omega / sig2) * bt                    # d(beta T)/d omega
     bt2 = (omega * omega / sig2 - 1.0) / sig2 * bt
-
-    q = np.exp(-bt)
-    one_minus_q = -np.expm1(-bt)
     q1 = -bt1 * q
     q2 = (bt1 * bt1 - bt2) * q
 
-    theta = (p.omega0 + omega) * tau_arr
-    sin_half = np.sin(0.5 * theta)
-    u = 2.0 * sin_half * sin_half                 # 1 - cos(theta), exactly
     c = 1.0 - u
     u1 = tau_arr * np.sin(theta)
     u2 = tau_arr * tau_arr * c
 
-    n0 = one_minus_q * u
     n1 = -q1 * u + one_minus_q * u1
     n2 = -q2 * u - 2.0 * q1 * u1 + one_minus_q * u2
 
-    d0 = one_minus_q + q * u
     d1 = q1 * (u - 1.0) + q * u1
     d2 = q2 * (u - 1.0) + 2.0 * q1 * u1 + q * u2
 

@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fokker_planck import MomentReport, _weighted_moments
+from .fokker_planck import MomentReport, _check_step_floor, _weighted_moments
 from .fringe import count_rate_curvature
 from .params import Lattice, ModelParams
 
@@ -39,6 +39,8 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     Low-level core shared by ``langevin_ensemble`` and the oracle
     comparisons (which carry the state across tau values for
     continuation).  The report at t = 0 describes the initial state.
+    Raises CflViolationError if the step is below the grid solver's
+    floor of 1e-12 * t_end.
     """
     n = lat.n
     a = lat.a_array()
@@ -56,6 +58,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
             rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
         rate_scale = max(rate_scale, float(gamma.max()), 1e-300)
         dt = min(0.01 / rate_scale, t_end / (10.0 * max(n_outputs, 1)))
+    _check_step_floor(dt, t_end)
 
     two_a_gamma = 2.0 * gamma * a
     a2_gamma = gamma * a * a

@@ -152,12 +152,12 @@ def test_numeric_error_exits_3_and_removes_partial_outputs(tmp_path, capsys):
     assert not (tmp_path / "sweep_meta.txt").exists()
 
 
-def test_module_entrypoint_runs():
+def test_module_entrypoint_runs(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "spinfringe.cli", "rate", "--out",
-         "/tmp/spinfringe_entry_test"],
+        [sys.executable, "-m", "spinfringe.cli", "rate", "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert (tmp_path / "rate.csv").exists()
 
 
 def test_grid_method_with_multisite_lattice_exits_2(tmp_path, capsys):
@@ -192,3 +192,152 @@ def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "IOError", "message": "rename refused"}
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting", [
+    ["oracle.n_cells = 8"],
+    ["oracle.cfl = 0.95"],
+    ["oracle.m_min = 1", "oracle.m_max = -1"],
+])
+def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
+    argv = ["oracle", "--out", str(tmp_path)]
+    for item in setting:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert "oracle/output/map" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_flag_is_the_seed_override_and_is_echoed(tmp_path):
+    assert main(["rate", "--out", str(tmp_path), "--seed", "77"]) == 0
+    meta = (tmp_path / "rate_meta.txt").read_text().splitlines()
+    assert meta.count("seed = 77") == 2  # header and echo, no default marker
+    assert not any(line.startswith("seed = 12345") for line in meta)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "seed must be in [0, 2**128)"),
+    (["--set", f"seed = {2 ** 128}"], "seed must be in [0, 2**128)"),
+    (["--seed", "5", "--set", "seed = 5"], "duplicate key 'seed'"),
+])
+def test_seed_range_and_duplicate_exit_2(tmp_path, capsys, argv, message):
+    # -1 used to reach the Philox key as a ValueError traceback.
+    code = main(["oracle", "--out", str(tmp_path), "--set", "lattice.n = 2",
+                 "--set", "oracle.n_traj = 100", *argv])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert message in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_langevin_oracle_without_bath_exits_3(tmp_path, capsys):
+    # d_bath = 0 makes the default t_end 1e301 ns: the step floor stops
+    # the run at once instead of an endless Euler loop.
+    code = main(["oracle", "--out", str(tmp_path), "--set", "lattice.n = 4",
+                 "--set", "lattice.d_bath = 0"])
+    assert code == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "CflViolationError"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Small runs of each subcommand; "langevin" is the oracle on a 2-site
+# lattice, whose standard-error columns hold numbers.
+_SMALL = {
+    "fringe-map": ["map.n_omega = 4", "map.n_tau = 5", "sweep.tau_end = 0.4"],
+    "sweep": ["sweep.tau_end = 0.2", "sweep.tau_step = 0.01"],
+    "steady": ["sweep.tau_start = 0.8", "sweep.tau_end = 0.82",
+               "sweep.tau_step = 0.01"],
+    "oracle": ["oracle.m_min = -40", "oracle.m_max = 40", "oracle.n_cells = 64",
+               "oracle.t_end = 20", "oracle.n_outputs = 4"],
+    "langevin": ["lattice.n = 2", "oracle.n_traj = 200", "oracle.t_end = 10",
+                 "oracle.n_outputs = 4"],
+    "rate": [],
+}
+
+
+def _expected_table(sub, cfg):
+    """(file name, text) rebuilt from the library, one format call per value."""
+    prec = cfg.output.precision
+
+    def fmt(x):
+        return format(float(x), f".{prec}g")
+
+    if sub == "fringe-map":
+        w = cfg.meanfield.omega_bracket
+        omega = np.linspace(-w, w, cfg.map.n_omega)
+        tau = np.linspace(cfg.sweep.tau_start, cfg.sweep.tau_end, cfg.map.n_tau)
+        grid = sf.fringe_map(omega, tau, cfg.model)
+        name, header = "fringe_map.csv", "omega_rad_per_ns,tau_ns,count"
+        rows = [[fmt(om), fmt(tv), fmt(grid[i, j])]
+                for i, om in enumerate(omega) for j, tv in enumerate(tau)]
+    elif sub == "sweep":
+        name = "sweep.csv"
+        header = "tau_ns,omega_f_rad_per_ns,count,beta_per_ns,stable,jumped,pass"
+        rows = [[fmt(s.tau), fmt(s.omega_f), fmt(s.count), fmt(s.beta_f),
+                 str(int(s.stable)), str(int(s.jumped)), s.direction]
+                for s in sf.run_sweep(cfg.sweep, cfg.model, cfg.meanfield)]
+    elif sub == "steady":
+        name = "steady.csv"
+        header = "tau_ns,omega_f_rad_per_ns,stable,residual,branch"
+        rows = [[fmt(pt.tau), fmt(r.omega_f), str(int(r.stable)), fmt(r.residual),
+                 str(b)]
+                for pt in sf.nullcline(cfg.sweep.grid(), cfg.model, cfg.meanfield)
+                for r, b in zip(pt.roots, pt.branch_ids)]
+    elif sub == "rate":
+        h = cfg.hole
+        name = "rate.csv"
+        header = "b0_tesla,g_h,gamma_rad_per_ns,inv_r3_avg_per_nm3,trion_flip_rate_per_ns"
+        rows = [[fmt(h.b0), fmt(h.g_h), fmt(h.gamma_rad), fmt(h.inv_r3_avg),
+                 fmt(sf.trion_flip_rate(h))]]
+    else:
+        o = cfg.oracle
+        if sub == "oracle":
+            spec = sf.GridSpec(o.m_min, o.m_max, o.n_cells, o.init_mean,
+                               (o.m_max - o.m_min) / 40.0, o.cfl, o.n_outputs)
+            _, reports = sf.fp_grid_solve(cfg.lattice, o.tau, o.t_end, spec, cfg.model)
+        else:
+            reports = sf.langevin_ensemble(cfg.lattice, o.tau, o.t_end, o.n_traj,
+                                           cfg.seed, cfg.model, n_outputs=o.n_outputs)
+        name = "oracle.csv"
+        header = ("t_ns,mean_omega_rad_per_ns,var_omega,trion_drift_exact,"
+                  "trion_drift_meanfield,flatness_error,se_mean,se_var,mass_err")
+        rows = [[fmt(r.t), fmt(r.mean_omega), fmt(r.var_omega),
+                 fmt(r.trion_drift_exact), fmt(r.trion_drift_meanfield),
+                 fmt(r.flatness_error),
+                 "" if r.se_mean is None else fmt(r.se_mean),
+                 "" if r.se_var is None else fmt(r.se_var), fmt(r.mass_err)]
+                for r in reports]
+    return name, "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("precision", [3, 17])
+@pytest.mark.parametrize("sub", list(_SMALL))
+def test_written_table_matches_per_value_format(tmp_path, sub, precision):
+    overrides = [*_SMALL[sub], f"output.precision = {precision}"]
+    argv = ["oracle" if sub == "langevin" else sub, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    name, text = _expected_table(sub, sf.parse_config("", overrides))
+    assert (tmp_path / name).read_text() == text
+
+
+def test_oracle_csv_and_ndjson_hold_equal_values(tmp_path):
+    common = []
+    for item in _SMALL["oracle"]:
+        common += ["--set", item]
+    assert main(["oracle", "--out", str(tmp_path), *common]) == 0
+    assert main(["oracle", "--out", str(tmp_path), *common,
+                 "--set", "output.format = ndjson"]) == 0
+    header, rows = read_csv(tmp_path / "oracle.csv")
+    recs = [json.loads(line)
+            for line in (tmp_path / "oracle.ndjson").read_text().splitlines()]
+    assert len(recs) == len(rows) == 5
+    for row, rec in zip(rows, recs):
+        assert list(rec) == header
+        assert [None if cell == "" else float(cell) for cell in row] == list(rec.values())
+    assert rows[0][header.index("se_mean")] == ""

@@ -66,6 +66,14 @@ def test_validation_error_names_invariant_and_location():
         parse_config("meanfield.omega_bracket = 20\n")  # below 4 sigma
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_seed_outside_philox_key_range_rejected(seed):
+    with pytest.raises(sf.ConfigValidationError) as err:
+        parse_config(f"\nseed = {seed}\n")
+    assert err.value.key == "seed" and err.value.line == 2
+    assert parse_config(f"seed = {2 ** 128 - 1}\n").seed == 2 ** 128 - 1
+
+
 def test_parse_error_carries_line_and_column():
     with pytest.raises(sf.ConfigParseError) as err:
         parse_config("model.T = 26\nmodel.s_p 0.5\n")

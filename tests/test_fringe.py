@@ -172,3 +172,17 @@ def test_nan_inputs_propagate_through_fringe_kernels():
     out = sf.count_rate(np.array([math.nan, 0.0]), 2.0 * math.pi / P.omega0,
                         sf.ModelParams(beta0=0.0))
     assert math.isnan(out[0]) and out[1] == 0.0
+
+
+def test_curvature_value_is_count_rate_bit_for_bit():
+    # Both take C from the same shared terms, including the removable 0/0
+    # point (tau = 0 with pumping underflowed at omega = 1e3) and NaN.
+    omega = np.concatenate([np.linspace(-8 * P.sigma, 8 * P.sigma, 401),
+                            [0.0, 1e3, math.nan]])
+    tau = np.array([0.0, 0.17, 2.0 * math.pi / P.omega0, 1.3, math.nan])[:, None]
+    for p in (P, sf.ModelParams(beta0=0.0)):
+        assert np.array_equal(sf.count_rate_curvature(omega, tau, p)[0],
+                              sf.count_rate(omega, tau, p), equal_nan=True)
+        for w, t in ((0.0, 0.0), (1e3, 0.0), (0.3, 0.17), (math.nan, 0.17)):
+            assert np.array_equal(sf.count_rate_curvature(w, t, p)[0],
+                                  sf.count_rate(w, t, p), equal_nan=True)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinfringe as sf
-from spinfringe.langevin import langevin_ensemble
+from spinfringe.langevin import evolve_trajectories, langevin_ensemble
 
 P = sf.ModelParams()
 
@@ -123,3 +123,13 @@ def test_hysteresis_loop_matches_meanfield():
     mf_area = np.trapezoid(np.abs(np.array(mf_a) - np.array(mf_b)), taus)
     assert mf_area > 0.5  # genuinely bistable window
     assert lang_area == pytest.approx(mf_area, rel=0.10)
+
+
+def test_step_below_floor_raises_at_once():
+    # t_end = 1e301 (the oracle's default with d_bath = 0) would stall the
+    # Euler loop where t + step == t; the grid solver's floor applies.
+    lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                     f=(5e-5, 5e-5), d_bath=0.0)
+    rng = np.random.Generator(np.random.Philox(key=1))
+    with pytest.raises(sf.CflViolationError):
+        evolve_trajectories(lat, 0.17, 1e301, np.zeros((100, 2)), rng, P)
