@@ -68,6 +68,9 @@ class OracleConfig:
             raise ValueError("oracle.n_cells >= 16 required")
         if not 0.0 < self.cfl <= 0.9:
             raise ValueError("0 < oracle.cfl <= 0.9 required")
+        for key in ("t_end", "dt", "init_width"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"oracle.{key} >= 0 required (0 is auto)")
 
 
 @dataclass(frozen=True)
@@ -231,14 +234,16 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
 
     def valid(key: str, line_key: str | None, check) -> Any:
         """``check()``, or the requirement ``check = (ok, message)``; a
-        failure is a ConfigValidationError at ``key`` and ``line_key``'s line."""
+        failure is a ConfigValidationError at ``key`` and ``line_key``'s line
+        (with no ``line_key``, the line of the key the message begins with)."""
         try:
             if callable(check):
                 return check()
             if not check[0]:
                 raise ValueError(check[1])
         except ValueError as exc:
-            raise ConfigValidationError(str(exc), key=key, line=where.get(line_key))
+            named = line_key or str(exc).split(" ", 1)[0]
+            raise ConfigValidationError(str(exc), key=key, line=where.get(named))
 
     defaulted = tuple(sorted(k for k in _SCHEMA if k not in raw))
 

@@ -6,14 +6,12 @@ The average shift omega obeys
 
 balancing spin-diffusion decay against the trion-induced nuclear random
 walk whose rate follows the count rate C.  This module evaluates the
-right-hand side in closed form and finds its roots on one scan grid: all
-of them with stability classification (``steady_states``), or the one
-the flow carries a seed to (``relax_to_steady``, the continuation step
-used by sweeps).  ``steady_states`` bisects all sign-change cells of one
-delay together, one array drift call per bisection step; a relaxation
-has a single cell and bisects it with scalar calls, which cost less on
-one point.  Both take the same midpoints, so they give the same roots
-bit for bit.
+right-hand side in closed form and finds its roots with one engine,
+``_root_table``, which bisects the sign-change brackets of the scan grids
+of all requested delays together.  ``steady_states`` is the engine on one
+delay.  ``relax_to_steady``, the continuation step of sweeps, is a
+lookup in that table with no bisection of its own; sweeps build one
+table for all their delays and apply the same lookup (``_relax``).
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ def _residual_tol(p: ModelParams, mf: MeanFieldParams) -> float:
     return mf.relax_tol * rate * p.sigma
 
 
-def _is_stable(g, omega: float, fd_step: float) -> bool:
+def _is_stable(omega: float, tau: float, p: ModelParams, mf: MeanFieldParams) -> bool:
     """Sign of the local drift slope, robust to narrow fringe-edge features.
 
     A stable root has drift > 0 on its left and < 0 on its right.  The
@@ -61,7 +59,10 @@ def _is_stable(g, omega: float, fd_step: float) -> bool:
     the same side of zero (feature narrower than the step); the final
     fallback is the central-difference slope sign at the smallest step.
     """
-    h = fd_step
+    def g(w: float) -> float:
+        return drift(w, tau, p, mf)
+
+    h = mf.fd_step
     for _ in range(5):
         g_left, g_right = g(omega - h), g(omega + h)
         if g_left > 0.0 and g_right < 0.0:
@@ -72,33 +73,17 @@ def _is_stable(g, omega: float, fd_step: float) -> bool:
     return g(omega + h) - g(omega - h) <= 0.0
 
 
-_BISECT_MAX_ITER = 200  # shared by both bisections, so they stop on the same step
+_BISECT_MAX_ITER = 200
 
 
-def _bisect(g, lo: float, hi: float, g_lo: float, tol_abs: float) -> tuple[float, float]:
-    """Bisection on a sign change until |g| <= tol_abs or float resolution."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        g_mid = g(mid)
-        if abs(g_mid) <= tol_abs:
-            return mid, g_mid
-        if (g_lo < 0.0) == (g_mid < 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    return mid, g(mid)
-
-
-def _bisect_brackets(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
+def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
+                     p: ModelParams, mf: MeanFieldParams,
                      tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_bisect`` on every bracket at once, with one call of the array drift
-    ``g`` per step on the midpoints of the brackets still active.
-
-    Each bracket takes the scalar steps in the same order, so its midpoints,
-    and hence its root and drift, equal ``_bisect``'s bit for bit.
+    """Bisect each sign-change bracket [lo, hi] of the drift at its delay
+    ``tau`` until |drift| <= tol_abs or float resolution; returns the roots
+    and their drifts.  One array drift call per step takes the midpoints
+    of the brackets still open; the end whose drift has the midpoint's
+    sign moves, so the two ends are treated alike.
     """
     lo, hi, g_lo = (np.array(a, dtype=float) for a in (lo, hi, g_lo))
     w, gw = np.empty_like(lo), np.empty_like(lo)
@@ -111,7 +96,7 @@ def _bisect_brackets(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
         active, mid = active[~flat], mid[~flat]
         if not active.size:
             break
-        g_mid = g(mid)
+        g_mid = drift(mid, tau[active], p, mf)
         done = np.abs(g_mid) <= tol_abs
         w[active[done]], gw[active[done]] = mid[done], g_mid[done]
         active, mid, g_mid = active[~done], mid[~done], g_mid[~done]
@@ -121,65 +106,8 @@ def _bisect_brackets(g, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
     rest = np.concatenate(resolved + [active])
     if rest.size:
         w[rest] = 0.5 * (lo[rest] + hi[rest])
-        gw[rest] = g(w[rest])
+        gw[rest] = drift(w[rest], tau[rest], p, mf)
     return w, gw
-
-
-_WALK_CHUNK = 32  # scan points per drift call on the walk to the next root
-
-
-def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
-                    mf: MeanFieldParams) -> SteadyState:
-    """The root the drift carries omega_init to: the first in its direction.
-
-    A seed within the residual tolerance is kept.  Otherwise the walk
-    follows the ``steady_states`` scan grid from the point behind the seed
-    to the first drift sign change and bisects that cell as
-    ``steady_states`` does, so the result is one of its roots bit for bit.
-    It lies in the basin of omega_init: sweeps keep branch memory.
-
-    Raises ValueError for a non-finite omega_init or tau, and
-    BracketEscapeError (tau attached) for |omega_init| > omega_bracket or
-    no root between the seed and the bracket edge.
-    """
-    if not (math.isfinite(omega_init) and math.isfinite(tau)):
-        raise ValueError(f"non-finite omega_init {omega_init!r} or tau {tau!r}")
-    if abs(omega_init) > mf.omega_bracket:
-        raise BracketEscapeError(
-            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=tau)
-
-    def g(w: float) -> float:
-        return drift(w, tau, p, mf)
-
-    w0 = float(omega_init)
-    g0 = g(w0)
-    if abs(g0) <= _residual_tol(p, mf):
-        return SteadyState(omega_f=w0, stable=_is_stable(g, w0, mf.fd_step),
-                           residual=abs(g0), basin_seed=w0)
-    grid = _scan_grid(tau, p, mf)
-    i = int(np.searchsorted(grid, w0, side="right" if g0 > 0.0 else "left"))
-    path = grid[i - 1:] if g0 > 0.0 else grid[i::-1]
-    near = (w0, g0)  # the last point on the path with the seed's drift sign
-    for start in range(0, path.size, _WALK_CHUNK):
-        pts = path[start:start + _WALK_CHUNK]
-        vals = np.asarray(drift(pts, tau, p, mf))
-        if start == 0:  # the point behind the seed opens the first cell if it has g0's sign
-            near = (pts[0], vals[0]) if vals[0] * g0 > 0.0 else near
-            pts, vals = pts[1:], vals[1:]
-        pts, vals = np.r_[near[0], pts], np.r_[near[1], vals]
-        k = int(np.argmax(vals * g0 <= 0.0))
-        if k == 0:
-            near = (pts[-1], vals[-1])
-            continue
-        w, gw = float(pts[k]), float(vals[k])
-        if gw == 0.0:
-            return SteadyState(omega_f=w, stable=_is_stable(g, w, mf.fd_step),
-                               residual=0.0, basin_seed=w0)
-        # _bisect treats its two ends alike, so this is the steady_states cell.
-        w, gw = _bisect(g, float(pts[k - 1]), w, float(vals[k - 1]), _residual_tol(p, mf))
-        return SteadyState(omega_f=w, stable=True, residual=abs(gw), basin_seed=w0)
-    raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
-                             tau=tau)
 
 
 def _null_clusters(tau: float, p: ModelParams, w_max: float) -> np.ndarray:
@@ -226,39 +154,91 @@ def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
     return grid[(grid >= -w_max) & (grid <= w_max)]
 
 
+def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndarray, ...]]:
+    """The roots of the drift the scan finds at each delay of ``taus`` (at
+    least one): arrays (omega, stable, residual) per delay, sorted by omega.
+
+    Each ``_scan_grid`` takes one array drift call.  A sign change between
+    neighbouring points is a bracket, an exact zero a bracket of width
+    zero, and the brackets of all delays go through one
+    ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
+    """
+    taus = np.array(taus, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(taus)):
+        raise ValueError(f"non-finite tau {float(taus[~np.isfinite(taus)][0])!r}")
+    parts = []  # (delay, lo, hi, g_lo) of every bracket
+    for k, tau in enumerate(taus.tolist()):
+        grid = _scan_grid(tau, p, mf)
+        gvals = np.asarray(drift(grid, tau, p, mf))
+        zero = np.flatnonzero(gvals == 0.0)
+        change = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
+        lo, hi = np.r_[zero, change], np.r_[zero, change + 1]
+        parts.append((np.full(lo.size, k), grid[lo], grid[hi], gvals[lo]))
+    delay, lo, hi, g_lo = (np.concatenate(c) for c in zip(*parts))
+    w, gw = _bisect_brackets(taus[delay], lo, hi, g_lo, p, mf, _residual_tol(p, mf))
+    stable = g_lo > 0.0  # a transversal crossing that falls through zero attracts
+    for i in np.flatnonzero(g_lo == 0.0):
+        stable[i] = _is_stable(float(w[i]), float(taus[delay[i]]), p, mf)
+    order = np.lexsort((w, delay))
+    cuts = np.searchsorted(delay[order], np.arange(1, taus.size))
+    return list(zip(*(np.split(c[order], cuts) for c in (w, stable, np.abs(gw)))))
+
+
+def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: ModelParams,
+           mf: MeanFieldParams) -> SteadyState:
+    """The lookup rule on one delay's ``_root_table`` entry: see ``relax_to_steady``."""
+    if not math.isfinite(omega_init):
+        raise ValueError(f"non-finite omega_init {omega_init!r}")
+    if abs(omega_init) > mf.omega_bracket:
+        raise BracketEscapeError(
+            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=tau)
+    w0 = float(omega_init)
+    g0 = drift(w0, tau, p, mf)
+    if abs(g0) <= _residual_tol(p, mf):
+        return SteadyState(omega_f=w0, stable=_is_stable(w0, tau, p, mf),
+                           residual=abs(g0), basin_seed=w0)
+    omega, stable, residual = roots
+    side = omega > w0 if g0 > 0.0 else omega < w0
+    ahead = np.flatnonzero(side | ((omega == w0) & stable))
+    if not ahead.size:
+        raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
+                                 tau=tau)
+    j = ahead[0] if g0 > 0.0 else ahead[-1]
+    return SteadyState(omega_f=float(omega[j]), stable=bool(stable[j]),
+                       residual=float(residual[j]), basin_seed=w0)
+
+
 def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
     """All roots of the drift on [-W, W] the scan finds, sorted, with stability.
 
-    Every sign change of the drift on the ``_scan_grid`` points is bisected
-    to the residual tolerance, or to float resolution where the drift moves
-    by more than the tolerance per ulp.  All cells of the delay advance
-    together, with one array drift call per step on the midpoints still
-    open.  Stability is sign-based.  Where the drift points inward at both
-    edges, as decay usually ensures at W >= 4 sigma, the count is odd; a
-    trion-term spike on an edge (tau = 1.42857 ns at the defaults) turns
-    that edge outward, and a root pair straddles it.  A root pair within
-    one scan cell can be missed.  Raises ValueError for a non-finite tau.
+    This is the root engine ``_root_table`` on one delay.  Each root's
+    ``residual`` is <= relax_tol*kappa*sigma, or the root ends at float
+    resolution where the drift moves by more than that per ulp (|drift|
+    4.25e-7 against 1.005e-7 at tau = 1.5, kappa = 0.01, alpha = 100).
+    ``basin_seed`` is the root itself.  Stability is sign-based.  Where
+    the drift points inward at both edges, as decay usually ensures at
+    W >= 4 sigma, the count is odd; a trion-term spike on an edge (tau =
+    1.42857 ns at the defaults) turns that edge outward, and a root pair
+    straddles it.  A root pair within one scan cell can be missed.
+    Raises ValueError for a non-finite tau.
     """
-    if not math.isfinite(tau):
-        raise ValueError(f"non-finite tau {tau!r}")
-    grid = _scan_grid(tau, p, mf)
-    gvals = np.asarray(drift(grid, tau, p, mf))
+    omega, stable, residual = _root_table(tau, p, mf)[0]
+    return [SteadyState(omega_f=w, stable=s, residual=r, basin_seed=w)
+            for w, s, r in zip(omega.tolist(), stable.tolist(), residual.tolist())]
 
-    def g(w):
-        return drift(w, tau, p, mf)
 
-    roots: list[SteadyState] = []
-    exact = np.flatnonzero(gvals == 0.0)
-    for i in exact:
-        w = float(grid[i])
-        roots.append(SteadyState(omega_f=w, stable=_is_stable(g, w, mf.fd_step),
-                                 residual=0.0, basin_seed=w))
-    change = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
-    ws, gws = _bisect_brackets(g, grid[change], grid[change + 1], gvals[change],
-                               _residual_tol(p, mf))
-    for i, w, gw in zip(change, ws.tolist(), gws.tolist()):
-        # Transversal crossing: falling through zero means attracting.
-        roots.append(SteadyState(omega_f=w, stable=float(gvals[i]) > 0.0,
-                                 residual=abs(gw), basin_seed=w))
-    roots.sort(key=lambda r: r.omega_f)
-    return roots
+def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
+                    mf: MeanFieldParams) -> SteadyState:
+    """The root the drift carries omega_init to: a lookup in ``steady_states``.
+
+    A seed within the residual tolerance is kept.  Otherwise the result
+    is the nearest of those roots on the side ``sign(drift(omega_init))``
+    points to, counting a stable root at the seed itself.  It lies in the
+    basin of omega_init, so sweeps keep branch memory.  ``residual`` is as
+    in ``steady_states``; ``basin_seed`` is omega_init.
+
+    Raises ValueError for a non-finite omega_init or tau, and
+    BracketEscapeError (tau attached) for |omega_init| > omega_bracket or
+    no root between the seed and the bracket edge.
+    """
+    return _relax(_root_table(tau, p, mf)[0], tau, omega_init, p, mf)

@@ -100,8 +100,9 @@ class MeanFieldParams:
     alpha          trion-walk strength [rad^2/ns^3]
     omega_bracket  half-width W of the root search window [rad/ns]
     fd_step        finite-difference step for stability slopes [rad/ns]
-    relax_tol      dimensionless residual tolerance; roots and kept
-                   relaxation seeds have |drift| <= relax_tol * kappa * sigma
+    relax_tol      dimensionless residual tolerance; roots have
+                   |drift| <= relax_tol * kappa * sigma or end at float
+                   resolution, and kept relaxation seeds are within it
     """
 
     kappa: float
@@ -135,8 +136,10 @@ class SteadyState:
 
     omega_f     steady Overhauser shift [rad/ns]
     stable      sign of the local drift slope (d drift/d omega <= 0)
-    residual    |drift(omega_f)| [rad/ns^2]
-    basin_seed  initial omega the relaxation started from [rad/ns]
+    residual    |drift(omega_f)| [rad/ns^2]: <= relax_tol*kappa*sigma, or
+                the root ends at float resolution
+    basin_seed  the seed for ``relax_to_steady``, the root itself for
+                ``steady_states`` [rad/ns]
     """
 
     omega_f: float

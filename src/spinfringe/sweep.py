@@ -3,8 +3,9 @@
 ``run_sweep`` reproduces the experimental protocol: at each two-pulse
 delay tau the nuclear shift relaxes to quasi-equilibrium seeded with the
 previous delay's result, so multistable regions retain branch memory and
-the forward and backward passes disagree (hysteresis).  ``fringe_map``
-and ``nullcline`` provide the static pictures the sweep traces live on.
+the forward and backward passes disagree (hysteresis); each sample is a
+lookup in one root table of all delays.  ``fringe_map`` and
+``nullcline`` provide the static pictures the sweep traces live on.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fringe import count_rate, pump_rate
-from .meanfield import relax_to_steady, steady_states
+from .meanfield import _relax, _root_table, steady_states
 from .params import MeanFieldParams, ModelParams, SteadyState, SweepSchedule, TraceSample
 
 __all__ = ["run_sweep", "fringe_map", "nullcline", "NullclinePoint"]
@@ -30,27 +31,28 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
     """Scan tau with nuclear memory; round trips run forward then backward.
 
     Each point relaxes the mean-field drift seeded with the previous
-    point's omega_f (the first point uses s.omega_init).  A sample is
-    flagged ``jumped`` when omega_f moved by more than half a fringe from
-    its seed, which marks a branch switch.  Solver failures propagate
-    with the offending tau attached.
+    point's omega_f (the first point uses s.omega_init), by the
+    ``relax_to_steady`` lookup in one root table that both passes share.
+    A sample is flagged ``jumped`` when omega_f moved by more than half a
+    fringe from its seed, which marks a branch switch.  Solver failures
+    propagate with the offending tau attached.
     """
     grid = s.grid()
-    passes: list[tuple[str, np.ndarray]] = []
+    points = list(zip(grid.tolist(), _root_table(grid, p, mf)))
+    passes: list[tuple[str, list]] = []
     if s.direction in ("forward", "round-trip"):
-        passes.append(("fwd", grid))
+        passes.append(("fwd", points))
     if s.direction in ("backward", "round-trip"):
-        passes.append(("bwd", grid[::-1]))
+        passes.append(("bwd", points[::-1]))
 
     samples: list[TraceSample] = []
     omega = float(s.omega_init)
     index = 0
-    for direction, taus in passes:
-        for tau in taus:
-            tau = float(tau)
+    for direction, pts in passes:
+        for tau, roots in pts:
             if s.reset_omega_every > 0 and index > 0 and index % s.reset_omega_every == 0:
                 omega = float(s.omega_init)
-            ss = relax_to_steady(omega, tau, p, mf)
+            ss = _relax(roots, tau, omega, p, mf)
             jumped = index > 0 and abs(ss.omega_f - omega) > _jump_threshold(tau)
             samples.append(TraceSample(
                 tau=tau,

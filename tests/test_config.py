@@ -116,3 +116,13 @@ def test_echo_marks_defaults():
         (line.split(" = ")[0], line) for line in marked.splitlines())
     assert "# default" not in lines["model.T"]
     assert "# default" in lines["model.s_p"]
+
+
+@pytest.mark.parametrize("key", ["oracle.t_end", "oracle.dt", "oracle.init_width"])
+def test_negative_oracle_auto_keys_rejected(key):
+    # Only 0 means "auto"; a negative value is an error at its own line.
+    with pytest.raises(sf.ConfigValidationError) as err:
+        parse_config(f"seed = 1\n{key} = -5\n")
+    assert f"{key} >= 0 required" in str(err.value)
+    assert err.value.line == 2
+    assert getattr(parse_config(f"{key} = 0\n").oracle, key.split(".")[1]) == 0.0

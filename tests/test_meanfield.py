@@ -7,7 +7,9 @@ import pytest
 
 import spinfringe as sf
 from spinfringe.errors import BracketEscapeError
-from spinfringe.meanfield import _bisect, _bisect_brackets, _residual_tol, _scan_grid
+from spinfringe import meanfield
+from spinfringe.meanfield import (_BISECT_MAX_ITER, _bisect_brackets, _residual_tol,
+                                  _root_table, _scan_grid)
 
 P = sf.ModelParams()
 
@@ -166,6 +168,19 @@ def test_relax_stops_at_first_root_in_its_path():
     assert np.all(np.asarray(sf.drift(path, 0.73, P, mf)) * sf.drift(seed, 0.73, P, mf) > 0)
 
 
+@pytest.mark.parametrize("tau, seed, want", [
+    (1.0800000000000003, 59.341410309243855, 59.341410309243855),  # stable root
+    (1.5, 58.64287235906454, 54.454887324641646)])                   # unstable root
+def test_relax_from_a_root_at_float_resolution(tau, seed, want):
+    # At kappa = 0.01, alpha = 100 these roots end at float resolution with
+    # |drift| above the tolerance, so the seed is not kept.  The flow stays
+    # at a stable root and leaves an unstable one for the next root ahead.
+    mf = sf.MeanFieldParams(kappa=0.01, alpha=100.0)
+    root = next(r for r in sf.steady_states(tau, P, mf) if r.omega_f == seed)
+    assert root.residual > _residual_tol(P, mf)
+    assert sf.relax_to_steady(seed, tau, P, mf).omega_f == want
+
+
 def _refined_sign_changes(tau, mf):
     """Drift sign changes on the scan grid merged with 200001 uniform points."""
     w = mf.omega_bracket
@@ -255,6 +270,24 @@ def _bisection_cases():
             yield tau, _ps2(ratio)
 
 
+def _bisect(g, lo, hi, g_lo, tol_abs):
+    """Reference scalar bisection on a sign change until |g| <= tol_abs or
+    float resolution: the steps ``_bisect_brackets`` takes per bracket."""
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        g_mid = g(mid)
+        if abs(g_mid) <= tol_abs:
+            return mid, g_mid
+        if (g_lo < 0.0) == (g_mid < 0.0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return mid, g(mid)
+
+
 def test_bisect_brackets_equals_scalar_bisect():
     # tol_abs = 0 makes every bracket run to float resolution; at the
     # residual tolerance nearly all stop early, and some still run out.
@@ -266,7 +299,8 @@ def test_bisect_brackets_equals_scalar_bisect():
         gvals = np.asarray(g(grid))
         cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
         for tol_abs in (_residual_tol(P, mf), 0.0):
-            ws, gws = _bisect_brackets(g, grid[cells], grid[cells + 1], gvals[cells], tol_abs)
+            ws, gws = _bisect_brackets(np.full(cells.size, tau), grid[cells], grid[cells + 1],
+                                       gvals[cells], P, mf, tol_abs)
             for i, w, gw in zip(cells, ws, gws):
                 want = _bisect(g, float(grid[i]), float(grid[i + 1]), float(gvals[i]), tol_abs)
                 assert (w, gw) == want
@@ -274,10 +308,27 @@ def test_bisect_brackets_equals_scalar_bisect():
     assert n_cells["tolerance"] > 1000 and n_cells["resolution"] > 1000
 
 
-def test_bisect_brackets_empty():
-    w, gw = _bisect_brackets(lambda x: pytest.fail("no drift call expected"),
-                             np.empty(0), np.empty(0), np.empty(0), 1e-9)
+def test_bisect_brackets_empty(monkeypatch):
+    monkeypatch.setattr(meanfield, "drift", lambda *a: pytest.fail("no drift call expected"))
+    w, gw = _bisect_brackets(np.empty(0), np.empty(0), np.empty(0), np.empty(0), P,
+                             sf.MeanFieldParams(kappa=1e-3, alpha=0.1), 1e-9)
     assert w.size == 0 and gw.size == 0
+
+
+@pytest.mark.parametrize("ratio, window", [(1e2, np.arange(0.70, 0.76, 0.002)),
+                                           (1e6, np.arange(1.07, 1.11, 0.002))])
+def test_pooled_root_table_equals_one_delay_calls(ratio, window):
+    # Bisecting the brackets of all delays together changes no root,
+    # flag or residual against one-delay calls.
+    mf = _ps2(ratio)
+    taus = np.r_[0.0, window]
+    pooled = _root_table(taus, P, mf)
+    assert len(pooled) == len(taus)
+    for tau, (omega, stable, residual) in zip(taus, pooled):
+        roots = sf.steady_states(float(tau), P, mf)
+        assert omega.tolist() == [r.omega_f for r in roots]
+        assert stable.tolist() == [r.stable for r in roots]
+        assert residual.tolist() == [r.residual for r in roots]
 
 
 @pytest.mark.parametrize("cls, field", [

@@ -227,3 +227,29 @@ def test_fringe_map_rejects_bad_grids():
         sf.fringe_map(np.array([1.0, 0.5]), np.array([0.1, 0.2]), P)
     with pytest.raises(ValueError):
         sf.fringe_map(np.array([0.0, 1.0]), np.array([0.2, 0.2]), P)
+
+
+# omega_f of every row of two short round trips, recorded before sweeps
+# became lookups in a pooled root table; the values must hold bit for bit.
+# At 1e2 the forward pass meets the narrow root pair near tau = 0.73 (see
+# test_relax_stops_at_first_root_in_its_path); at 1e6 the backward pass
+# crosses tau = 1.09, where the scan misses a root pair.
+SWEEP_PINS = [
+    (1e2, sf.SweepSchedule(tau_start=0.70, tau_end=0.76, tau_step=0.01, omega_init=-38.86),
+     [-38.84908762773733, -38.82204140768454, -38.760176875947884, -37.07435564086207,
+      -36.35378894152058, -36.711511442861095, -37.0544346811963, -37.0544346811963,
+      -36.711511442861095, -36.35378894152058, -35.981649304250226, -35.59515670073945,
+      -35.194154295296556, -34.77832224823331]),
+    (1e6, sf.SweepSchedule(tau_start=1.05, tau_end=1.12, tau_step=0.01),
+     [0.0, -0.22826624784194954, -0.4551899183573119, -0.6806901304647658,
+      -0.9039351214595003, -1.1165462659822754, -1.241153428901005, 0.6795953086951865,
+      0.6795953086951865, 0.9059935831982111, 1.116546265982247, -0.9039351214595003,
+      -0.6806901304647658, -0.4551899183573119, -0.22826624784194954,
+      2.278189281833677e-06]),
+]
+
+
+@pytest.mark.parametrize("ratio, sched, want", SWEEP_PINS, ids=["1e2", "1e6"])
+def test_sweep_rows_pinned(ratio, sched, want):
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / (ratio * 1e-6))
+    assert [s.omega_f for s in run(sched, mf)] == want
