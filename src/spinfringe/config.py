@@ -3,16 +3,17 @@
 The format is one ``group.key = value`` per line, ``#`` comments, no
 nesting.  Frequencies may be given as ordinary GHz via ``*_ghz`` keys
 and are converted to angular rad/ns exactly once, here.  Parsing errors
-carry line and column; validation errors name the violated invariant
-and the offending key.  A parsed configuration echoes back to text that
-re-parses to an identical configuration, including which values were
-defaulted.
+carry line and column.  A value that breaks an invariant raises a
+ConfigValidationError that states it as the checking dataclass does,
+at the key the message names and with that key's line.  A parsed
+configuration echoes back to text that re-parses to an identical
+configuration, including which values were defaulted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .constants import TWO_PI, ghz_to_rad_per_ns
@@ -94,8 +95,9 @@ class MapConfig:
     n_tau: int = 301
 
     def __post_init__(self):
-        if self.n_omega < 2 or self.n_tau < 2:
-            raise ValueError("map grids need at least 2 points")
+        for key in ("n_omega", "n_tau"):
+            if getattr(self, key) < 2:
+                raise ValueError(f"map.{key} >= 2 required")
 
 
 @dataclass(frozen=True)
@@ -121,28 +123,35 @@ class RunConfig:
     effective: tuple[tuple[str, Any], ...] = field(default=(), compare=False)
 
 
-# Schema: key -> (kind, default). Defaults marked DERIVED are resolved in
-# _finalize against other effective values.
+# Params fields, as validation messages name them, whose config key is
+# not "<group>.<field>".
+_RENAMED = {"omega0": "model.omega0_ghz", "sigma": "model.sigma_ghz",
+            "gamma_rad": "hole.gamma_ghz", "alpha": "meanfield.ratio",
+            "gamma": "lattice.gamma_peak"}
+
+# Schema: key -> (kind, default), kind float, int or str.  DERIVED defaults
+# are resolved in _build.  The sweep, oracle, output and map keys are the
+# fields of their dataclass, which also checks their values.
 _DERIVED = object()
+
+
+def _group(name: str, cls) -> dict[str, tuple[str, Any]]:
+    return {f"{name}.{f.name}": (f.type, f.default) for f in fields(cls)}
+
 
 _SCHEMA: dict[str, tuple[str, Any]] = {
     "model.omega0_ghz": ("float", 10.0),
     "model.sigma_ghz": ("float", 1.6),
-    "model.T": ("float", 26.0),
+    "model.T": ("float", ModelParams.T),
     "model.beta0": ("float", _DERIVED),        # 3 / T
-    "model.s_p": ("float", 0.5),
+    "model.s_p": ("float", ModelParams.s_p),
     "meanfield.ratio": ("float", 1.0e4),
-    "meanfield.ratio_units": ("enum:ns2,ghz2,ps2", "ps2"),
+    "meanfield.ratio_units": ("str", "ps2"),
     "meanfield.kappa": ("float", 1.0e-3),
     "meanfield.omega_bracket": ("float", _DERIVED),  # 6 sigma
-    "meanfield.fd_step": ("float", 0.02),
-    "meanfield.relax_tol": ("float", 1.0e-6),
-    "sweep.tau_start": ("float", 0.05),
-    "sweep.tau_end": ("float", 1.5),
-    "sweep.tau_step": ("float", 0.002),
-    "sweep.direction": ("enum:forward,backward,round-trip", "round-trip"),
-    "sweep.omega_init": ("float", 0.0),
-    "sweep.reset_omega_every": ("int", 0),
+    "meanfield.fd_step": ("float", MeanFieldParams.fd_step),
+    "meanfield.relax_tol": ("float", MeanFieldParams.relax_tol),
+    **_group("sweep", SweepSchedule),
     "lattice.n": ("int", 1),
     "lattice.a_peak": ("float", 1.0),
     "lattice.gamma_peak": ("float", _DERIVED),  # kappa / (ratio_internal * a_peak^2)
@@ -150,52 +159,28 @@ _SCHEMA: dict[str, tuple[str, Any]] = {
     "lattice.d": ("float", 1.0e-3),
     "lattice.f": ("float", 1.0e-4),
     "lattice.d_bath": ("float", _DERIVED),      # kappa
-    "hole.b0": ("float", 4.0),
-    "hole.g_h": ("float", 0.5),
+    "hole.b0": ("float", HoleNuclearParams.b0),
+    "hole.g_h": ("float", HoleNuclearParams.g_h),
     "hole.gamma_ghz": ("float", 0.1),
-    "hole.inv_r3_avg": ("float", 1.3),
-    "oracle.tau": ("float", 0.17),
-    "oracle.t_end": ("float", 0.0),
-    "oracle.method": ("enum:auto,grid,langevin", "auto"),
-    "oracle.n_traj": ("int", 10000),
-    "oracle.dt": ("float", 0.0),
-    "oracle.n_outputs": ("int", 40),
-    "oracle.m_min": ("float", 0.0),
-    "oracle.m_max": ("float", 0.0),
-    "oracle.n_cells": ("int", 640),
-    "oracle.init_mean": ("float", 0.0),
-    "oracle.init_width": ("float", 0.0),
-    "oracle.cfl": ("float", 0.8),
-    "output.format": ("enum:csv,ndjson", "csv"),
-    "output.precision": ("int", 12),
-    "map.n_omega": ("int", 241),
-    "map.n_tau": ("int", 301),
+    "hole.inv_r3_avg": ("float", HoleNuclearParams.inv_r3_avg),
+    **_group("oracle", OracleConfig),
+    **_group("output", OutputConfig),
+    **_group("map", MapConfig),
     "seed": ("int", 12345),
 }
 
 
 def _parse_value(kind: str, text: str, key: str, line: int) -> Any:
-    if kind == "float":
-        try:
-            v = float(text)
-        except ValueError:
-            raise ConfigParseError(f"expected a number for '{key}', got {text!r}", line)
-        if math.isnan(v) or math.isinf(v):
-            raise ConfigValidationError(f"'{key}' must be finite", key=key, line=line)
-        return v
-    if kind == "int":
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigParseError(f"expected an integer for '{key}', got {text!r}", line)
-    if kind.startswith("enum:"):
-        choices = kind[5:].split(",")
-        if text not in choices:
-            raise ConfigValidationError(
-                f"'{key}' must be one of {'|'.join(choices)}, got {text!r}",
-                key=key, line=line)
+    if kind == "str":
         return text
-    raise AssertionError(kind)
+    try:
+        v = float(text) if kind == "float" else int(text)
+    except ValueError:
+        what = "a number" if kind == "float" else "an integer"
+        raise ConfigParseError(f"expected {what} for '{key}', got {text!r}", line)
+    if kind == "float" and not math.isfinite(v):
+        raise ConfigValidationError(f"'{key}' must be finite", key=key, line=line)
+    return v
 
 
 def _parse_lines(lines: list[tuple[int, str]]) -> tuple[dict[str, Any], dict[str, int]]:
@@ -232,18 +217,27 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     def get(key: str) -> Any:
         return raw.get(key, _SCHEMA[key][1])
 
-    def valid(key: str, line_key: str | None, check) -> Any:
-        """``check()``, or the requirement ``check = (ok, message)``; a
-        failure is a ConfigValidationError at ``key`` and ``line_key``'s line
-        (with no ``line_key``, the line of the key the message begins with)."""
+    def valid(group: str, check) -> Any:
+        """``check()``, or the requirement ``check = (ok, message)``.  A
+        failure is a ConfigValidationError at the key its message names (a
+        word that is a key, a field of ``group`` or a renamed field; the
+        first one the user set, if any), with that key's line, or at
+        ``group`` if it names none."""
         try:
             if callable(check):
                 return check()
             if not check[0]:
                 raise ValueError(check[1])
         except ValueError as exc:
-            named = line_key or str(exc).split(" ", 1)[0]
-            raise ConfigValidationError(str(exc), key=key, line=where.get(named))
+            words = [w.strip("()[],'") for w in str(exc).split()]
+            named = [k for w in words for k in (w, f"{group}.{w}", _RENAMED.get(w))
+                     if k in _SCHEMA] or [group]
+            key = next((k for k in named if k in where), named[0])
+            raise ConfigValidationError(str(exc), key=key, line=where.get(key))
+
+    def build(group: str, cls) -> Any:
+        return valid(group, lambda: cls(**{f.name: get(f"{group}.{f.name}")
+                                           for f in fields(cls)}))
 
     defaulted = tuple(sorted(k for k in _SCHEMA if k not in raw))
 
@@ -251,63 +245,57 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     t_pump = get("model.T")
     beta0 = raw.get("model.beta0", 3.0 / t_pump if t_pump > 0 else 0.0)
     sigma = ghz_to_rad_per_ns(get("model.sigma_ghz"))
-    model = valid("model", "model.T", lambda: ModelParams(
+    model = valid("model", lambda: ModelParams(
         omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
         T=t_pump, beta0=beta0, sigma=sigma, s_p=get("model.s_p")))
 
-    ratio = get("meanfield.ratio")
-    valid("meanfield.ratio", "meanfield.ratio",
-          (ratio > 0, "meanfield.ratio > 0 required"))
-    ratio_internal = ratio * RATIO_UNIT_FACTORS[get("meanfield.ratio_units")]
+    units = get("meanfield.ratio_units")
+    valid("meanfield", (units in RATIO_UNIT_FACTORS,
+                        f"meanfield.ratio_units must be {'|'.join(RATIO_UNIT_FACTORS)}"))
+    ratio_internal = get("meanfield.ratio") * RATIO_UNIT_FACTORS[units]
+    valid("meanfield", (ratio_internal > 0,
+                        "meanfield.ratio > 0 required, also in ns^2/rad^2"))
     kappa = get("meanfield.kappa")
     omega_bracket = raw.get("meanfield.omega_bracket", 6.0 * sigma)
-    meanfield = valid("meanfield", "meanfield.kappa", lambda: MeanFieldParams(
+    meanfield = valid("meanfield", lambda: MeanFieldParams(
         kappa=kappa, alpha=kappa / ratio_internal, omega_bracket=omega_bracket,
         fd_step=get("meanfield.fd_step"), relax_tol=get("meanfield.relax_tol")))
-    valid("meanfield.omega_bracket", "meanfield.omega_bracket",
-          (omega_bracket >= 4.0 * sigma, "meanfield.omega_bracket >= 4 sigma required"))
+    valid("meanfield", (omega_bracket >= 4.0 * sigma,
+                        "meanfield.omega_bracket >= 4 sigma required"))
 
-    sweep = valid("sweep", "sweep.tau_start", lambda: SweepSchedule(
-        tau_start=get("sweep.tau_start"), tau_end=get("sweep.tau_end"),
-        tau_step=get("sweep.tau_step"), direction=get("sweep.direction"),
-        omega_init=get("sweep.omega_init"),
-        reset_omega_every=get("sweep.reset_omega_every")))
-    valid("meanfield.fd_step", "meanfield.fd_step",
-          (meanfield.fd_step < TWO_PI / (10.0 * sweep.tau_end),
-           "meanfield.fd_step must stay below the fringe scale "
-           "2 pi / (10 * sweep.tau_end)"))
+    sweep = build("sweep", SweepSchedule)
+    valid("meanfield", (meanfield.fd_step < TWO_PI / (10.0 * sweep.tau_end),
+                        "meanfield.fd_step must stay below the fringe scale "
+                        "2 pi / (10 * sweep.tau_end)"))
 
     a_peak = get("lattice.a_peak")
-    gamma_peak = raw.get("lattice.gamma_peak",
-                         kappa / (ratio_internal * a_peak * a_peak) if a_peak else 0.0)
-    envelope = raw.get("lattice.envelope_width", 0.0)
-    lattice = valid("lattice", "lattice.n", lambda: Lattice.chain(
+    denom = ratio_internal * a_peak * a_peak
+    # A nonzero a_peak whose ratio * a_peak**2 underflows gives no finite default.
+    gamma_peak = raw.get("lattice.gamma_peak", kappa / denom if denom
+                         else (math.inf if a_peak else 0.0))
+    valid("lattice", (math.isfinite(gamma_peak),
+                      "lattice.a_peak is too small: the lattice.gamma_peak default "
+                      "kappa / (ratio * a_peak**2) is not finite"))
+    envelope = get("lattice.envelope_width")
+    valid("lattice", (envelope >= 0, "lattice.envelope_width >= 0 required (0 is auto)"))
+    lattice = valid("lattice", lambda: Lattice.chain(
         n=get("lattice.n"), a_peak=a_peak, gamma_peak=gamma_peak,
         d=get("lattice.d"), f=get("lattice.f"),
         d_bath=raw.get("lattice.d_bath", kappa),
-        envelope_width=envelope if envelope > 0 else None))
+        envelope_width=envelope or None))
 
-    hole = valid("hole", "hole.b0", lambda: HoleNuclearParams(
+    hole = valid("hole", lambda: HoleNuclearParams(
         b0=get("hole.b0"), g_h=get("hole.g_h"),
         gamma_rad=ghz_to_rad_per_ns(get("hole.gamma_ghz")),
         inv_r3_avg=get("hole.inv_r3_avg")))
 
-    oracle, output, map_cfg = valid("oracle/output/map", None, lambda: (
-        OracleConfig(
-            tau=get("oracle.tau"), t_end=get("oracle.t_end"),
-            method=get("oracle.method"), n_traj=get("oracle.n_traj"),
-            dt=get("oracle.dt"), n_outputs=get("oracle.n_outputs"),
-            m_min=get("oracle.m_min"), m_max=get("oracle.m_max"),
-            n_cells=get("oracle.n_cells"), init_mean=get("oracle.init_mean"),
-            init_width=get("oracle.init_width"), cfl=get("oracle.cfl")),
-        OutputConfig(format=get("output.format"), precision=get("output.precision")),
-        MapConfig(n_omega=get("map.n_omega"), n_tau=get("map.n_tau"))))
-
-    valid("oracle.method", "oracle.method",
-          (oracle.method != "grid" or lattice.n == 1,
-           "oracle.method = grid requires lattice.n = 1"))
+    oracle = build("oracle", OracleConfig)
+    output = build("output", OutputConfig)
+    map_cfg = build("map", MapConfig)
+    valid("oracle", (oracle.method != "grid" or lattice.n == 1,
+                     "oracle.method = grid requires lattice.n = 1"))
     seed = get("seed")
-    valid("seed", "seed", (0 <= seed < 2 ** 128, "seed must be in [0, 2**128)"))
+    valid("seed", (0 <= seed < 2 ** 128, "seed must be in [0, 2**128)"))
 
     resolved = {
         "model.beta0": beta0,

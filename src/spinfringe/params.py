@@ -19,9 +19,11 @@ _DEF_T = 26.0              # ns, optical pumping duration
 
 
 def _require_finite(obj) -> None:
-    """Raise ValueError naming the first non-finite field of a dataclass."""
+    """Raise ValueError naming the first non-finite field of a dataclass
+    (a tuple field is finite when all its items are)."""
     for f in fields(obj):
-        if not math.isfinite(getattr(obj, f.name)):
+        value = getattr(obj, f.name)
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{f.name} must be finite")
 
 
@@ -75,6 +77,7 @@ class HoleNuclearParams:
     inv_r3_avg: float = 1.3
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("b0", "g_h", "gamma_rad", "inv_r3_avg"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} > 0 required")
@@ -123,11 +126,6 @@ class MeanFieldParams:
             raise ValueError("fd_step > 0 required")
         if not self.relax_tol > 0:
             raise ValueError("relax_tol > 0 required")
-
-    @property
-    def ratio(self) -> float:
-        """kappa/alpha in internal units [ns^2/rad^2]."""
-        return self.kappa / self.alpha if self.alpha > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,10 @@ class Lattice:
             got = len(getattr(self, name))
             if got != want:
                 raise ValueError(f"lattice field '{name}' must have length {want}, got {got}")
-        if any(g < 0 for g in self.gamma) or any(x < 0 for x in self.d) or any(x < 0 for x in self.f):
-            raise ValueError("lattice rates must be >= 0")
+        _require_finite(self)
+        for name in ("gamma", "d", "f"):
+            if any(x < 0 for x in getattr(self, name)):
+                raise ValueError(f"{name} >= 0 required")
         if self.d_bath < 0:
             raise ValueError("d_bath >= 0 required")
 

@@ -206,7 +206,20 @@ def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigValidationError"
-    assert "oracle/output/map" in record["message"]
+    assert f"(key '{setting[0].split(' = ')[0]}', line 1)" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("lattice.a_peak = 1e-200", "lattice.a_peak"),   # a_peak**2 underflows
+    ("meanfield.ratio = 1e-320", "meanfield.ratio"),  # the ps2 factor underflows
+])
+def test_underflowing_derived_default_exits_2(tmp_path, capsys, setting, key):
+    # Both used to divide by zero inside parse_config: exit 1 and a traceback.
+    assert main(["rate", "--out", str(tmp_path), "--set", setting]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert f"(key '{key}', line 1)" in record["message"]
     assert list(tmp_path.iterdir()) == []
 
 

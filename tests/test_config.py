@@ -126,3 +126,36 @@ def test_negative_oracle_auto_keys_rejected(key):
     assert f"{key} >= 0 required" in str(err.value)
     assert err.value.line == 2
     assert getattr(parse_config(f"{key} = 0\n").oracle, key.split(".")[1]) == 0.0
+
+
+@pytest.mark.parametrize("before, setting", [
+    (("seed = 1",), "sweep.tau_step = -1"),
+    (("seed = 1",), "sweep.tau_start = 2"),
+    (("seed = 1",), "sweep.tau_end = 0.01"),
+    (("seed = 1",), "sweep.direction = up"),
+    ((), "model.s_p = 0.7"),
+    (("seed = 1", "model.T = 26"), "model.s_p = 0.7"),
+    (("seed = 1",), "model.beta0 = -1"),
+    (("seed = 1",), "model.sigma_ghz = 0"),
+    (("seed = 1",), "meanfield.kappa = -1"),
+    (("seed = 1",), "meanfield.relax_tol = 0"),
+    (("seed = 1",), "meanfield.fd_step = -1"),
+    (("seed = 1",), "meanfield.ratio_units = x"),
+    (("seed = 1",), "lattice.f = -1"),
+    (("seed = 1",), "lattice.envelope_width = -1"),
+    (("seed = 1",), "lattice.gamma_peak = -1"),
+    (("seed = 1",), "hole.g_h = -1"),
+    (("seed = 1",), "hole.gamma_ghz = 0"),
+    (("seed = 1",), "oracle.n_cells = 4"),
+    (("seed = 1",), "oracle.m_min = 1"),
+    (("seed = 1",), "oracle.m_max = -1"),
+    (("seed = 1",), "oracle.method = x"),
+    (("seed = 1",), "output.precision = 2"),
+    (("seed = 1",), "output.format = x"),
+    (("seed = 1",), "map.n_tau = 1"),
+])
+def test_invariant_error_at_offending_key_and_line(before, setting):
+    with pytest.raises(sf.ConfigValidationError) as err:
+        parse_config("".join(f"{line}\n" for line in (*before, setting)))
+    assert err.value.key == setting.split(" = ")[0]
+    assert err.value.line == len(before) + 1

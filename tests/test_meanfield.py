@@ -336,9 +336,17 @@ def test_pooled_root_table_equals_one_delay_calls(ratio, window):
     (sf.ModelParams, "sigma"), (sf.ModelParams, "s_p"),
     (sf.MeanFieldParams, "kappa"), (sf.MeanFieldParams, "alpha"),
     (sf.MeanFieldParams, "omega_bracket"), (sf.MeanFieldParams, "fd_step"),
-    (sf.MeanFieldParams, "relax_tol")])
+    (sf.MeanFieldParams, "relax_tol"),
+    (sf.HoleNuclearParams, "b0"), (sf.HoleNuclearParams, "g_h"),
+    (sf.HoleNuclearParams, "gamma_rad"), (sf.HoleNuclearParams, "inv_r3_avg"),
+    (sf.Lattice, "a"), (sf.Lattice, "gamma"), (sf.Lattice, "d"), (sf.Lattice, "f"),
+    (sf.Lattice, "d_bath")])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_fields(cls, field, value):
-    base = {"kappa": 1e-3, "alpha": 0.1} if cls is sf.MeanFieldParams else {}
+    base = {sf.MeanFieldParams: {"kappa": 1e-3, "alpha": 0.1},
+            sf.Lattice: {"n": 2, "a": (1.0, 1.0), "gamma": (0.1, 0.1), "d": (1e-3,),
+                         "f": (1e-4, 1e-4), "d_bath": 1e-3}}.get(cls, {})
+    if cls is sf.Lattice and field != "d_bath":
+        value = (*base[field][1:], value)  # one bad site
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         cls(**{**base, field: value})

@@ -65,7 +65,7 @@ def test_pre_transition_no_hysteresis_and_unique_root():
         assert sb.count == pytest.approx(sf_.count, abs=1e-6)
         fresh = sf.relax_to_steady(0.0, sf_.tau, P, mf)
         assert fresh.omega_f == pytest.approx(sf_.omega_f, abs=1e-5)
-        assert fresh.count if False else True
+        assert fresh.stable
         assert abs(sf.count_rate(fresh.omega_f, sf_.tau, P) - sf_.count) <= 1e-6
         assert not sf_.jumped and not sb.jumped
 
