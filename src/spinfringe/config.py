@@ -244,6 +244,8 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     # Model (GHz -> rad/ns here and nowhere else).
     t_pump = get("model.T")
     beta0 = raw.get("model.beta0", 3.0 / t_pump if t_pump > 0 else 0.0)
+    valid("model", (math.isfinite(beta0),
+                    "model.T is too small: the model.beta0 default 3 / T is not finite"))
     sigma = ghz_to_rad_per_ns(get("model.sigma_ghz"))
     model = valid("model", lambda: ModelParams(
         omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
@@ -257,6 +259,9 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
                         "meanfield.ratio > 0 required, also in ns^2/rad^2"))
     kappa = get("meanfield.kappa")
     omega_bracket = raw.get("meanfield.omega_bracket", 6.0 * sigma)
+    valid("meanfield", (math.isfinite(omega_bracket),
+                        "model.sigma_ghz is too large: the meanfield.omega_bracket "
+                        "default 6 sigma is not finite"))
     meanfield = valid("meanfield", lambda: MeanFieldParams(
         kappa=kappa, alpha=kappa / ratio_internal, omega_bracket=omega_bracket,
         fd_step=get("meanfield.fd_step"), relax_tol=get("meanfield.relax_tol")))
@@ -278,6 +283,8 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
                       "kappa / (ratio * a_peak**2) is not finite"))
     envelope = get("lattice.envelope_width")
     valid("lattice", (envelope >= 0, "lattice.envelope_width >= 0 required (0 is auto)"))
+    # Checked here because a one-site chain has no bond for Lattice to check.
+    valid("lattice", (get("lattice.d") >= 0, "lattice.d >= 0 required"))
     lattice = valid("lattice", lambda: Lattice.chain(
         n=get("lattice.n"), a_peak=a_peak, gamma_peak=gamma_peak,
         d=get("lattice.d"), f=get("lattice.f"),

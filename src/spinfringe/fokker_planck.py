@@ -9,7 +9,11 @@ with Omega = sum_j A_j m_j and velocity v_j = D_bath m_j (both sites of
 a pair sit on the chain boundary) plus, for two sites, the inter-site
 flattening drift D (m_j - m_k).  The drift uses a conservative
 central-flux finite-volume form with no-flux boundaries, applied axis by
-axis.  The trion/fluctuation term keeps its coefficient outside the
+axis.  At a fixed tau the operator is constant, so it is built once per
+solve as a three-point stencil per axis (``_stencil``) that folds in the
+drift, its no-flux edges and the zero-gradient second difference, and
+applies its neighbour weights to neighbour differences.  The
+trion/fluctuation term keeps its coefficient outside the
 second derivative, exactly as the mean-field reduction requires:
 integrating its first moment by parts gives d<Omega>/dt = Gamma A^2
 <d^2/dOmega^2 [Omega C]>, the bracket that the flatness assumption later
@@ -142,14 +146,18 @@ class MomentReport:
 
 def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
                       tau: float, p: ModelParams, ddof: int = 0,
-                      mass_err: float = 0.0) -> MomentReport:
+                      mass_err: float = 0.0,
+                      curv: tuple[np.ndarray, np.ndarray] | None = None,
+                      ) -> MomentReport:
     """Moments and drift diagnostics of weighted points in magnetization space.
 
     ``m`` holds one row of site magnetizations per point and ``w`` the
     nonnegative point weights in any normalization: grid cells pass their
     density values, trajectories pass 1 each.  ``ddof`` is taken off the
     total weight in the variance (1 gives the unbiased ensemble
-    estimate).  One curvature evaluation covers the points and <Omega>.
+    estimate).  ``curv`` gives C' and C'' at the points where they are
+    known (fixed grid cells); otherwise one curvature evaluation covers
+    the points and <Omega>.
     """
     w_sum = float(w.sum())
 
@@ -161,11 +169,16 @@ def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
     omega = m @ a
     mean = average(omega)
     var = average((omega - mean) ** 2, ddof)
-    _, c1, c2 = count_rate_curvature(np.append(omega, mean), tau, p)
+    if curv is None:
+        _, c1, c2 = count_rate_curvature(np.append(omega, mean), tau, p)
+        c1, c2, c1_mean, c2_mean = c1[:-1], c2[:-1], c1[-1], c2[-1]
+    else:
+        c1, c2 = curv
+        _, c1_mean, c2_mean = count_rate_curvature(mean, tau, p)
     site = m @ (lat.gamma_array() * a ** 3)
-    exact = average(2.0 * alpha * c1[:-1] + site * c2[:-1])
-    mean_field = alpha * float(2.0 * c1[-1] + mean * c2[-1])
-    remainder = average((site - alpha * omega) * c2[:-1])
+    exact = average(2.0 * alpha * c1 + site * c2)
+    mean_field = alpha * float(2.0 * c1_mean + mean * c2_mean)
+    remainder = average((site - alpha * omega) * c2)
     scale = max(abs(exact), abs(mean_field))
     return MomentReport(
         t=t, mean_omega=mean, var_omega=var, trion_drift_exact=exact,
@@ -175,31 +188,44 @@ def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
     )
 
 
-def _laplacian(f: np.ndarray, dm: float, axis: int = 0) -> np.ndarray:
-    """Second difference along ``axis`` with zero-gradient ghost cells."""
-    f = f.swapaxes(0, axis)
-    out = np.empty_like(f)
-    out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    out[0] = f[1] - f[0]
-    out[-1] = f[-2] - f[-1]
-    return (out / (dm * dm)).swapaxes(0, axis)
+def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
+    """The operator sum_j d/dm_j [v_j f] + g_j d^2 f / dm_j^2 as a three-point stencil.
 
+    ``vel[j]`` holds v_j at the n_cells - 1 interior faces of axis j and
+    ``g_diff[j]`` the diffusion coefficient at the cells.  The drift takes
+    central face values with no-flux edges (conservative: its rates sum
+    to zero) and the second difference has zero-gradient ghost cells.
+    Along axis j cell i couples to its upper neighbour with weight
+    ``up = v_{i+1/2}/(2 dm) + g_i/dm^2`` and to its lower one with
+    ``lo = g_i/dm^2 - v_{i-1/2}/(2 dm)``.  Returns
 
-def _drift_divergence(f: np.ndarray, vel_faces: np.ndarray, dm: float,
-                      axis: int = 0) -> np.ndarray:
-    """d/dm of (vel * f) along ``axis`` with central face values and no-flux edges.
+        rhs(f) = s f + sum_j [up_j (f_{i+1} - f_i) + lo_j (f_{i-1} - f_i)]
 
-    ``vel_faces`` holds vel at the n_cells - 1 interior faces of the
-    axis.  Returns the conservative rate (phi_{i+1/2} - phi_{i-1/2}) / dm
-    with zero boundary-face flux, so summed mass is conserved exactly.
+    where s, the row sum of the stencil, is the discrete divergence of v
+    summed over the axes.  Weighting the neighbour differences keeps the
+    large g/dm^2 terms from cancelling against the diagonal in rounding.
     """
-    f = f.swapaxes(0, axis)
-    phi = vel_faces.swapaxes(0, axis) * 0.5 * (f[1:] + f[:-1])
-    out = np.empty_like(f)
-    out[0] = phi[0]
-    out[-1] = -phi[-1]
-    out[1:-1] = phi[1:] - phi[:-1]
-    return (out / dm).swapaxes(0, axis)
+    shape = np.broadcast_shapes(*(g.shape for g in g_diff))
+    row_sum = np.zeros(shape)
+    terms = []
+    for j in range(len(vel)):
+        below = (slice(None),) * j + (slice(None, -1),)
+        above = (slice(None),) * j + (slice(1, None),)
+        g = np.broadcast_to(g_diff[j], shape) / (dm * dm)
+        h = 0.5 * vel[j] / dm
+        row_sum[below] += 2.0 * h
+        row_sum[above] -= 2.0 * h
+        terms.append((below, above, h + g[below], g[above] - h))
+
+    def rhs(f: np.ndarray) -> np.ndarray:
+        out = row_sum * f
+        for below, above, up, lo in terms:
+            df = f[above] - f[below]
+            out[below] += up * df
+            out[above] -= lo * df
+        return out
+
+    return rhs
 
 
 def _check_step_floor(dt: float, t_end: float) -> None:
@@ -217,8 +243,11 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   ) -> tuple[PdfGrid, list[MomentReport]]:
     """Evolve the density of a one- or two-site lattice to t_end, reporting moments en route.
 
-    The density lives on an (n_cells,) * lat.n tensor grid.  Explicit
-    Heun stepping; the step obeys the diffusion stability bound
+    The density lives on an (n_cells,) * lat.n tensor grid.  The
+    operator and the cells' count-rate curvature are evaluated once: the
+    right-hand side is the precomputed stencil of ``_stencil``, and each
+    report evaluates the curvature only at <Omega>.  Explicit Heun
+    stepping; the step obeys the diffusion stability bound
     cfl * dm^2 / (2 n max g) and the advection bound cfl * dm / (n max|v|),
     shrinking automatically to land on output times.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
@@ -250,7 +279,8 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         return x.reshape([-1 if k == j else 1 for k in range(n)])
 
     omega_cells = sum(lat.a[j] * along(m, j) for j in range(n))
-    c_pos = np.maximum(count_rate_curvature(omega_cells, tau, p)[0], 0.0)
+    c_cells, c1_cells, c2_cells = count_rate_curvature(omega_cells, tau, p)
+    c_pos = np.maximum(c_cells, 0.0)
     g_diff = [lat.f[j] + lat.gamma[j] * c_pos for j in range(n)]
     faces = grid.m_min + dm * np.arange(1, spec.n_cells)
     vel = [lat.d_bath * along(faces, j) for j in range(n)]
@@ -270,18 +300,12 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         dt_stable = t_end / max(spec.n_outputs, 1)
     _check_step_floor(dt_stable, t_end)
 
-    def axis_rate(fv: np.ndarray, j: int) -> np.ndarray:
-        return _drift_divergence(fv, vel[j], dm, j) + g_diff[j] * _laplacian(fv, dm, j)
-
-    def rhs(fv: np.ndarray) -> np.ndarray:
-        out = axis_rate(fv, 0)
-        for j in range(1, n):
-            out += axis_rate(fv, j)
-        return out
+    rhs = _stencil(vel, g_diff, dm)
 
     points = np.stack(np.meshgrid(*[m] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    curv = (c1_cells.ravel(), c2_cells.ravel())
     out_times = np.linspace(0.0, t_end, spec.n_outputs + 1)
-    reports = [_weighted_moments(0.0, f.ravel(), points, lat, tau, p)]
+    reports = [_weighted_moments(0.0, f.ravel(), points, lat, tau, p, curv=curv)]
     t = 0.0
     mass_err = 0.0
     for t_next in out_times[1:]:
@@ -301,5 +325,5 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         grid.values = f
         grid.t = t
         reports.append(_weighted_moments(t, f.ravel(), points, lat, tau, p,
-                                         mass_err=mass_err))
+                                         mass_err=mass_err, curv=curv))
     return grid, reports

@@ -12,6 +12,13 @@ trion operator to first order in the density width; the grid solver is
 the ground truth where both apply (single site).  With C frozen to a
 constant both terms vanish and the mean obeys pure exponential decay.
 
+Inside the time loop the state is held sites-major, as a C-contiguous
+(n, n_traj) array updated in place, so that every elementwise update
+runs over one long inner axis.  The normals are drawn as an (n_traj, n)
+block and read transposed, so each Philox draw goes to the same
+trajectory and site as for an (n_traj, n) state, and Omega is summed
+over a trajectory-major copy: the step has the same bits either way.
+
 Counter-based RNG (Philox) keyed by the seed, with all trajectories
 advanced in one vectorized stream, makes the moment series
 bit-reproducible for a fixed seed regardless of host parallelism.
@@ -38,7 +45,8 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
 
     Low-level core shared by ``langevin_ensemble`` and the oracle
     comparisons (which carry the state across tau values for
-    continuation).  The report at t = 0 describes the initial state.
+    continuation).  ``m`` is left unchanged; the loop works on a
+    sites-major copy.  The report at t = 0 describes the initial state.
     Raises CflViolationError if the step is below the grid solver's
     floor of 1e-12 * t_end.
     """
@@ -62,35 +70,59 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
 
     two_a_gamma = 2.0 * gamma * a
     a2_gamma = gamma * a * a
+    # Per-site constants as columns of the sites-major state.
+    bath, d_arr, gamma, f_const, two_a_gamma, a2_gamma = (
+        x[:, None] for x in (bath, d_arr, gamma, f_const, two_a_gamma, a2_gamma))
 
     n_traj = m.shape[0]
     ones = np.ones(n_traj)
 
-    def report(t: float, m: np.ndarray) -> MomentReport:
-        r = _weighted_moments(t, ones, m, lat, tau, p, ddof=1 if n_traj > 1 else 0)
+    def report(t: float, m_t: np.ndarray) -> MomentReport:
+        r = _weighted_moments(t, ones, np.ascontiguousarray(m_t.T), lat, tau, p,
+                              ddof=1 if n_traj > 1 else 0)
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
+    m_t = np.array(m.T, dtype=float, order="C")
+    # Step buffers, updated in place: at 10^4 trajectories a fresh array
+    # per operation costs more than its arithmetic.
+    drift, term, noise = (np.empty_like(m_t) for _ in range(3))
+    rows, z = np.empty((n_traj, n)), np.empty((n_traj, n))  # trajectory-major
     out_times = np.linspace(0.0, t_end, n_outputs + 1)
-    reports = [report(0.0, m)]
+    reports = [report(0.0, m_t)]
     t = 0.0
     for t_next in out_times[1:]:
         while t < t_next - 1e-12 * t_end:
             step = min(dt, t_next - t)
-            omega = m @ a
-            cval, c1, c2 = count_rate_curvature(omega, tau, p)
-            drift = -(bath * m)
+            # Omega as one dot product per trajectory row, so that it has
+            # the same bits as for a trajectory-major state.
+            np.copyto(rows, m_t.T)
+            cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+            np.multiply(-bath, m_t, out=drift)
             if n > 1:
-                flow = d_arr * (m[:, :-1] - m[:, 1:])
-                drift[:, :-1] -= flow
-                drift[:, 1:] += flow
-            drift += two_a_gamma * c1[:, None] + a2_gamma * m * c2[:, None]
-            g_noise = f_const + gamma * np.maximum(cval, 0.0)[:, None]
-            m = m + step * drift \
-                + np.sqrt(2.0 * g_noise * step) * rng.standard_normal(m.shape)
+                flow = term[:-1]
+                np.subtract(m_t[:-1], m_t[1:], out=flow)
+                np.multiply(d_arr, flow, out=flow)
+                drift[:-1] -= flow
+                drift[1:] += flow
+            np.multiply(a2_gamma, m_t, out=term)
+            np.multiply(term, c2, out=term)
+            np.multiply(two_a_gamma, c1, out=noise)
+            np.add(noise, term, out=noise)
+            drift += noise
+            # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
+            np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
+            np.add(f_const, noise, out=noise)
+            np.multiply(noise, 2.0 * step, out=noise)
+            np.sqrt(noise, out=noise)
+            rng.standard_normal(out=z)
+            noise *= z.T
+            drift *= step
+            m_t += drift
+            m_t += noise
             t += step
-        reports.append(report(t, m))
-    return m, reports
+        reports.append(report(t, m_t))
+    return m_t.T, reports
 
 
 def langevin_ensemble(lat: Lattice, tau: float, t_end: float, n_traj: int,

@@ -153,6 +153,10 @@ def test_negative_oracle_auto_keys_rejected(key):
     (("seed = 1",), "output.precision = 2"),
     (("seed = 1",), "output.format = x"),
     (("seed = 1",), "map.n_tau = 1"),
+    (("seed = 1",), "lattice.d = -1"),                 # one site: no bond to check
+    (("seed = 1", "lattice.n = 2"), "lattice.d = -1"),
+    (("seed = 1",), "model.T = 1e-320"),               # the beta0 default overflows
+    (("seed = 1",), "model.sigma_ghz = 1e307"),        # the omega_bracket default overflows
 ])
 def test_invariant_error_at_offending_key_and_line(before, setting):
     with pytest.raises(sf.ConfigValidationError) as err:

@@ -7,7 +7,7 @@ import pytest
 
 import spinfringe as sf
 from spinfringe.errors import CflViolationError, GridTooSmallError
-from spinfringe.fokker_planck import _laplacian
+from spinfringe.fokker_planck import _stencil, _weighted_moments
 
 P = sf.ModelParams()
 
@@ -93,12 +93,84 @@ def test_discrete_integration_by_parts_identity():
     f /= f.sum() * dm
     tau = 0.23
     cvals = np.asarray(sf.count_rate(a * m, tau, P))
+    laplacian = _stencil([np.zeros(n - 1)], [np.ones(n)], dm)  # the solver's own
 
-    lhs = a * float(np.sum(m * gamma * cvals * _laplacian(f, dm))) * dm
+    lhs = a * float(np.sum(m * gamma * cvals * laplacian(f))) * dm
     alpha = sf.alpha_from_lattice(lat)
-    d2_discrete = _laplacian(m * cvals, dm) / a
+    d2_discrete = laplacian(m * cvals) / a
     rhs = alpha * float(np.sum(f * d2_discrete)) * dm
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _flux_laplacian(f, dm, axis):
+    """Reference: the second difference, with zero-gradient ghost cells."""
+    f = f.swapaxes(0, axis)
+    out = np.empty_like(f)
+    out[1:-1] = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    out[0] = f[1] - f[0]
+    out[-1] = f[-2] - f[-1]
+    return (out / (dm * dm)).swapaxes(0, axis)
+
+
+def _flux_drift_divergence(f, vel_faces, dm, axis):
+    """Reference: the central-flux drift divergence, with no-flux edges."""
+    f = f.swapaxes(0, axis)
+    phi = vel_faces.swapaxes(0, axis) * 0.5 * (f[1:] + f[:-1])
+    out = np.empty_like(f)
+    out[0] = phi[0]
+    out[-1] = -phi[-1]
+    out[1:-1] = phi[1:] - phi[:-1]
+    return (out / dm).swapaxes(0, axis)
+
+
+@pytest.mark.parametrize("n, n_cells", [(1, 640), (2, 40), (2, 96)])
+def test_stencil_matches_flux_form(n, n_cells):
+    # The solver's coefficients, on a lattice where C varies across the
+    # grid (Gamma > 0) and the chain flow couples the axes (d > 0).
+    lat = sf.Lattice.chain(n=n, a_peak=1.0, gamma_peak=0.05, d=0.03, f=2e-4,
+                           d_bath=0.02)
+    m_min, m_max, tau = -3.0, 2.5, 1.3
+    dm = (m_max - m_min) / n_cells
+    m = m_min + dm * (np.arange(n_cells) + 0.5)
+    faces = m_min + dm * np.arange(1, n_cells)
+
+    def along(x, j):
+        return x.reshape([-1 if k == j else 1 for k in range(n)])
+
+    omega = sum(lat.a[j] * along(m, j) for j in range(n))
+    c_pos = np.maximum(sf.count_rate_curvature(omega, tau, P)[0], 0.0)
+    assert np.ptp(c_pos) > 0.5
+    g_diff = [lat.f[j] + lat.gamma[j] * c_pos for j in range(n)]
+    vel = [lat.d_bath * along(faces, j) for j in range(n)]
+    if n == 2:
+        vel = [v + lat.d[0] * (along(faces, j) - along(m, 1 - j))
+               for j, v in enumerate(vel)]
+
+    rhs = _stencil(vel, g_diff, dm)
+    rng = np.random.default_rng(n_cells)
+    for _ in range(3):
+        f = rng.uniform(0.05, 1.0, (n_cells,) * n)
+        flux = sum(_flux_drift_divergence(f, vel[j], dm, j)
+                   + g_diff[j] * _flux_laplacian(f, dm, j) for j in range(n))
+        assert np.max(np.abs(rhs(f) - flux)) <= 1e-13 * np.max(np.abs(flux))
+
+
+def test_reports_use_the_cells_curvature_taken_once():
+    # The solver evaluates C' and C'' on the cells once per solve; each
+    # report equals one that evaluates them on the cells again.
+    lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                     f=(5e-5, 5e-5), d_bath=0.02)
+    spec = sf.GridSpec(m_min=-4.0, m_max=4.0, n_cells=40, init_mean=0.5,
+                       init_width=0.4, n_outputs=3, cfl=0.8)
+    grid, reports = sf.fp_grid_solve(lat, 0.23, 30.0, spec, P)
+    m = grid.centers()
+    points = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1).reshape(-1, 2)
+    again = _weighted_moments(reports[-1].t, grid.values.ravel(), points, lat, 0.23,
+                              P, mass_err=reports[-1].mass_err)
+    for name in ("mean_omega", "var_omega", "trion_drift_exact",
+                 "trion_drift_meanfield", "flatness_error", "remainder"):
+        assert getattr(reports[-1], name) == pytest.approx(getattr(again, name),
+                                                           rel=1e-13, abs=1e-300)
 
 
 def test_grid_too_small_raises():
