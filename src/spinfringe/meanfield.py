@@ -8,10 +8,11 @@ balancing spin-diffusion decay against the trion-induced nuclear random
 walk whose rate follows the count rate C.  This module evaluates the
 right-hand side in closed form and finds its roots with one engine,
 ``_root_table``, which bisects the sign-change brackets of the scan grids
-of all requested delays together.  ``steady_states`` is the engine on one
-delay.  ``relax_to_steady``, the continuation step of sweeps, is a
-lookup in that table with no bisection of its own; sweeps build one
-table for all their delays and apply the same lookup (``_relax``).
+of all requested delays together.  ``steady_states`` is its public call,
+on one delay or on a whole delay grid; ``nullcline`` makes one such call.
+``relax_to_steady``, the continuation step of sweeps, is a lookup in that
+table with no bisection of its own; sweeps build one table for all their
+delays and apply the same lookup (``_relax``).
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: Mode
     w0 = float(omega_init)
     g0 = drift(w0, tau, p, mf)
     if abs(g0) <= _residual_tol(p, mf):
-        return SteadyState(omega_f=w0, stable=_is_stable(w0, tau, p, mf),
+        return SteadyState(tau=float(tau), omega_f=w0, stable=_is_stable(w0, tau, p, mf),
                            residual=abs(g0), basin_seed=w0)
     omega, stable, residual = roots
     side = omega > w0 if g0 > 0.0 else omega < w0
@@ -204,26 +205,36 @@ def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: Mode
         raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
                                  tau=tau)
     j = ahead[0] if g0 > 0.0 else ahead[-1]
-    return SteadyState(omega_f=float(omega[j]), stable=bool(stable[j]),
+    return SteadyState(tau=float(tau), omega_f=float(omega[j]), stable=bool(stable[j]),
                        residual=float(residual[j]), basin_seed=w0)
 
 
-def steady_states(tau: float, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
-    """All roots of the drift on [-W, W] the scan finds, sorted, with stability.
+def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
+    """All roots of the drift on [-W, W] the scan finds, with stability, at
+    one delay or at each distinct delay of a 1-d array.
 
-    This is the root engine ``_root_table`` on one delay.  Each root's
-    ``residual`` is <= relax_tol*kappa*sigma, or the root ends at float
-    resolution where the drift moves by more than that per ulp (|drift|
-    4.25e-7 against 1.005e-7 at tau = 1.5, kappa = 0.01, alpha = 100).
-    ``basin_seed`` is the root itself.  Stability is sign-based.  Where
-    the drift points inward at both edges, as decay usually ensures at
-    W >= 4 sigma, the count is odd; a trion-term spike on an edge (tau =
-    1.42857 ns at the defaults) turns that edge outward, and a root pair
-    straddles it.  A root pair within one scan cell can be missed.
-    Raises ValueError for a non-finite tau.
+    One ``_root_table`` call bisects the brackets of all delays together,
+    which changes no root against one call per delay.  The roots come as
+    one flat list sorted by ``tau`` and then by ``omega_f``; each carries
+    its delay in ``tau``, so callers group by that field, not by position.
+    Each root's ``residual`` is <= relax_tol*kappa*sigma, or the root ends
+    at float resolution where the drift moves by more than that per ulp
+    (|drift| 4.25e-7 against 1.005e-7 at tau = 1.5, kappa = 0.01, alpha =
+    100).  ``basin_seed`` is the root itself.  Stability is sign-based.
+    Where the drift points inward at both edges, as decay usually ensures
+    at W >= 4 sigma, the count per delay is odd; a trion-term spike on an
+    edge (tau = 1.42857 ns at the defaults) turns that edge outward, and a
+    root pair straddles it.  A root pair within one scan cell can be
+    missed.  Raises ValueError for a non-finite tau or an array of more
+    than one dimension.
     """
-    omega, stable, residual = _root_table(tau, p, mf)[0]
-    return [SteadyState(omega_f=w, stable=s, residual=r, basin_seed=w)
+    if np.ndim(tau) > 1:
+        raise ValueError("tau must be one delay or a 1-d array of delays")
+    taus = np.unique(np.asarray(tau, dtype=float))
+    if not taus.size:
+        return []
+    return [SteadyState(tau=t, omega_f=w, stable=s, residual=r, basin_seed=w)
+            for t, (omega, stable, residual) in zip(taus.tolist(), _root_table(taus, p, mf))
             for w, s, r in zip(omega.tolist(), stable.tolist(), residual.tolist())]
 
 
@@ -235,7 +246,7 @@ def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
     is the nearest of those roots on the side ``sign(drift(omega_init))``
     points to, counting a stable root at the seed itself.  It lies in the
     basin of omega_init, so sweeps keep branch memory.  ``residual`` is as
-    in ``steady_states``; ``basin_seed`` is omega_init.
+    in ``steady_states``; ``basin_seed`` is omega_init and ``tau`` the delay.
 
     Raises ValueError for a non-finite omega_init or tau, and
     BracketEscapeError (tau attached) for |omega_init| > omega_bracket or

@@ -132,6 +132,7 @@ class MeanFieldParams:
 class SteadyState:
     """One quasi-equilibrium point of the mean-field drift.
 
+    tau         the two-pulse delay the root belongs to [ns]
     omega_f     steady Overhauser shift [rad/ns]
     stable      sign of the local drift slope (d drift/d omega <= 0)
     residual    |drift(omega_f)| [rad/ns^2]: <= relax_tol*kappa*sigma, or
@@ -140,6 +141,7 @@ class SteadyState:
                 ``steady_states`` [rad/ns]
     """
 
+    tau: float
     omega_f: float
     stable: bool
     residual: float

@@ -5,7 +5,9 @@ delay tau the nuclear shift relaxes to quasi-equilibrium seeded with the
 previous delay's result, so multistable regions retain branch memory and
 the forward and backward passes disagree (hysteresis); each sample is a
 lookup in one root table of all delays.  ``fringe_map`` and
-``nullcline`` provide the static pictures the sweep traces live on.
+``nullcline`` provide the static pictures the sweep traces live on;
+``nullcline`` takes the roots of its whole grid from one
+``steady_states`` call.
 """
 
 from __future__ import annotations
@@ -95,23 +97,30 @@ class NullclinePoint:
 def nullcline(tau_grid, p: ModelParams, mf: MeanFieldParams) -> list[NullclinePoint]:
     """Steady states along a tau grid, threaded into continuation branches.
 
-    Roots at consecutive tau values are linked to the nearest root of the
-    previous point within a motion bound: a root anchored near a fringe
-    feature moves by at most about (omega0 + W) |dtau| / tau per step, far
-    less than the fringe spacing.  Unmatched new roots open new branch
-    ids; unmatched old ones terminate (a fold annihilates a stable and an
-    unstable branch together, a branch can also leave through the
-    bracket edge).
+    One ``steady_states`` call finds the roots of every distinct delay of
+    the grid.  The grid is then walked in the caller's order, so repeated
+    or unsorted delays each get the roots of their own delay.  Each root
+    is linked to the nearest untaken root of the previous point within a
+    motion bound, a tie going to the later root: a root anchored near a
+    fringe feature moves by at most about (omega0 + W) |dtau| / tau per
+    step, far less than the fringe spacing.  The candidates are the
+    previous roots within that bound, found by bisection on their sorted
+    omega (widened by one root on each side against rounding).  Unmatched
+    new roots open new branch ids; unmatched old ones terminate (a fold
+    annihilates a stable and an unstable branch together, a branch can
+    also leave through the bracket edge).
     """
+    taus = np.asarray(tau_grid, dtype=float)
+    roots_at: dict[float, list[SteadyState]] = {}
+    for r in steady_states(taus, p, mf):
+        roots_at.setdefault(r.tau, []).append(r)
     points: list[NullclinePoint] = []
     next_branch = 0
-    prev: list[tuple[float, int]] = []  # (omega_f, branch_id) at previous tau
+    prev_w: list[float] = []  # sorted omega_f at the previous tau
+    prev_ids: list[int] = []
     prev_tau: float | None = None
-    for tau in np.asarray(tau_grid, dtype=float):
-        tau = float(tau)
-        roots = steady_states(tau, p, mf)
-        ids: list[int] = []
-        taken: set[int] = set()
+    for tau in taus.tolist():
+        roots = list(roots_at.get(tau, ()))
         if prev_tau is None or tau <= 0.0:
             thresh = _jump_threshold(tau)
         else:
@@ -119,13 +128,18 @@ def nullcline(tau_grid, p: ModelParams, mf: MeanFieldParams) -> list[NullclinePo
             thresh = min(0.5 * _jump_threshold(tau),
                          max(motion, 5.0 * mf.fd_step))
         prev_tau = tau
-        for r in roots:
+        w = np.array([r.omega_f for r in roots])
+        first = np.searchsorted(prev_w, w - thresh) - 1
+        stop = np.searchsorted(prev_w, w + thresh, side="right") + 1
+        ids: list[int] = []
+        taken: set[int] = set()
+        for w_r, a, b in zip(w.tolist(), first.tolist(), stop.tolist()):
             best = None
             best_d = thresh
-            for k, (w_prev, bid) in enumerate(prev):
+            for k in range(max(a, 0), min(b, len(prev_w))):
                 if k in taken:
                     continue
-                d = abs(r.omega_f - w_prev)
+                d = abs(w_r - prev_w[k])
                 if d <= best_d:
                     best, best_d = k, d
             if best is None:
@@ -133,7 +147,7 @@ def nullcline(tau_grid, p: ModelParams, mf: MeanFieldParams) -> list[NullclinePo
                 next_branch += 1
             else:
                 taken.add(best)
-                ids.append(prev[best][1])
+                ids.append(prev_ids[best])
         points.append(NullclinePoint(tau=tau, roots=roots, branch_ids=ids))
-        prev = [(r.omega_f, bid) for r, bid in zip(roots, ids)]
+        prev_w, prev_ids = w.tolist(), ids
     return points

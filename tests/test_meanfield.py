@@ -319,16 +319,37 @@ def test_bisect_brackets_empty(monkeypatch):
                                            (1e6, np.arange(1.07, 1.11, 0.002))])
 def test_pooled_root_table_equals_one_delay_calls(ratio, window):
     # Bisecting the brackets of all delays together changes no root,
-    # flag or residual against one-delay calls.
+    # flag or residual against one-delay calls.  The array form of
+    # steady_states is those calls concatenated in delay order, every
+    # field equal, whatever the order of the delays it is given.
     mf = _ps2(ratio)
     taus = np.r_[0.0, window]
     pooled = _root_table(taus, P, mf)
     assert len(pooled) == len(taus)
+    one_delay_calls = []
     for tau, (omega, stable, residual) in zip(taus, pooled):
         roots = sf.steady_states(float(tau), P, mf)
         assert omega.tolist() == [r.omega_f for r in roots]
         assert stable.tolist() == [r.stable for r in roots]
         assert residual.tolist() == [r.residual for r in roots]
+        assert all(r.tau == tau for r in roots)
+        one_delay_calls += roots
+    assert sf.steady_states(taus[::-1], P, mf) == one_delay_calls
+
+
+def test_relax_to_steady_tags_its_delay():
+    mf = _ps2(1e4)
+    for tau in (0.0, 0.3, 1.1):
+        assert sf.relax_to_steady(0.0, tau, P, mf).tau == tau
+
+
+def test_steady_states_rejects_bad_delay_arrays():
+    mf = _ps2(1e4)
+    with pytest.raises(ValueError, match="non-finite"):
+        sf.steady_states(np.array([0.3, math.nan, 0.31]), P, mf)
+    with pytest.raises(ValueError, match="1-d"):
+        sf.steady_states(np.array([[0.3, 0.31]]), P, mf)
+    assert sf.steady_states(np.empty(0), P, mf) == []
 
 
 @pytest.mark.parametrize("cls, field", [

@@ -220,6 +220,96 @@ def test_nullcline_fold_changes_roots_in_stable_unstable_pairs():
     assert folds == 2
 
 
+def _ps2(ratio):
+    """Mean-field params at a printed kappa/alpha ratio in ps2 units."""
+    return sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / (ratio * 1e-6))
+
+
+def _branch_ids_by_full_scan(tau_grid, mf):
+    """Branch ids by the O(roots^2) scan nullcline used before its windowed
+    search: every root takes the nearest untaken root of the previous delay
+    within the motion bound, d == bound accepted, ties to the later index."""
+    out = []
+    next_branch = 0
+    prev = []  # (omega_f, branch_id) at previous tau
+    prev_tau = None
+    for tau in np.asarray(tau_grid, dtype=float):
+        tau = float(tau)
+        jump = math.pi / tau if tau > 0.0 else math.inf
+        if prev_tau is None or tau <= 0.0:
+            thresh = jump
+        else:
+            motion = 2.0 * (P.omega0 + mf.omega_bracket) * abs(tau - prev_tau) / tau
+            thresh = min(0.5 * jump, max(motion, 5.0 * mf.fd_step))
+        prev_tau = tau
+        roots = sf.steady_states(tau, P, mf)
+        ids = []
+        taken = set()
+        for r in roots:
+            best = None
+            best_d = thresh
+            for k, (w_prev, bid) in enumerate(prev):
+                if k in taken:
+                    continue
+                d = abs(r.omega_f - w_prev)
+                if d <= best_d:
+                    best, best_d = k, d
+            if best is None:
+                ids.append(next_branch)
+                next_branch += 1
+            else:
+                taken.add(best)
+                ids.append(prev[best][1])
+        out.append(ids)
+        prev = [(r.omega_f, bid) for r, bid in zip(roots, ids)]
+    return out
+
+
+@pytest.mark.parametrize("mf, taus, most", [
+    (_ps2(1e2), np.arange(1.17, 1.22, 0.005), 59),
+    (_ps2(1e6), np.arange(1.05, 1.15, 0.002), 3),
+    (MF_REPRO, np.arange(0.090, 0.125, 0.0005), 3),
+    (MF_REPRO, np.arange(0.80, 0.70, -0.004), None),
+], ids=["1e2", "1e6", "fold-sliver", "descending"])
+def test_nullcline_threading_matches_full_scan(mf, taus, most):
+    # The windowed search keeps the threading rule of the full scan.
+    points = sf.nullcline(taus, P, mf)
+    assert [pt.branch_ids for pt in points] == _branch_ids_by_full_scan(taus, mf)
+    if most is not None:
+        assert max(len(pt.roots) for pt in points) == most
+
+
+def test_nullcline_repeated_and_unsorted_delays_get_their_own_roots():
+    # The pooled call finds each distinct delay once; each grid point,
+    # repeated or out of order, still carries exactly its delay's roots.
+    taus = [0.31, 0.30, 0.31, 0.302]
+    points = sf.nullcline(taus, P, MF_REPRO)
+    assert [pt.tau for pt in points] == taus
+    for pt in points:
+        assert pt.roots == sf.steady_states(pt.tau, P, MF_REPRO)
+    assert [pt.branch_ids for pt in points] == _branch_ids_by_full_scan(taus, MF_REPRO)
+
+
+def test_nullcline_threading_ties(monkeypatch):
+    # With the motion bound at 5 fd_step = 1.25, the root at 1.0 is exactly
+    # that far from both previous roots: d == bound is accepted and the tie
+    # goes to the later root.  The values are exact in binary.
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=0.1, fd_step=0.25)
+    at = {1.0: [-0.25, 2.25], 1.000001: [1.0]}
+
+    def fake_steady_states(taus, p, mf):
+        return [sf.SteadyState(tau=t, omega_f=w, stable=True, residual=0.0, basin_seed=w)
+                for t in taus.tolist() for w in at[t]]
+
+    monkeypatch.setattr(sf.sweep, "steady_states", fake_steady_states)
+    points = sf.nullcline(list(at), P, mf)
+    assert [pt.branch_ids for pt in points] == [[0, 1], [1]]
+
+
+def test_nullcline_empty_grid():
+    assert sf.nullcline([], P, MF_REPRO) == []
+
+
 def test_fringe_map_rejects_bad_grids():
     with pytest.raises(ValueError):
         sf.fringe_map(np.array([[0.0, 1.0]]), np.array([0.1, 0.2]), P)
@@ -253,3 +343,59 @@ SWEEP_PINS = [
 def test_sweep_rows_pinned(ratio, sched, want):
     mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / (ratio * 1e-6))
     assert [s.omega_f for s in run(sched, mf)] == want
+
+
+# (tau, omega_f, stable, residual, branch) of every row of two short
+# nullclines, recorded before nullcline took its roots from one pooled
+# steady_states call and threaded them with a windowed search; the values
+# must hold bit for bit.  At 1e2 two branches end at tau = 0.064 and two
+# new ones open at 0.068; at 1e6 a fold opens branches 1 and 2 at tau =
+# 1.10 and only branch 2 survives to 1.12.
+NULLCLINE_PINS = [
+    (1e2, 0.062 + 0.002 * np.arange(4), [
+        (0.062, -38.87889646704036, True, 5.678491309113465e-09, 0),
+        (0.062, -18.64858181810123, False, 5.063302242758194e-10, 1),
+        (0.062, -2.853554804045774, True, 1.3167260081749232e-09, 2),
+        (0.062, 19.230061953213138, False, 5.555026154346887e-09, 3),
+        (0.062, 36.161556953596666, True, 1.8503144016968065e-09, 4),
+        (0.062, 37.76069048275261, False, 5.219793597355249e-09, 5),
+        (0.062, 38.97053345747643, True, 3.28431865037615e-10, 6),
+        (0.064, -38.87989954666493, True, 3.981738300185e-09, 0),
+        (0.064, -18.683670430201627, False, 1.1642733582784004e-09, 1),
+        (0.064, -3.3140001848246396, True, 4.317068161285853e-10, 2),
+        (0.064, 19.059227726004156, False, 9.943658643013498e-09, 3),
+        (0.064, 36.08295879324842, True, 1.7899767293383384e-09, 4),
+        (0.066, -38.880805554067784, True, 4.742349270225876e-09, 0),
+        (0.066, -18.734862919419996, False, 3.2814657241475587e-11, 1),
+        (0.066, -3.7656868948314246, True, 4.593203361494963e-09, 2),
+        (0.066, 18.743791569172664, False, 2.579547752484812e-09, 3),
+        (0.066, 33.46146233881631, True, 4.738856231034649e-09, 4),
+        (0.068, -38.8816264734738, True, 9.804994094420039e-09, 0),
+        (0.068, -18.80157512969362, False, 2.9206727314434744e-10, 1),
+        (0.068, -4.209333463250612, True, 2.5823713349984456e-09, 2),
+        (0.068, 18.297227311271637, False, 6.435645016900082e-09, 3),
+        (0.068, 31.080632934155055, True, 7.013721176757359e-09, 4),
+        (0.068, 35.583932952474115, False, 2.2477556066435866e-09, 7),
+        (0.068, 38.65356630759279, True, 6.975848398926843e-09, 8)]),
+    (1e6, 1.05 + 0.01 * np.arange(8), [
+        (1.05, 2.278189281833677e-06, True, 5.3832531171720914e-09, 0),
+        (1.06, -0.22826624784194954, True, 6.500944806780984e-09, 0),
+        (1.07, -0.4551899183573119, True, 4.746670629251701e-11, 0),
+        (1.08, -0.6806901304647658, True, 6.169505284577513e-09, 0),
+        (1.09, -0.9039351214595003, True, 9.97837277334681e-09, 0),
+        (1.1, -1.1165462659822754, True, 1.9904334272371343e-09, 0),
+        (1.1, 7.844219924284799e-06, False, 6.393039232786355e-09, 1),
+        (1.1, 1.116546265982247, True, 1.9904334658347317e-09, 2),
+        (1.11, -1.241153428901005, True, 5.080725096716365e-09, 0),
+        (1.11, -0.8888105799357291, False, 4.868191276529224e-09, 1),
+        (1.11, 0.9059935831982111, True, 6.825291644797088e-09, 2),
+        (1.12, 0.6795953086951865, True, 1.725936697055154e-09, 2)]),
+]
+
+
+@pytest.mark.parametrize("ratio, taus, want", NULLCLINE_PINS, ids=["1e2", "1e6"])
+def test_nullcline_rows_pinned(ratio, taus, want):
+    rows = [(pt.tau, r.omega_f, r.stable, r.residual, branch)
+            for pt in sf.nullcline(taus, P, _ps2(ratio))
+            for r, branch in zip(pt.roots, pt.branch_ids)]
+    assert rows == want
