@@ -84,8 +84,10 @@ def count_rate(omega, tau, p: ModelParams):
     """
     *_, n_num, d_den = _fringe_terms(omega, tau, p)
     ok = d_den != 0.0  # only the removable point; NaN propagates
-    safe = np.where(ok, d_den, 1.0)
-    out = np.where(ok, p.s_p * n_num / safe, 0.0)
+    if ok.all():  # the masks would change no value
+        out = p.s_p * n_num / d_den
+    else:
+        out = np.where(ok, p.s_p * n_num / np.where(ok, d_den, 1.0), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -120,13 +122,13 @@ def count_rate_curvature(omega, tau, p: ModelParams):
     d2 = q2 * (u - 1.0) + 2.0 * q1 * u1 + q * u2
 
     ok = d0 != 0.0  # only the removable point; NaN propagates
-    d0s = np.where(ok, d0, 1.0)
+    clean = ok.all()  # then the masks would change no value
+    d0s = d0 if clean else np.where(ok, d0, 1.0)
     cval = p.s_p * n0 / d0s
     cd1 = p.s_p * (n1 * d0 - n0 * d1) / (d0s * d0s)
     cd2 = p.s_p * (n2 * d0 * d0 - 2.0 * n1 * d1 * d0 - n0 * d2 * d0 + 2.0 * n0 * d1 * d1) / (d0s * d0s * d0s)
-    cval = np.where(ok, cval, 0.0)
-    cd1 = np.where(ok, cd1, 0.0)
-    cd2 = np.where(ok, cd2, 0.0)
+    if not clean:
+        cval, cd1, cd2 = (np.where(ok, x, 0.0) for x in (cval, cd1, cd2))
     if cval.ndim:
         return cval, cd1, cd2
     return float(cval), float(cd1), float(cd2)

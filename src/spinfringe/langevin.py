@@ -21,7 +21,11 @@ over a trajectory-major copy: the step has the same bits either way.
 
 Counter-based RNG (Philox) keyed by the seed, with all trajectories
 advanced in one vectorized stream, makes the moment series
-bit-reproducible for a fixed seed regardless of host parallelism.
+bit-reproducible for a fixed seed regardless of host parallelism.  The
+normals depend on the generator alone, not on the state, so one worker
+thread draws the block of step k + 1 while the calling thread computes
+step k's curvature and drift (numpy releases the GIL in both).  The
+draws are the serial loop's: one block per step, in stream order.
 """
 
 from __future__ import annotations
@@ -44,11 +48,19 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     """Advance a trajectory array (n_traj, n) by t_end; returns (state, reports).
 
     Low-level core shared by ``langevin_ensemble`` and the oracle
-    comparisons (which carry the state across tau values for
+    comparisons (which carry the state and ``rng`` across tau values for
     continuation).  ``m`` is left unchanged; the loop works on a
     sites-major copy.  The report at t = 0 describes the initial state.
     Raises CflViolationError if the step is below the grid solver's
     floor of 1e-12 * t_end.
+
+    The step sizes are scheduled before the loop, so the number of steps
+    is known.  One worker thread, joined before the call returns or
+    raises, draws each step's (n_traj, n) block of normals one step
+    ahead; the loop waits for a block only just before applying it.
+    Exactly one block is drawn per step and none past the last step, so
+    a normal return leaves ``rng`` in the state the serial loop leaves
+    it in.  An exception may leave one extra block drawn.
     """
     n = lat.n
     a = lat.a_array()
@@ -83,45 +95,65 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
+    # Step schedule of each output interval, in the loop's own arithmetic,
+    # so that the number of draws is known before the first one.
+    schedule = []
+    t = 0.0
+    for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
+        steps = []
+        while t < t_next - 1e-12 * t_end:
+            step = min(dt, t_next - t)
+            steps.append(step)
+            t += step
+        schedule.append((steps, t))
+    n_steps = sum(len(steps) for steps, _ in schedule)
+
     m_t = np.array(m.T, dtype=float, order="C")
     # Step buffers, updated in place: at 10^4 trajectories a fresh array
     # per operation costs more than its arithmetic.
     drift, term, noise = (np.empty_like(m_t) for _ in range(3))
-    rows, z = np.empty((n_traj, n)), np.empty((n_traj, n))  # trajectory-major
-    out_times = np.linspace(0.0, t_end, n_outputs + 1)
+    rows = np.empty((n_traj, n))  # trajectory-major
+    z_bufs = (np.empty((n_traj, n)), np.empty((n_traj, n)))
     reports = [report(0.0, m_t)]
-    t = 0.0
-    for t_next in out_times[1:]:
-        while t < t_next - 1e-12 * t_end:
-            step = min(dt, t_next - t)
-            # Omega as one dot product per trajectory row, so that it has
-            # the same bits as for a trajectory-major state.
-            np.copyto(rows, m_t.T)
-            cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
-            np.multiply(-bath, m_t, out=drift)
-            if n > 1:
-                flow = term[:-1]
-                np.subtract(m_t[:-1], m_t[1:], out=flow)
-                np.multiply(d_arr, flow, out=flow)
-                drift[:-1] -= flow
-                drift[1:] += flow
-            np.multiply(a2_gamma, m_t, out=term)
-            np.multiply(term, c2, out=term)
-            np.multiply(two_a_gamma, c1, out=noise)
-            np.add(noise, term, out=noise)
-            drift += noise
-            # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
-            np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
-            np.add(f_const, noise, out=noise)
-            np.multiply(noise, 2.0 * step, out=noise)
-            np.sqrt(noise, out=noise)
-            rng.standard_normal(out=z)
-            noise *= z.T
-            drift *= step
-            m_t += drift
-            m_t += noise
-            t += step
-        reports.append(report(t, m_t))
+    # Imported here: the package import stays as light as it was.
+    from concurrent.futures import ThreadPoolExecutor
+    # One worker draws step k + 1's normals while this thread computes
+    # step k's drift; Generator fills out= with the GIL released.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draw = pool.submit(rng.standard_normal, out=z_bufs[0]) if n_steps else None
+        k = 0
+        for steps, t in schedule:
+            for step in steps:
+                # Omega as one dot product per trajectory row, so that it
+                # has the same bits as for a trajectory-major state.
+                np.copyto(rows, m_t.T)
+                cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+                np.multiply(-bath, m_t, out=drift)
+                if n > 1:
+                    flow = term[:-1]
+                    np.subtract(m_t[:-1], m_t[1:], out=flow)
+                    np.multiply(d_arr, flow, out=flow)
+                    drift[:-1] -= flow
+                    drift[1:] += flow
+                np.multiply(a2_gamma, m_t, out=term)
+                np.multiply(term, c2, out=term)
+                np.multiply(two_a_gamma, c1, out=noise)
+                np.add(noise, term, out=noise)
+                drift += noise
+                # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
+                np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
+                np.add(f_const, noise, out=noise)
+                np.multiply(noise, 2.0 * step, out=noise)
+                np.sqrt(noise, out=noise)
+                z = draw.result()
+                k += 1
+                if k < n_steps:
+                    draw = pool.submit(rng.standard_normal, out=z_bufs[k % 2])
+                noise *= z.T
+                drift *= step
+                m_t += drift
+                m_t += noise
+            reports.append(report(t, m_t))
     return m_t.T, reports
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe.fringe import _fringe_terms
 
 P = sf.ModelParams()
 
@@ -186,3 +187,25 @@ def test_curvature_value_is_count_rate_bit_for_bit():
         for w, t in ((0.0, 0.0), (1e3, 0.0), (0.3, 0.17), (math.nan, 0.17)):
             assert np.array_equal(sf.count_rate_curvature(w, t, p)[0],
                                   sf.count_rate(w, t, p), equal_nan=True)
+
+
+def test_unmasked_kernels_match_masked_form():
+    # The masks run only when some denominator is zero.  An array holding
+    # the removable 0/0 point takes the masked form at every point; the
+    # same points without it, and each point as scalars, take the unmasked
+    # form.  Values, NaNs and return types must agree exactly.
+    omega = np.array([1e3, math.nan, 0.3, -1.7, 5.0, 0.0, 40.0, -0.02])
+    tau = np.array([0.0, 0.17, 0.17, 1.3, 0.5, 2.0 * math.pi / P.omega0, 0.9, 0.0])
+    d_den = _fringe_terms(omega, tau, P)[-1]
+    assert d_den[0] == 0.0 and np.all(d_den[1:] != 0.0)
+    masked = (*sf.count_rate_curvature(omega, tau, P), sf.count_rate(omega, tau, P))
+    plain = (*sf.count_rate_curvature(omega[1:], tau[1:], P),
+             sf.count_rate(omega[1:], tau[1:], P))
+    for m, u in zip(masked, plain):
+        assert type(m) is type(u) is np.ndarray and m.dtype == u.dtype == float
+        assert m[0] == 0.0
+        assert np.array_equal(m[1:], u, equal_nan=True)
+    for i, (w, t) in enumerate(zip(omega.tolist(), tau.tolist())):
+        scalar = (*sf.count_rate_curvature(w, t, P), sf.count_rate(w, t, P))
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(scalar, [m[i] for m in masked], equal_nan=True)

@@ -1,11 +1,17 @@
 """Trajectory ensemble: degenerate limits, diffusion law, grid agreement."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import langevin
 from spinfringe.fokker_planck import _weighted_moments
 from spinfringe.langevin import evolve_trajectories, langevin_ensemble
 
@@ -179,3 +185,75 @@ def test_sites_major_loop_matches_row_major_stream():
     assert np.array_equal(state, old)
     assert reports[-1].mean_omega == _weighted_moments(2.0, np.ones(500), old, lat, 0.9,
                                                        P, ddof=1).mean_omega
+
+
+CHAIN3 = sf.Lattice.chain(n=3, a_peak=1.0, gamma_peak=0.05, d=0.02, f=3e-4, d_bath=0.01)
+
+
+def _generator_state(rng):
+    """The bit generator's whole state, with its arrays as lists."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("taus, t_end, dt, n_outputs", [
+    ((0.9, 1.3), 2.0, 0.05, 4),  # state and generator carried across delays
+    ((0.9,), 1.0, 0.07, 3),      # every interval ends on a shortened step
+    ((0.9,), 0.4, 0.5, 4),       # one step per output interval
+    ((0.9,), 0.0, 0.05, 2),      # no step at all
+])
+def test_generator_left_as_the_serial_loop_leaves_it(taus, t_end, dt, n_outputs):
+    # One block of normals per step, drawn in stream order and none past
+    # the last step: the states and the generator state after each call
+    # equal the serial loop's, so a caller can go on drawing from it.
+    init = np.random.default_rng(6).normal(0.1, 0.4, (300, 3))
+    rng = np.random.Generator(np.random.Philox(key=11))
+    ref_rng = np.random.Generator(np.random.Philox(key=11))
+    state = ref = init
+    for tau in taus:
+        state, _ = evolve_trajectories(CHAIN3, tau, t_end, state, rng, P,
+                                       dt=dt, n_outputs=n_outputs)
+        ref = _row_major_evolve(CHAIN3, tau, t_end, ref, ref_rng, P, dt, n_outputs)
+        assert np.array_equal(state, ref)
+        assert _generator_state(rng) == _generator_state(ref_rng)
+
+
+@pytest.mark.parametrize("fail_at", [1, 3])
+def test_error_in_a_step_propagates_and_joins_the_worker(monkeypatch, fail_at):
+    calls = []
+    real = langevin.count_rate_curvature
+    boom = FloatingPointError("step failed")
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise boom
+        return real(*args)
+
+    monkeypatch.setattr(langevin, "count_rate_curvature", flaky)
+    rng = np.random.Generator(np.random.Philox(key=4))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as raised:
+        evolve_trajectories(CHAIN3, 0.9, 2.0, np.zeros((200, 3)), rng, P,
+                            dt=0.05, n_outputs=4)
+    assert raised.value is boom
+    assert threading.active_count() == before
+    # Steps 1 .. fail_at - 1 used their blocks and the failed step's block
+    # was drawn ahead: one block more than the completed steps used.
+    ref = np.random.Generator(np.random.Philox(key=4))
+    for _ in range(fail_at):
+        ref.standard_normal((200, 3))
+    assert _generator_state(rng) == _generator_state(ref)
+
+
+def test_package_import_loads_no_thread_pool():
+    # The worker pool is imported on the first ensemble call only, so the
+    # package import costs what it did.
+    src = str(Path(sf.__file__).resolve().parents[1])
+    code = "import sys, spinfringe; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
