@@ -22,7 +22,12 @@ class GridTooSmallError(SpinFringeError):
 
 
 class CflViolationError(SpinFringeError):
-    """Stable time step for the grid solver fell below the floor."""
+    """Stable time step of a density solver fell below the floor."""
+
+    def __init__(self, message: str, tau: float | None = None, t: float | None = None):
+        super().__init__(message)
+        self.tau = tau
+        self.t = t
 
 
 class ConfigParseError(SpinFringeError):

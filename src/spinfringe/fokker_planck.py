@@ -228,14 +228,18 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
     return rhs
 
 
-def _check_step_floor(dt: float, t_end: float) -> None:
+def _check_step_floor(dt: float, t_end: float, tau: float, t: float = 0.0) -> None:
     """Raise CflViolationError if a step of ``dt`` is below 1e-12 of ``t_end``.
 
     Below that floor a time loop needs over 1e12 steps, or stalls where
-    ``t + dt == t``.
+    ``t + dt == t``.  A NaN step fails too.  The error carries ``tau``
+    and the time ``t`` the step was taken from.
     """
-    if dt < 1e-12 * t_end:
-        raise CflViolationError(f"stable step {dt!r} below floor for t_end {t_end!r}")
+    if not dt >= 1e-12 * t_end:
+        t = float(t)
+        raise CflViolationError(
+            f"stable step {dt!r} below floor for t_end {t_end!r} at t={t!r}, tau={tau!r}",
+            tau=tau, t=t)
 
 
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
@@ -298,7 +302,7 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     dt_stable = spec.cfl * min(bounds)
     if not math.isfinite(dt_stable):
         dt_stable = t_end / max(spec.n_outputs, 1)
-    _check_step_floor(dt_stable, t_end)
+    _check_step_floor(dt_stable, t_end, tau)
 
     rhs = _stencil(vel, g_diff, dm)
 

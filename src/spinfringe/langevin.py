@@ -12,6 +12,18 @@ trion operator to first order in the density width; the grid solver is
 the ground truth where both apply (single site).  With C frozen to a
 constant both terms vanish and the mean obeys pure exponential decay.
 
+A given step is fixed.  The auto step is taken from where the
+trajectories are, at t = 0 and afresh every ten steps, however often
+the moments are reported.  It is the smallest of: 1.5 / slope, with
+slope the largest row-sum norm over the ensemble of the drift Jacobian,
+a bound on its spectral radius (Euler's stability needs slope * dt < 2);
+0.1 of the drift's Omega scale min(1/tau, sigma) over the fastest rate
+of change of Omega, so that no trajectory outruns the slope it was
+given (from a point state, say, whose slope says nothing of the basin
+it falls into); 0.01 over the fastest bath or chain rate; and a tenth
+of the output interval.  Gamma scales the noise and stiffens nothing by
+itself: it enters the step only through the drift.
+
 Inside the time loop the state is held sites-major, as a C-contiguous
 (n, n_traj) array updated in place, so that every elementwise update
 runs over one long inner axis.  The normals are drawn as an (n_traj, n)
@@ -40,6 +52,12 @@ from .params import Lattice, ModelParams
 
 __all__ = ["langevin_ensemble", "evolve_trajectories"]
 
+# The auto step: at most _SLOPE_STEP / slope and a travel of at most
+# _TRAVEL_STEP Omega scales, taken afresh every _RETAKE steps.
+_SLOPE_STEP = 1.5
+_TRAVEL_STEP = 0.1
+_RETAKE = 10
+
 
 def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
                         rng: np.random.Generator, p: ModelParams,
@@ -51,16 +69,28 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     comparisons (which carry the state and ``rng`` across tau values for
     continuation).  ``m`` is left unchanged; the loop works on a
     sites-major copy.  The report at t = 0 describes the initial state.
-    Raises CflViolationError if the step is below the grid solver's
-    floor of 1e-12 * t_end.
 
-    The step sizes are scheduled before the loop, so the number of steps
-    is known.  One worker thread, joined before the call returns or
-    raises, draws each step's (n_traj, n) block of normals one step
-    ahead; the loop waits for a block only just before applying it.
-    Exactly one block is drawn per step and none past the last step, so
-    a normal return leaves ``rng`` in the state the serial loop leaves
-    it in.  An exception may leave one extra block drawn.
+    A given ``dt`` is a fixed step.  Without one, the step is
+
+        min(1.5 / slope, 0.1 * scale / speed, 0.01 / max(D_bath, 2 max D),
+            t_end / (10 n_outputs))
+
+    taken from the ensemble at t = 0 and again every ten steps.
+    ``slope`` is the largest row-sum norm of the drift Jacobian, which
+    for one site is |g'| = |-D_bath + Gamma A^2 (3 C'' + A m C''')|, with
+    C''' a central difference of C''.  ``speed`` is the largest
+    |dOmega/dt| of the drift and ``scale`` = min(1/tau, sigma) the Omega
+    scale on which C varies.  Either way a step that would pass an output
+    time is shortened to end on it.  Raises CflViolationError, with
+    ``tau`` and the time ``t`` the step was taken at, if a step is below
+    the grid solver's floor of 1e-12 * t_end or is NaN.
+
+    One worker thread, joined before the call returns or raises, draws
+    each step's (n_traj, n) block of normals one step ahead; the loop
+    waits for a block only just before applying it.  Exactly one block is
+    drawn per step and none past the last step, so a normal return leaves
+    ``rng`` in the state the serial loop leaves it in.  An exception may
+    leave one extra block drawn.
     """
     n = lat.n
     a = lat.a_array()
@@ -72,13 +102,20 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     bath[-1] = lat.d_bath
     d_arr = np.asarray(lat.d, dtype=float) if n > 1 else np.zeros(0)
 
-    if dt is None:
-        rate_scale = float(bath.max())
-        if d_arr.size:
-            rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
-        rate_scale = max(rate_scale, float(gamma.max()), 1e-300)
-        dt = min(0.01 / rate_scale, t_end / (10.0 * max(n_outputs, 1)))
-    _check_step_floor(dt, t_end)
+    if dt is not None:
+        _check_step_floor(dt, t_end, tau)
+    rate_scale = float(bath.max())
+    if d_arr.size:
+        rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
+    dt_cap = min(0.01 / max(rate_scale, 1e-300), t_end / (10.0 * max(n_outputs, 1)))
+    # Drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C'' + A_j m_j C''')
+    # + delta_jk Gamma_j A_j^2 C'', with lin the bath and chain rates.
+    lin = np.diag(-bath)
+    for j, d in enumerate(d_arr):
+        lin[j:j + 2, j:j + 2] += d * np.array([[-1.0, 1.0], [1.0, -1.0]])
+    ga = gamma * a
+    scale = 1.0 / max(tau, 1.0 / p.sigma)  # Omega scale of a fringe and of the pump profile
+    h = 1e-3 * scale
 
     two_a_gamma = 2.0 * gamma * a
     a2_gamma = gamma * a * a
@@ -95,18 +132,28 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
-    # Step schedule of each output interval, in the loop's own arithmetic,
-    # so that the number of draws is known before the first one.
-    schedule = []
-    t = 0.0
-    for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
-        steps = []
-        while t < t_next - 1e-12 * t_end:
-            step = min(dt, t_next - t)
-            steps.append(step)
-            t += step
-        schedule.append((steps, t))
-    n_steps = sum(len(steps) for steps, _ in schedule)
+    def auto_step(t: float, m_t: np.ndarray) -> float:
+        omega = a @ m_t
+        _, c1, c2 = count_rate_curvature(omega, tau, p)
+        c3 = (count_rate_curvature(omega + h, tau, p)[2]
+              - count_rate_curvature(omega - h, tau, p)[2]) / (2.0 * h)
+        # Row sums of J one site at a time: only (n_traj,) temporaries.
+        row_sums = []
+        for j in range(n):
+            s_j = 2.0 * c2 + a[j] * m_t[j] * c3
+            row = np.abs(lin[j, j] + ga[j] * a[j] * (s_j + c2))
+            for k in range(n):
+                if k != j:
+                    row += np.abs(lin[j, k] + ga[j] * a[k] * s_j)
+            row_sums.append(row.max(initial=0.0))
+        # dOmega/dt = a.lin.m + sum_j Gamma_j A_j^2 (2 C' + A_j m_j C'')
+        omega_rate = (a @ lin) @ m_t + 2.0 * (ga @ a) * c1 + ((ga * a * a) @ m_t) * c2
+        speed = np.abs(omega_rate).max(initial=0.0)
+        # np.min and np.maximum keep a NaN, which the floor check rejects.
+        step = float(np.min([_SLOPE_STEP / np.maximum(np.max(row_sums), 1e-300),
+                             _TRAVEL_STEP * scale / np.maximum(speed, 1e-300), dt_cap]))
+        _check_step_floor(step, t_end, tau, t)
+        return step
 
     m_t = np.array(m.T, dtype=float, order="C")
     # Step buffers, updated in place: at 10^4 trajectories a fresh array
@@ -115,15 +162,23 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     rows = np.empty((n_traj, n))  # trajectory-major
     z_bufs = (np.empty((n_traj, n)), np.empty((n_traj, n)))
     reports = [report(0.0, m_t)]
+    # Every interval ends within 1e-12 * t_end of its output time, so
+    # another step follows a step exactly while t is short of t_last.
+    t_last = t_end - 1e-12 * t_end
+    t, step_max = 0.0, dt
     # Imported here: the package import stays as light as it was.
     from concurrent.futures import ThreadPoolExecutor
     # One worker draws step k + 1's normals while this thread computes
     # step k's drift; Generator fills out= with the GIL released.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        draw = pool.submit(rng.standard_normal, out=z_bufs[0]) if n_steps else None
+        draw = (pool.submit(rng.standard_normal, out=z_bufs[0])
+                if t_end > 0 and n_outputs > 0 else None)
         k = 0
-        for steps, t in schedule:
-            for step in steps:
+        for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
+            while t < t_next - 1e-12 * t_end:
+                if dt is None and k % _RETAKE == 0:
+                    step_max = auto_step(t, m_t)
+                step = min(step_max, t_next - t)
                 # Omega as one dot product per trajectory row, so that it
                 # has the same bits as for a trajectory-major state.
                 np.copyto(rows, m_t.T)
@@ -147,7 +202,8 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
                 np.sqrt(noise, out=noise)
                 z = draw.result()
                 k += 1
-                if k < n_steps:
+                t += step
+                if t < t_last:
                     draw = pool.submit(rng.standard_normal, out=z_bufs[k % 2])
                 noise *= z.T
                 drift *= step

@@ -254,6 +254,7 @@ def test_langevin_oracle_without_bath_exits_3(tmp_path, capsys):
     assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "CflViolationError"
+    assert record["tau_ns"] == 0.17  # the oracle.tau default
     assert list(tmp_path.iterdir()) == []
 
 

@@ -185,8 +185,9 @@ def test_cfl_floor_raises():
     lat = single_site(f_const=0.01, d_bath=0.01)
     spec = sf.GridSpec(m_min=-40.0, m_max=40.0, n_cells=512, init_mean=0.0,
                        init_width=1.0, n_outputs=4)
-    with pytest.raises(CflViolationError):
+    with pytest.raises(CflViolationError) as raised:
         sf.fp_grid_solve(lat, 0.3, 1e16, spec, P)
+    assert raised.value.tau == 0.3
 
 
 def test_two_site_solver_conserves_and_reports():

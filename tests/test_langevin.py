@@ -1,5 +1,6 @@
 """Trajectory ensemble: degenerate limits, diffusion law, grid agreement."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import spinfringe as sf
 from spinfringe import langevin
+from spinfringe.config import parse_config
 from spinfringe.fokker_planck import _weighted_moments
 from spinfringe.langevin import evolve_trajectories, langevin_ensemble
 
@@ -130,30 +132,121 @@ def test_hysteresis_loop_matches_meanfield():
     mf_area = np.trapezoid(np.abs(np.array(mf_a) - np.array(mf_b)), taus)
     assert mf_area > 0.5  # genuinely bistable window
     assert lang_area == pytest.approx(mf_area, rel=0.10)
+    # Before the forward jump the ensemble stays in its root's basin, which
+    # a step beyond Euler's stability range (slope * dt > 2) leaves.
+    assert np.all(np.abs(lang_a[:4] - np.array(mf_a[:4])) < 0.5)
+
+
+NO_BATH = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                     f=(5e-5, 5e-5), d_bath=0.0)
+
+
+class _PairSums:
+    """Generator stand-in: each block is (z1 + z2) / sqrt(2) of the next
+    two blocks of ``rng``, the Brownian increment of two half steps."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
+        out += self.rng.standard_normal(out.shape)
+        out /= math.sqrt(2.0)
+        return out
+
+
+def coupled_halving(lat, tau, t_end, n_traj, seed, p, n_outputs):
+    """Shifts of each report's mean and variance of Omega, in standard
+    errors, when every auto step is taken as two halves along the same
+    Brownian path, from a point state at 0.  The auto step must keep one
+    value, so that its halves are a fixed step; it is returned too.
+
+    The full-size check of the default 4-site oracle run:
+    ``PYTHONPATH=src:tests python -c "import test_langevin as t;
+    print(t.default_4_site_halving(10000, 40))"``.
+    """
+    steps = []
+    real_floor = langevin._check_step_floor
+
+    def spy(step, *args):
+        steps.append(step)
+        return real_floor(step, *args)
+
+    m0 = np.zeros((n_traj, lat.n))
+    langevin._check_step_floor = spy
+    try:
+        _, coarse = evolve_trajectories(
+            lat, tau, t_end, m0, _PairSums(np.random.Generator(np.random.Philox(key=seed))),
+            p, n_outputs=n_outputs)
+    finally:
+        langevin._check_step_floor = real_floor
+    assert len(set(steps)) == 1
+    _, fine = evolve_trajectories(lat, tau, t_end, m0,
+                                  np.random.Generator(np.random.Philox(key=seed)), p,
+                                  dt=steps[0] / 2, n_outputs=n_outputs)
+    mean_shift = [abs(c.mean_omega - f.mean_omega) / f.se_mean
+                  for c, f in zip(coarse[1:], fine[1:])]
+    var_shift = [abs(c.var_omega - f.var_omega) / f.se_var
+                 for c, f in zip(coarse[1:], fine[1:])]
+    return np.array(mean_shift), np.array(var_shift), steps[0]
+
+
+def default_4_site_halving(n_traj, n_outputs, t_end=None):
+    """``coupled_halving`` on the default 4-site oracle run, seed 421."""
+    cfg = parse_config("", ["lattice.n=4"])
+    lat = cfg.lattice
+    t_end = 10.0 / lat.d_bath if t_end is None else t_end
+    return coupled_halving(lat, cfg.oracle.tau, t_end, n_traj, 421, cfg.model, n_outputs)
+
+
+def test_halving_the_auto_step_moves_no_mean_by_a_standard_error():
+    # The default 4-site run over its first 1250 ns, where the ensemble
+    # moves most: its auto step is the chain bound 0.01 / (2 d) = 5 ns.
+    mean_shift, _, step = default_4_site_halving(10000, 5, t_end=1250.0)
+    assert step == 5.0
+    assert np.all(mean_shift < 1.0)
 
 
 def test_step_below_floor_raises_at_once():
     # t_end = 1e301 (the oracle's default with d_bath = 0) would stall the
     # Euler loop where t + step == t; the grid solver's floor applies.
-    lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
-                     f=(5e-5, 5e-5), d_bath=0.0)
-    rng = np.random.Generator(np.random.Philox(key=1))
-    with pytest.raises(sf.CflViolationError):
-        evolve_trajectories(lat, 0.17, 1e301, np.zeros((100, 2)), rng, P)
+    # The error carries the delay and the report time.
+    with pytest.raises(sf.CflViolationError) as raised:
+        evolve_trajectories(NO_BATH, 0.17, 1e301, np.zeros((100, 2)),
+                            np.random.Generator(np.random.Philox(key=1)), P)
+    assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
+
+
+@pytest.mark.parametrize("t_end, init, dt", [
+    (1e301, 0.0, 1.0),      # a fixed step below the floor
+    (100.0, np.nan, None),  # a NaN state has no slope to take a step from
+])
+def test_fixed_or_nan_step_fails_before_the_first_step(t_end, init, dt):
+    with pytest.raises(sf.CflViolationError) as raised:
+        evolve_trajectories(NO_BATH, 0.17, t_end, np.full((100, 2), init),
+                            np.random.Generator(np.random.Philox(key=1)), P, dt=dt)
+    assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
 
 
 def _row_major_evolve(lat, tau, t_end, m, rng, p, dt, n_outputs):
-    """Reference: the Euler-Maruyama loop on a trajectory-major (n_traj, n) state."""
+    """Reference: the Euler-Maruyama loop on a trajectory-major (n_traj, n) state.
+
+    ``dt`` is one fixed step, or the list of auto steps, each taken for
+    the next ``langevin._RETAKE`` steps.
+    """
     n = lat.n
     a, gamma, f_const = lat.a_array(), lat.gamma_array(), lat.f_array()
     bath = np.zeros(n)
     bath[0] = bath[-1] = lat.d_bath
     d_arr = np.asarray(lat.d, dtype=float)
     two_a_gamma, a2_gamma = 2.0 * gamma * a, gamma * a * a
-    t = 0.0
+    steps = iter(dt) if isinstance(dt, list) else itertools.repeat(dt)
+    t, k = 0.0, 0
     for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
         while t < t_next - 1e-12 * t_end:
-            step = min(dt, t_next - t)
+            if k % langevin._RETAKE == 0:
+                step_max = next(steps)
+            step = min(step_max, t_next - t)
             cval, c1, c2 = sf.count_rate_curvature(m @ a, tau, p)
             drift = -(bath * m)
             flow = d_arr * (m[:, :-1] - m[:, 1:])
@@ -164,6 +257,7 @@ def _row_major_evolve(lat, tau, t_end, m, rng, p, dt, n_outputs):
             m = m + step * drift \
                 + np.sqrt(2.0 * g_noise * step) * rng.standard_normal(m.shape)
             t += step
+            k += 1
     return m
 
 
@@ -204,21 +298,42 @@ def _generator_state(rng):
     ((0.9,), 1.0, 0.07, 3),      # every interval ends on a shortened step
     ((0.9,), 0.4, 0.5, 4),       # one step per output interval
     ((0.9,), 0.0, 0.05, 2),      # no step at all
+    ((0.9,), 1.0, 0.05, 0),      # no output interval, so no step
+    ((2.1,), 20.0, None, 4),     # the auto step changes every _RETAKE steps
 ])
-def test_generator_left_as_the_serial_loop_leaves_it(taus, t_end, dt, n_outputs):
+def test_generator_left_as_the_serial_loop_leaves_it(monkeypatch, taus, t_end, dt,
+                                                     n_outputs):
     # One block of normals per step, drawn in stream order and none past
     # the last step: the states and the generator state after each call
-    # equal the serial loop's, so a caller can go on drawing from it.
+    # equal the serial loop's, so a caller can go on drawing from it.  The
+    # serial loop replays the auto steps, as the floor check sees them.
+    steps = []
+    real_floor = langevin._check_step_floor
+
+    def spy(step, *args):
+        steps.append(step)
+        return real_floor(step, *args)
+
+    monkeypatch.setattr(langevin, "_check_step_floor", spy)
     init = np.random.default_rng(6).normal(0.1, 0.4, (300, 3))
     rng = np.random.Generator(np.random.Philox(key=11))
     ref_rng = np.random.Generator(np.random.Philox(key=11))
     state = ref = init
     for tau in taus:
-        state, _ = evolve_trajectories(CHAIN3, tau, t_end, state, rng, P,
-                                       dt=dt, n_outputs=n_outputs)
-        ref = _row_major_evolve(CHAIN3, tau, t_end, ref, ref_rng, P, dt, n_outputs)
+        steps.clear()
+        state, reports = evolve_trajectories(CHAIN3, tau, t_end, state, rng, P,
+                                             dt=dt, n_outputs=n_outputs)
+        ref = _row_major_evolve(CHAIN3, tau, t_end, ref, ref_rng, P,
+                                dt if dt is not None else list(steps), n_outputs)
         assert np.array_equal(state, ref)
         assert _generator_state(rng) == _generator_state(ref_rng)
+    if dt is None:
+        assert len(set(steps)) > 1
+        # A rerun from the same seed is bit-identical.
+        again, again_reports = evolve_trajectories(
+            CHAIN3, taus[0], t_end, init, np.random.Generator(np.random.Philox(key=11)),
+            P, n_outputs=n_outputs)
+        assert np.array_equal(again, state) and again_reports == reports
 
 
 @pytest.mark.parametrize("fail_at", [1, 3])
@@ -247,6 +362,34 @@ def test_error_in_a_step_propagates_and_joins_the_worker(monkeypatch, fail_at):
     for _ in range(fail_at):
         ref.standard_normal((200, 3))
     assert _generator_state(rng) == _generator_state(ref)
+
+
+def test_step_floor_error_names_the_time_it_failed_at(monkeypatch):
+    # C' turns NaN once the first auto step is set, so the steps it is
+    # taken for leave a NaN state; the next auto step, _RETAKE steps on,
+    # has no slope to go by, and the error names the time it was due.
+    real = langevin.count_rate_curvature
+
+    def poisoned(omega, tau, p):
+        c, c1, c2 = real(omega, tau, p)
+        return c, np.full_like(c1, np.nan), c2
+
+    steps = []
+    real_floor = langevin._check_step_floor
+
+    def spy(dt, t_end, tau, t=0.0):
+        steps.append(dt)
+        if len(steps) == 1:
+            monkeypatch.setattr(langevin, "count_rate_curvature", poisoned)
+        return real_floor(dt, t_end, tau, t)
+
+    monkeypatch.setattr(langevin, "_check_step_floor", spy)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    with pytest.raises(sf.CflViolationError) as raised:
+        evolve_trajectories(CHAIN3, 0.9, 20.0, np.zeros((100, 3)), rng, P, n_outputs=4)
+    # 0.25 ns steps (the output cap): the first ten end at t = 2.5.
+    assert steps[0] == 0.25
+    assert (raised.value.tau, raised.value.t) == (0.9, langevin._RETAKE * 0.25)
 
 
 def test_package_import_loads_no_thread_pool():
