@@ -149,7 +149,6 @@ _SCHEMA: dict[str, tuple[str, Any]] = {
     "meanfield.ratio_units": ("str", "ps2"),
     "meanfield.kappa": ("float", 1.0e-3),
     "meanfield.omega_bracket": ("float", _DERIVED),  # 6 sigma
-    "meanfield.fd_step": ("float", MeanFieldParams.fd_step),
     "meanfield.relax_tol": ("float", MeanFieldParams.relax_tol),
     **_group("sweep", SweepSchedule),
     "lattice.n": ("int", 1),
@@ -264,14 +263,11 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
                         "default 6 sigma is not finite"))
     meanfield = valid("meanfield", lambda: MeanFieldParams(
         kappa=kappa, alpha=kappa / ratio_internal, omega_bracket=omega_bracket,
-        fd_step=get("meanfield.fd_step"), relax_tol=get("meanfield.relax_tol")))
+        relax_tol=get("meanfield.relax_tol")))
     valid("meanfield", (omega_bracket >= 4.0 * sigma,
                         "meanfield.omega_bracket >= 4 sigma required"))
 
     sweep = build("sweep", SweepSchedule)
-    valid("meanfield", (meanfield.fd_step < TWO_PI / (10.0 * sweep.tau_end),
-                        "meanfield.fd_step must stay below the fringe scale "
-                        "2 pi / (10 * sweep.tau_end)"))
 
     a_peak = get("lattice.a_peak")
     denom = ratio_internal * a_peak * a_peak

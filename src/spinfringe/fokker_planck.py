@@ -242,6 +242,13 @@ def _check_step_floor(dt: float, t_end: float, tau: float, t: float = 0.0) -> No
             tau=tau, t=t)
 
 
+def _require_finite_args(**args: float) -> None:
+    """Raise ValueError naming the first non-finite argument."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {float(value)!r}")
+
+
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   p: ModelParams, init_values: np.ndarray | None = None,
                   ) -> tuple[PdfGrid, list[MomentReport]]:
@@ -255,10 +262,11 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     cfl * dm^2 / (2 n max g) and the advection bound cfl * dm / (n max|v|),
     shrinking automatically to land on output times.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
-    axes (continuation across tau).  Raises CflViolationError if the
-    stable step underflows the time span and GridTooSmallError if mass
-    reaches the edge cells.
+    axes (continuation across tau).  Raises ValueError for a non-finite
+    ``tau`` or ``t_end``, CflViolationError if the stable step underflows
+    the time span and GridTooSmallError if mass reaches the edge cells.
     """
+    _require_finite_args(tau=tau, t_end=t_end)
     n = lat.n
     if n not in (1, 2):
         raise ValueError("fp_grid_solve requires a one- or two-site lattice")

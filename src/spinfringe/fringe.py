@@ -91,15 +91,16 @@ def count_rate(omega, tau, p: ModelParams):
     return out if out.ndim else float(out)
 
 
-def count_rate_curvature(omega, tau, p: ModelParams):
-    """Count rate and its first and second omega-derivatives, closed form.
+def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
+    """Count rate and its omega-derivatives, closed form.
 
-    Returns (C, dC/domega, d2C/domega2).  Obtained by differentiating the
-    count-rate quotient with the Gaussian pumping profile; validated in
-    the test suite against five-point central finite differences.  At the
-    removable 0/0 point all three values are 0 (the function is
-    identically zero along the underflowed-pumping region); a NaN input
-    gives NaN.
+    Returns (C, C', C''), and C''' too only with ``third=True``; C, C', C''
+    have the same bits either way.  Differentiating C d = s_p n (terms of
+    ``_fringe_terms``) gives C''' = (s_p n''' - 3 C'' d' - 3 C' d'' - C d''') / d.
+    The tests check each derivative against five-point finite differences
+    of the one below.  At the removable 0/0 point all values are 0 (the
+    function is identically zero along the underflowed-pumping region); a
+    NaN input gives NaN.
     """
     omega = np.asarray(omega, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
@@ -127,11 +128,19 @@ def count_rate_curvature(omega, tau, p: ModelParams):
     cval = p.s_p * n0 / d0s
     cd1 = p.s_p * (n1 * d0 - n0 * d1) / (d0s * d0s)
     cd2 = p.s_p * (n2 * d0 * d0 - 2.0 * n1 * d1 * d0 - n0 * d2 * d0 + 2.0 * n0 * d1 * d1) / (d0s * d0s * d0s)
+    out = (cval, cd1, cd2)
+    if third:
+        bt3 = -(omega / sig2) * bt2 - 2.0 * bt1 / sig2
+        q3 = (3.0 * bt1 * bt2 - bt3 - bt1 * bt1 * bt1) * q
+        u3 = -tau_arr * tau_arr * u1
+        n3 = -q3 * u - 3.0 * q2 * u1 - 3.0 * q1 * u2 + one_minus_q * u3
+        d3 = q3 * (u - 1.0) + 3.0 * q2 * u1 + 3.0 * q1 * u2 + q * u3
+        out += ((p.s_p * n3 - 3.0 * cd2 * d1 - 3.0 * cd1 * d2 - cval * d3) / d0s,)
     if not clean:
-        cval, cd1, cd2 = (np.where(ok, x, 0.0) for x in (cval, cd1, cd2))
+        out = tuple(np.where(ok, x, 0.0) for x in out)
     if cval.ndim:
-        return cval, cd1, cd2
-    return float(cval), float(cd1), float(cd2)
+        return out
+    return tuple(map(float, out))
 
 
 _PULSE_TOL = 1e-13

@@ -46,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fokker_planck import MomentReport, _check_step_floor, _weighted_moments
+from .fokker_planck import MomentReport, _check_step_floor, _require_finite_args, _weighted_moments
 from .fringe import count_rate_curvature
 from .params import Lattice, ModelParams
 
@@ -78,12 +78,13 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     taken from the ensemble at t = 0 and again every ten steps.
     ``slope`` is the largest row-sum norm of the drift Jacobian, which
     for one site is |g'| = |-D_bath + Gamma A^2 (3 C'' + A m C''')|, with
-    C''' a central difference of C''.  ``speed`` is the largest
-    |dOmega/dt| of the drift and ``scale`` = min(1/tau, sigma) the Omega
-    scale on which C varies.  Either way a step that would pass an output
-    time is shortened to end on it.  Raises CflViolationError, with
-    ``tau`` and the time ``t`` the step was taken at, if a step is below
-    the grid solver's floor of 1e-12 * t_end or is NaN.
+    C''' in closed form from the step's own curvature call.  ``speed`` is
+    the largest |dOmega/dt| of the drift and ``scale`` = min(1/tau, sigma)
+    the Omega scale on which C varies.  Either way a step that would pass
+    an output time is shortened to end on it.  Raises ValueError for a
+    non-finite ``tau`` or ``t_end``, and CflViolationError, with ``tau``
+    and the time ``t`` the step was taken at, if a step is below the grid
+    solver's floor of 1e-12 * t_end or is NaN.
 
     One worker thread, joined before the call returns or raises, draws
     each step's (n_traj, n) block of normals one step ahead; the loop
@@ -92,6 +93,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     ``rng`` in the state the serial loop leaves it in.  An exception may
     leave one extra block drawn.
     """
+    _require_finite_args(tau=tau, t_end=t_end)
     n = lat.n
     a = lat.a_array()
     gamma = lat.gamma_array()
@@ -115,7 +117,6 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         lin[j:j + 2, j:j + 2] += d * np.array([[-1.0, 1.0], [1.0, -1.0]])
     ga = gamma * a
     scale = 1.0 / max(tau, 1.0 / p.sigma)  # Omega scale of a fringe and of the pump profile
-    h = 1e-3 * scale
 
     two_a_gamma = 2.0 * gamma * a
     a2_gamma = gamma * a * a
@@ -132,11 +133,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
-    def auto_step(t: float, m_t: np.ndarray) -> float:
-        omega = a @ m_t
-        _, c1, c2 = count_rate_curvature(omega, tau, p)
-        c3 = (count_rate_curvature(omega + h, tau, p)[2]
-              - count_rate_curvature(omega - h, tau, p)[2]) / (2.0 * h)
+    def auto_step(t: float, m_t: np.ndarray, c1, c2, c3) -> float:
         # Row sums of J one site at a time: only (n_traj,) temporaries.
         row_sums = []
         for j in range(n):
@@ -176,13 +173,15 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         k = 0
         for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
             while t < t_next - 1e-12 * t_end:
-                if dt is None and k % _RETAKE == 0:
-                    step_max = auto_step(t, m_t)
-                step = min(step_max, t_next - t)
                 # Omega as one dot product per trajectory row, so that it
                 # has the same bits as for a trajectory-major state.
                 np.copyto(rows, m_t.T)
-                cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+                if dt is None and k % _RETAKE == 0:
+                    cval, c1, c2, c3 = count_rate_curvature(rows @ a, tau, p, third=True)
+                    step_max = auto_step(t, m_t, c1, c2, c3)
+                else:
+                    cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+                step = min(step_max, t_next - t)
                 np.multiply(-bath, m_t, out=drift)
                 if n > 1:
                     flow = term[:-1]

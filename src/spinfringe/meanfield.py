@@ -12,7 +12,8 @@ of all requested delays together.  ``steady_states`` is its public call,
 on one delay or on a whole delay grid; ``nullcline`` makes one such call.
 ``relax_to_steady``, the continuation step of sweeps, is a lookup in that
 table with no bisection of its own; sweeps build one table for all their
-delays and apply the same lookup (``_relax``).
+delays and apply the same lookup (``_relax``).  Where no crossing shows
+stability, the sign of the closed-form drift slope (``_slope``) does.
 """
 
 from __future__ import annotations
@@ -52,26 +53,10 @@ def _residual_tol(p: ModelParams, mf: MeanFieldParams) -> float:
     return mf.relax_tol * rate * p.sigma
 
 
-def _is_stable(omega: float, tau: float, p: ModelParams, mf: MeanFieldParams) -> bool:
-    """Sign of the local drift slope, robust to narrow fringe-edge features.
-
-    A stable root has drift > 0 on its left and < 0 on its right.  The
-    probe distance starts at fd_step and shrinks when both probes land on
-    the same side of zero (feature narrower than the step); the final
-    fallback is the central-difference slope sign at the smallest step.
-    """
-    def g(w: float) -> float:
-        return drift(w, tau, p, mf)
-
-    h = mf.fd_step
-    for _ in range(5):
-        g_left, g_right = g(omega - h), g(omega + h)
-        if g_left > 0.0 and g_right < 0.0:
-            return True
-        if g_left < 0.0 and g_right > 0.0:
-            return False
-        h /= 16.0
-    return g(omega + h) - g(omega - h) <= 0.0
+def _slope(omega, tau, p: ModelParams, mf: MeanFieldParams):
+    """Closed-form drift slope -kappa + alpha*(3 C'' + omega C''') [1/ns]."""
+    _, _, c2, c3 = count_rate_curvature(omega, tau, p, third=True)
+    return -mf.kappa + mf.alpha * (3.0 * c2 + omega * c3)
 
 
 _BISECT_MAX_ITER = 200
@@ -178,8 +163,8 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
     delay, lo, hi, g_lo = (np.concatenate(c) for c in zip(*parts))
     w, gw = _bisect_brackets(taus[delay], lo, hi, g_lo, p, mf, _residual_tol(p, mf))
     stable = g_lo > 0.0  # a transversal crossing that falls through zero attracts
-    for i in np.flatnonzero(g_lo == 0.0):
-        stable[i] = _is_stable(float(w[i]), float(taus[delay[i]]), p, mf)
+    if (zero := g_lo == 0.0).any():  # exact scan zeros: the slope's sign decides
+        stable[zero] = _slope(w[zero], taus[delay[zero]], p, mf) <= 0.0
     order = np.lexsort((w, delay))
     cuts = np.searchsorted(delay[order], np.arange(1, taus.size))
     return list(zip(*(np.split(c[order], cuts) for c in (w, stable, np.abs(gw)))))
@@ -196,7 +181,7 @@ def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: Mode
     w0 = float(omega_init)
     g0 = drift(w0, tau, p, mf)
     if abs(g0) <= _residual_tol(p, mf):
-        return SteadyState(tau=float(tau), omega_f=w0, stable=_is_stable(w0, tau, p, mf),
+        return SteadyState(tau=float(tau), omega_f=w0, stable=_slope(w0, tau, p, mf) <= 0.0,
                            residual=abs(g0), basin_seed=w0)
     omega, stable, residual = roots
     side = omega > w0 if g0 > 0.0 else omega < w0
@@ -220,7 +205,7 @@ def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]
     Each root's ``residual`` is <= relax_tol*kappa*sigma, or the root ends
     at float resolution where the drift moves by more than that per ulp
     (|drift| 4.25e-7 against 1.005e-7 at tau = 1.5, kappa = 0.01, alpha =
-    100).  ``basin_seed`` is the root itself.  Stability is sign-based.
+    100).  ``basin_seed`` is the root itself; ``stable`` is as in ``SteadyState``.
     Where the drift points inward at both edges, as decay usually ensures
     at W >= 4 sigma, the count per delay is odd; a trion-term spike on an
     edge (tau = 1.42857 ns at the defaults) turns that edge outward, and a

@@ -102,7 +102,6 @@ class MeanFieldParams:
     kappa          boundary-diffusion decay rate [1/ns]
     alpha          trion-walk strength [rad^2/ns^3]
     omega_bracket  half-width W of the root search window [rad/ns]
-    fd_step        finite-difference step for stability slopes [rad/ns]
     relax_tol      dimensionless residual tolerance; roots have
                    |drift| <= relax_tol * kappa * sigma or end at float
                    resolution, and kept relaxation seeds are within it
@@ -111,7 +110,6 @@ class MeanFieldParams:
     kappa: float
     alpha: float
     omega_bracket: float = 6.0 * _DEF_SIGMA
-    fd_step: float = 0.02
     relax_tol: float = 1e-6
 
     def __post_init__(self):
@@ -122,8 +120,6 @@ class MeanFieldParams:
             raise ValueError("kappa and alpha must not both be zero")
         if not self.omega_bracket > 0:
             raise ValueError("omega_bracket > 0 required")
-        if not self.fd_step > 0:
-            raise ValueError("fd_step > 0 required")
         if not self.relax_tol > 0:
             raise ValueError("relax_tol > 0 required")
 
@@ -134,7 +130,11 @@ class SteadyState:
 
     tau         the two-pulse delay the root belongs to [ns]
     omega_f     steady Overhauser shift [rad/ns]
-    stable      sign of the local drift slope (d drift/d omega <= 0)
+    stable      a bisected root: the drift falls through zero there.  An
+                exact scan zero or a kept seed: the closed-form slope
+                g' = -kappa + alpha (3 C'' + omega C''') is <= 0, so g' = 0
+                is stable (kappa = 0, tau = 0: the drift vanishes, every
+                scan point is a root, and all are stable)
     residual    |drift(omega_f)| [rad/ns^2]: <= relax_tol*kappa*sigma, or
                 the root ends at float resolution
     basin_seed  the seed for ``relax_to_steady``, the root itself for

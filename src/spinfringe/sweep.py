@@ -23,6 +23,8 @@ from .params import MeanFieldParams, ModelParams, SteadyState, SweepSchedule, Tr
 
 __all__ = ["run_sweep", "fringe_map", "nullcline", "NullclinePoint"]
 
+_LINK_FLOOR = 0.1  # rad/ns: the least motion bound of a nullcline link
+
 
 def _jump_threshold(tau: float) -> float:
     """Half a fringe width pi/tau: adjacent basins are one fringe apart."""
@@ -126,7 +128,7 @@ def nullcline(tau_grid, p: ModelParams, mf: MeanFieldParams) -> list[NullclinePo
         else:
             motion = 2.0 * (p.omega0 + mf.omega_bracket) * abs(tau - prev_tau) / tau
             thresh = min(0.5 * _jump_threshold(tau),
-                         max(motion, 5.0 * mf.fd_step))
+                         max(motion, _LINK_FLOOR))
         prev_tau = tau
         w = np.array([r.omega_f for r in roots])
         first = np.searchsorted(prev_w, w - thresh) - 1

@@ -169,7 +169,7 @@ def test_nan_inputs_propagate_through_fringe_kernels():
     # Only the removable 0/0 point maps to 0; NaN must not be swallowed.
     assert math.isnan(sf.count_rate(math.nan, 0.3, P))
     assert math.isnan(sf.count_rate(0.2, math.nan, P))
-    assert all(math.isnan(v) for v in sf.count_rate_curvature(math.nan, 0.3, P))
+    assert all(math.isnan(v) for v in sf.count_rate_curvature(math.nan, 0.3, P, third=True))
     out = sf.count_rate(np.array([math.nan, 0.0]), 2.0 * math.pi / P.omega0,
                         sf.ModelParams(beta0=0.0))
     assert math.isnan(out[0]) and out[1] == 0.0
@@ -177,13 +177,18 @@ def test_nan_inputs_propagate_through_fringe_kernels():
 
 def test_curvature_value_is_count_rate_bit_for_bit():
     # Both take C from the same shared terms, including the removable 0/0
-    # point (tau = 0 with pumping underflowed at omega = 1e3) and NaN.
+    # point (tau = 0 with pumping underflowed at omega = 1e3) and NaN; and
+    # asking for C''' leaves C, C' and C'' as they are.
     omega = np.concatenate([np.linspace(-8 * P.sigma, 8 * P.sigma, 401),
                             [0.0, 1e3, math.nan]])
     tau = np.array([0.0, 0.17, 2.0 * math.pi / P.omega0, 1.3, math.nan])[:, None]
     for p in (P, sf.ModelParams(beta0=0.0)):
         assert np.array_equal(sf.count_rate_curvature(omega, tau, p)[0],
                               sf.count_rate(omega, tau, p), equal_nan=True)
+        with_third = sf.count_rate_curvature(omega, tau, p, third=True)
+        assert len(with_third) == 4
+        for a, b in zip(sf.count_rate_curvature(omega, tau, p), with_third):
+            assert np.array_equal(a, b, equal_nan=True)
         for w, t in ((0.0, 0.0), (1e3, 0.0), (0.3, 0.17), (math.nan, 0.17)):
             assert np.array_equal(sf.count_rate_curvature(w, t, p)[0],
                                   sf.count_rate(w, t, p), equal_nan=True)
@@ -198,14 +203,35 @@ def test_unmasked_kernels_match_masked_form():
     tau = np.array([0.0, 0.17, 0.17, 1.3, 0.5, 2.0 * math.pi / P.omega0, 0.9, 0.0])
     d_den = _fringe_terms(omega, tau, P)[-1]
     assert d_den[0] == 0.0 and np.all(d_den[1:] != 0.0)
-    masked = (*sf.count_rate_curvature(omega, tau, P), sf.count_rate(omega, tau, P))
-    plain = (*sf.count_rate_curvature(omega[1:], tau[1:], P),
+    masked = (*sf.count_rate_curvature(omega, tau, P, third=True),
+              sf.count_rate(omega, tau, P))
+    plain = (*sf.count_rate_curvature(omega[1:], tau[1:], P, third=True),
              sf.count_rate(omega[1:], tau[1:], P))
     for m, u in zip(masked, plain):
         assert type(m) is type(u) is np.ndarray and m.dtype == u.dtype == float
         assert m[0] == 0.0
         assert np.array_equal(m[1:], u, equal_nan=True)
     for i, (w, t) in enumerate(zip(omega.tolist(), tau.tolist())):
-        scalar = (*sf.count_rate_curvature(w, t, P), sf.count_rate(w, t, P))
+        scalar = (*sf.count_rate_curvature(w, t, P, third=True), sf.count_rate(w, t, P))
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(scalar, [m[i] for m in masked], equal_nan=True)
+
+
+@pytest.mark.parametrize("beta0", [P.beta0, 3.0, 1e-4], ids=["default", "strong", "weak"])
+def test_third_derivative_matches_finite_differences_of_second(beta0):
+    # Criterion 2's 50 x 50 grid and tolerance, with C''' against a
+    # five-point difference of C''.  Weak pumping narrows the fringe-null
+    # features to ~0.1 rad/ns, so the step is small.
+    p = sf.ModelParams(beta0=beta0)
+    omega = np.linspace(-4 * p.sigma, 4 * p.sigma, 50)[:, None]
+    tau = np.linspace(0.02, 1.5, 50)[None, :]
+    h = 1e-4
+
+    def c2(w):
+        return sf.count_rate_curvature(w, tau, p)[2]
+
+    fd = (c2(omega - 2 * h) - 8 * c2(omega - h) + 8 * c2(omega + h)
+          - c2(omega + 2 * h)) / (12 * h)
+    c3 = sf.count_rate_curvature(omega, tau, p, third=True)[3]
+    rel = np.abs(c3 - fd) / np.maximum(np.maximum(np.abs(c3), np.abs(fd)), 1e-6)
+    assert rel.max() <= 1e-4

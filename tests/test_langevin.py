@@ -370,9 +370,9 @@ def test_step_floor_error_names_the_time_it_failed_at(monkeypatch):
     # has no slope to go by, and the error names the time it was due.
     real = langevin.count_rate_curvature
 
-    def poisoned(omega, tau, p):
-        c, c1, c2 = real(omega, tau, p)
-        return c, np.full_like(c1, np.nan), c2
+    def poisoned(omega, tau, p, third=False):
+        c, c1, *rest = real(omega, tau, p, third=third)
+        return (c, np.full_like(c1, np.nan), *rest)
 
     steps = []
     real_floor = langevin._check_step_floor
@@ -400,3 +400,12 @@ def test_package_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("arg", ["tau", "t_end"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_delay_or_span_is_rejected_by_name(arg, value):
+    lat = sf.Lattice(n=1, a=(1.0,), gamma=(0.1,), d=(), f=(1e-4,), d_bath=1e-3)
+    args = {"tau": 0.3, "t_end": 10.0, arg: value}
+    with pytest.raises(ValueError, match=f"non-finite {arg} {value!r}"):
+        langevin_ensemble(lat, args["tau"], args["t_end"], n_traj=100, seed=1, p=P)

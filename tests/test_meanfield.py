@@ -9,7 +9,7 @@ import spinfringe as sf
 from spinfringe.errors import BracketEscapeError
 from spinfringe import meanfield
 from spinfringe.meanfield import (_BISECT_MAX_ITER, _bisect_brackets, _residual_tol,
-                                  _root_table, _scan_grid)
+                                  _root_table, _scan_grid, _slope)
 
 P = sf.ModelParams()
 
@@ -46,6 +46,37 @@ def test_d2_matches_finite_differences_grid():
             err = abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
             worst = max(worst, err)
     assert worst <= 1e-4
+
+
+def test_slope_matches_finite_differences_of_drift():
+    # g' = -kappa + alpha (3 C'' + omega C''') against a five-point
+    # difference of the drift on criterion 2's grid.
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 0.02)
+    omega = np.linspace(-4 * P.sigma, 4 * P.sigma, 50)[:, None]
+    tau = np.linspace(0.02, 1.5, 50)[None, :]
+    h = 1e-4
+
+    def g(w):
+        return sf.drift(w, tau, P, mf)
+
+    fd = (g(omega - 2 * h) - 8 * g(omega - h) + 8 * g(omega + h)
+          - g(omega + 2 * h)) / (12 * h)
+    slope = _slope(omega, tau, P, mf)
+    rel = np.abs(slope - fd) / np.maximum(np.maximum(np.abs(slope), np.abs(fd)), 1e-6)
+    assert rel.max() <= 1e-4
+    assert _slope(0.3, 0.0, P, sf.MeanFieldParams(kappa=0.3, alpha=0.0)) == -0.3
+
+
+def test_zero_slope_root_is_stable():
+    # kappa = 0 and tau = 0: C vanishes identically, so does the drift and
+    # its slope.  Every scan point is an exact zero, and g' = 0 counts as
+    # stable, for roots and for a kept seed alike.
+    mf = sf.MeanFieldParams(kappa=0.0, alpha=0.1)
+    roots = sf.steady_states(0.0, P, mf)
+    assert len(roots) == 97
+    assert all(r.stable and r.residual == 0.0 for r in roots)
+    kept = sf.relax_to_steady(3.0, 0.0, P, mf)
+    assert (kept.omega_f, kept.stable, kept.residual) == (3.0, True, 0.0)
 
 
 def test_drift_pure_decay_when_alpha_zero():
@@ -90,7 +121,7 @@ def test_relax_lands_on_a_root_from_any_seed():
     roots = np.array([r.omega_f for r in sf.steady_states(0.8, P, mf)])
     for init in np.linspace(-50.0, 50.0, 21):
         ss = sf.relax_to_steady(float(init), 0.8, P, mf)
-        assert np.min(np.abs(roots - ss.omega_f)) <= 10 * mf.fd_step
+        assert np.min(np.abs(roots - ss.omega_f)) <= 0.2
 
 
 def test_relax_residual_below_tolerance():
@@ -121,7 +152,7 @@ def test_steady_states_decay_dominated_limit():
     mf = sf.MeanFieldParams(kappa=1e6, alpha=1.0)
     roots = sf.steady_states(0.8, P, mf)
     assert len(roots) == 1
-    assert abs(roots[0].omega_f) <= mf.fd_step
+    assert abs(roots[0].omega_f) <= 0.02
 
 
 def test_steady_states_random_draws_odd_alternating():
@@ -356,8 +387,7 @@ def test_steady_states_rejects_bad_delay_arrays():
     (sf.ModelParams, "omega0"), (sf.ModelParams, "T"), (sf.ModelParams, "beta0"),
     (sf.ModelParams, "sigma"), (sf.ModelParams, "s_p"),
     (sf.MeanFieldParams, "kappa"), (sf.MeanFieldParams, "alpha"),
-    (sf.MeanFieldParams, "omega_bracket"), (sf.MeanFieldParams, "fd_step"),
-    (sf.MeanFieldParams, "relax_tol"),
+    (sf.MeanFieldParams, "omega_bracket"), (sf.MeanFieldParams, "relax_tol"),
     (sf.HoleNuclearParams, "b0"), (sf.HoleNuclearParams, "g_h"),
     (sf.HoleNuclearParams, "gamma_rad"), (sf.HoleNuclearParams, "inv_r3_avg"),
     (sf.Lattice, "a"), (sf.Lattice, "gamma"), (sf.Lattice, "d"), (sf.Lattice, "f"),

@@ -240,7 +240,7 @@ def _branch_ids_by_full_scan(tau_grid, mf):
             thresh = jump
         else:
             motion = 2.0 * (P.omega0 + mf.omega_bracket) * abs(tau - prev_tau) / tau
-            thresh = min(0.5 * jump, max(motion, 5.0 * mf.fd_step))
+            thresh = min(0.5 * jump, max(motion, sf.sweep._LINK_FLOOR))
         prev_tau = tau
         roots = sf.steady_states(tau, P, mf)
         ids = []
@@ -291,11 +291,12 @@ def test_nullcline_repeated_and_unsorted_delays_get_their_own_roots():
 
 
 def test_nullcline_threading_ties(monkeypatch):
-    # With the motion bound at 5 fd_step = 1.25, the root at 1.0 is exactly
-    # that far from both previous roots: d == bound is accepted and the tie
-    # goes to the later root.  The values are exact in binary.
-    mf = sf.MeanFieldParams(kappa=1e-3, alpha=0.1, fd_step=0.25)
-    at = {1.0: [-0.25, 2.25], 1.000001: [1.0]}
+    # With the motion bound at its floor of 0.1, the root at 0.1 is that
+    # far from both previous roots: d == bound is accepted and the tie
+    # goes to the later root.  0.1 - 0.0 and 0.2 - 0.1 are both the double
+    # nearest 0.1, so the two distances tie exactly.
+    mf = sf.MeanFieldParams(kappa=1e-3, alpha=0.1)
+    at = {1.0: [0.0, 0.2], 1.000001: [0.1]}
 
     def fake_steady_states(taus, p, mf):
         return [sf.SteadyState(tau=t, omega_f=w, stable=True, residual=0.0, basin_seed=w)
