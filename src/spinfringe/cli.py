@@ -42,8 +42,8 @@ def _table(name: str, header: list[str], columns: list, precision: int) -> str:
     One %-template formats each row: ``%.{precision}g`` for a float
     column, ``%d`` for an int or flag column, ``%s`` for a text column
     and nothing for a column of None (an empty cell).  An NDJSON record
-    holds the same cells, ``float(cell)`` for a number and null for an
-    empty cell.
+    holds the same cells: ``float(cell)`` for a float, ``int(cell)`` for
+    an int or flag, the string for a text cell and null for an empty cell.
     """
     fields, values = [], []
     for col in columns:
@@ -56,9 +56,10 @@ def _table(name: str, header: list[str], columns: list, precision: int) -> str:
     template = ",".join(fields)
     rows = [template % row for row in zip(*values)]
     if name.endswith(".ndjson"):
-        return "".join(json.dumps({k: float(c) if c else None
-                                   for k, c in zip(header, row.split(","))}) + "\n"
-                       for row in rows)
+        casts = [{"%s": str, "%d": int}.get(f, float) for f in fields]
+        return "".join(json.dumps({k: cast(c) if c else None
+                                   for k, cast, c in zip(header, casts, row.split(","))})
+                       + "\n" for row in rows)
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
@@ -109,14 +110,14 @@ def _run_fringe_map(cfg: RunConfig):
     omega = np.linspace(-w, w, cfg.map.n_omega)
     tau = np.linspace(cfg.sweep.tau_start, cfg.sweep.tau_end, cfg.map.n_tau)
     grid = fringe_map(omega, tau, cfg.model)
-    return ("fringe_map.csv", ["omega_rad_per_ns", "tau_ns", "count"],
+    return ("fringe_map", ["omega_rad_per_ns", "tau_ns", "count"],
             [np.repeat(omega, tau.size), np.tile(tau, omega.size), grid.ravel()])
 
 
 def _run_sweep(cfg: RunConfig):
     samples = run_sweep(cfg.sweep, cfg.model, cfg.meanfield)
-    return ("sweep.csv", ["tau_ns", "omega_f_rad_per_ns", "count", "beta_per_ns",
-                          "stable", "jumped", "pass"],
+    return ("sweep", ["tau_ns", "omega_f_rad_per_ns", "count", "beta_per_ns",
+                      "stable", "jumped", "pass"],
             [[getattr(s, a) for s in samples] for a in
              ("tau", "omega_f", "count", "beta_f", "stable", "jumped", "direction")])
 
@@ -125,8 +126,8 @@ def _run_steady(cfg: RunConfig):
     points = nullcline(cfg.sweep.grid(), cfg.model, cfg.meanfield)
     rows = [(pt.tau, root.omega_f, root.stable, root.residual, branch)
             for pt in points for root, branch in zip(pt.roots, pt.branch_ids)]
-    return ("steady.csv", ["tau_ns", "omega_f_rad_per_ns", "stable", "residual",
-                           "branch"], list(zip(*rows)))
+    return ("steady", ["tau_ns", "omega_f_rad_per_ns", "stable", "residual",
+                       "branch"], list(zip(*rows)))
 
 
 def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:
@@ -159,18 +160,19 @@ def _run_oracle(cfg: RunConfig):
     # Grid reports carry no standard errors: those columns are empty.
     attrs = ("t", "mean_omega", "var_omega", "trion_drift_exact",
              "trion_drift_meanfield", "flatness_error", "se_mean", "se_var", "mass_err")
-    return (f"oracle.{cfg.output.format}", ["t_ns", "mean_omega_rad_per_ns", *attrs[2:]],
+    return ("oracle", ["t_ns", "mean_omega_rad_per_ns", *attrs[2:]],
             [[getattr(r, a) for r in reports] for a in attrs])
 
 
 def _run_rate(cfg: RunConfig):
     h = cfg.hole
-    return ("rate.csv", ["b0_tesla", "g_h", "gamma_rad_per_ns", "inv_r3_avg_per_nm3",
-                         "trion_flip_rate_per_ns"],
+    return ("rate", ["b0_tesla", "g_h", "gamma_rad_per_ns", "inv_r3_avg_per_nm3",
+                     "trion_flip_rate_per_ns"],
             [[h.b0], [h.g_h], [h.gamma_rad], [h.inv_r3_avg], [trion_flip_rate(h)]])
 
 
-# Each runner returns (file name, header, columns) for ``_table``.
+# Each runner returns (file stem, header, columns) for ``_table``; ``main``
+# adds the ``output.format`` extension.
 _RUNNERS = {
     "fringe-map": _run_fringe_map,
     "sweep": _run_sweep,
@@ -207,7 +209,8 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
         seed = [] if args.seed is None else [f"seed = {args.seed}"]
         cfg = parse_config(text, overrides=[*args.set, *seed])
-        name, header, columns = _RUNNERS[args.subcommand](cfg)
+        stem, header, columns = _RUNNERS[args.subcommand](cfg)
+        name = f"{stem}.{cfg.output.format}"
         writer.write_text(name, _table(name, header, columns, cfg.output.precision))
         writer.write_text(f"{args.subcommand}_meta.txt",
                           _sidecar(cfg, args.subcommand, name))

@@ -76,7 +76,7 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    format: str = "csv"         # csv | ndjson (oracle series only)
+    format: str = "csv"         # csv | ndjson
     precision: int = 12
 
     def __post_init__(self):

@@ -242,11 +242,13 @@ def _check_step_floor(dt: float, t_end: float, tau: float, t: float = 0.0) -> No
             tau=tau, t=t)
 
 
-def _require_finite_args(**args: float) -> None:
-    """Raise ValueError naming the first non-finite argument."""
-    for name, value in args.items():
+def _require_delay_and_span(tau: float, t_end: float) -> None:
+    """Raise ValueError naming a non-finite ``tau`` or ``t_end``, or a negative ``t_end``."""
+    for name, value in (("tau", tau), ("t_end", t_end)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} {float(value)!r}")
+    if t_end < 0.0:
+        raise ValueError(f"negative t_end {float(t_end)!r}")
 
 
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
@@ -263,10 +265,11 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     shrinking automatically to land on output times.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
     axes (continuation across tau).  Raises ValueError for a non-finite
-    ``tau`` or ``t_end``, CflViolationError if the stable step underflows
-    the time span and GridTooSmallError if mass reaches the edge cells.
+    ``tau`` or ``t_end`` or a negative ``t_end``, CflViolationError if the
+    stable step underflows the time span and GridTooSmallError if mass
+    reaches the edge cells.
     """
-    _require_finite_args(tau=tau, t_end=t_end)
+    _require_delay_and_span(tau, t_end)
     n = lat.n
     if n not in (1, 2):
         raise ValueError("fp_grid_solve requires a one- or two-site lattice")

@@ -13,9 +13,9 @@ quantity is obtained independently by iterating the per-period pulse map
 to its fixed point (``pulse_map_fixed_point``), which is the validation
 route used by the tests.
 
-Everything here is a pure function of its arguments and safe for
-concurrent use.  ``count_rate`` and ``count_rate_curvature`` accept
-scalars or numpy arrays with broadcasting.
+Everything here is a pure function of its arguments, safe to call from
+several threads at once.  ``count_rate`` and ``count_rate_curvature``
+accept scalars or numpy arrays with broadcasting.
 """
 
 from __future__ import annotations

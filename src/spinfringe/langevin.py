@@ -33,11 +33,7 @@ over a trajectory-major copy: the step has the same bits either way.
 
 Counter-based RNG (Philox) keyed by the seed, with all trajectories
 advanced in one vectorized stream, makes the moment series
-bit-reproducible for a fixed seed regardless of host parallelism.  The
-normals depend on the generator alone, not on the state, so one worker
-thread draws the block of step k + 1 while the calling thread computes
-step k's curvature and drift (numpy releases the GIL in both).  The
-draws are the serial loop's: one block per step, in stream order.
+bit-reproducible for a fixed seed regardless of host parallelism.
 """
 
 from __future__ import annotations
@@ -46,7 +42,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .fokker_planck import MomentReport, _check_step_floor, _require_finite_args, _weighted_moments
+from .fokker_planck import (MomentReport, _check_step_floor, _require_delay_and_span,
+                            _weighted_moments)
 from .fringe import count_rate_curvature
 from .params import Lattice, ModelParams
 
@@ -82,18 +79,16 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     the largest |dOmega/dt| of the drift and ``scale`` = min(1/tau, sigma)
     the Omega scale on which C varies.  Either way a step that would pass
     an output time is shortened to end on it.  Raises ValueError for a
-    non-finite ``tau`` or ``t_end``, and CflViolationError, with ``tau``
-    and the time ``t`` the step was taken at, if a step is below the grid
-    solver's floor of 1e-12 * t_end or is NaN.
+    non-finite ``tau`` or ``t_end`` or a negative ``t_end``, and
+    CflViolationError, with ``tau`` and the time ``t`` the step was taken
+    at, if a step is below the grid solver's floor of 1e-12 * t_end or is
+    NaN.
 
-    One worker thread, joined before the call returns or raises, draws
-    each step's (n_traj, n) block of normals one step ahead; the loop
-    waits for a block only just before applying it.  Exactly one block is
-    drawn per step and none past the last step, so a normal return leaves
-    ``rng`` in the state the serial loop leaves it in.  An exception may
-    leave one extra block drawn.
+    Each completed step draws one (n_traj, n) block of normals from
+    ``rng``, in stream order, so on return or on raise ``rng`` has drawn
+    exactly one block per completed step.
     """
-    _require_finite_args(tau=tau, t_end=t_end)
+    _require_delay_and_span(tau, t_end)
     n = lat.n
     a = lat.a_array()
     gamma = lat.gamma_array()
@@ -157,58 +152,45 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     # per operation costs more than its arithmetic.
     drift, term, noise = (np.empty_like(m_t) for _ in range(3))
     rows = np.empty((n_traj, n))  # trajectory-major
-    z_bufs = (np.empty((n_traj, n)), np.empty((n_traj, n)))
+    z = np.empty((n_traj, n))
     reports = [report(0.0, m_t)]
-    # Every interval ends within 1e-12 * t_end of its output time, so
-    # another step follows a step exactly while t is short of t_last.
-    t_last = t_end - 1e-12 * t_end
-    t, step_max = 0.0, dt
-    # Imported here: the package import stays as light as it was.
-    from concurrent.futures import ThreadPoolExecutor
-    # One worker draws step k + 1's normals while this thread computes
-    # step k's drift; Generator fills out= with the GIL released.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        draw = (pool.submit(rng.standard_normal, out=z_bufs[0])
-                if t_end > 0 and n_outputs > 0 else None)
-        k = 0
-        for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
-            while t < t_next - 1e-12 * t_end:
-                # Omega as one dot product per trajectory row, so that it
-                # has the same bits as for a trajectory-major state.
-                np.copyto(rows, m_t.T)
-                if dt is None and k % _RETAKE == 0:
-                    cval, c1, c2, c3 = count_rate_curvature(rows @ a, tau, p, third=True)
-                    step_max = auto_step(t, m_t, c1, c2, c3)
-                else:
-                    cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
-                step = min(step_max, t_next - t)
-                np.multiply(-bath, m_t, out=drift)
-                if n > 1:
-                    flow = term[:-1]
-                    np.subtract(m_t[:-1], m_t[1:], out=flow)
-                    np.multiply(d_arr, flow, out=flow)
-                    drift[:-1] -= flow
-                    drift[1:] += flow
-                np.multiply(a2_gamma, m_t, out=term)
-                np.multiply(term, c2, out=term)
-                np.multiply(two_a_gamma, c1, out=noise)
-                np.add(noise, term, out=noise)
-                drift += noise
-                # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
-                np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
-                np.add(f_const, noise, out=noise)
-                np.multiply(noise, 2.0 * step, out=noise)
-                np.sqrt(noise, out=noise)
-                z = draw.result()
-                k += 1
-                t += step
-                if t < t_last:
-                    draw = pool.submit(rng.standard_normal, out=z_bufs[k % 2])
-                noise *= z.T
-                drift *= step
-                m_t += drift
-                m_t += noise
-            reports.append(report(t, m_t))
+    t, step_max, k = 0.0, dt, 0
+    for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
+        while t < t_next - 1e-12 * t_end:
+            # Omega as one dot product per trajectory row, so that it has
+            # the same bits as for a trajectory-major state.
+            np.copyto(rows, m_t.T)
+            if dt is None and k % _RETAKE == 0:
+                cval, c1, c2, c3 = count_rate_curvature(rows @ a, tau, p, third=True)
+                step_max = auto_step(t, m_t, c1, c2, c3)
+            else:
+                cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+            step = min(step_max, t_next - t)
+            np.multiply(-bath, m_t, out=drift)
+            if n > 1:
+                flow = term[:-1]
+                np.subtract(m_t[:-1], m_t[1:], out=flow)
+                np.multiply(d_arr, flow, out=flow)
+                drift[:-1] -= flow
+                drift[1:] += flow
+            np.multiply(a2_gamma, m_t, out=term)
+            np.multiply(term, c2, out=term)
+            np.multiply(two_a_gamma, c1, out=noise)
+            np.add(noise, term, out=noise)
+            drift += noise
+            # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
+            np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
+            np.add(f_const, noise, out=noise)
+            np.multiply(noise, 2.0 * step, out=noise)
+            np.sqrt(noise, out=noise)
+            rng.standard_normal(out=z)
+            noise *= z.T
+            drift *= step
+            m_t += drift
+            m_t += noise
+            t += step
+            k += 1
+        reports.append(report(t, m_t))
     return m_t.T, reports
 
 

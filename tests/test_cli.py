@@ -340,18 +340,39 @@ def test_written_table_matches_per_value_format(tmp_path, sub, precision):
     assert (tmp_path / name).read_text() == text
 
 
+def _cell_value(cell):
+    """A CSV cell as its NDJSON value: null, a number or a text string."""
+    if cell == "":
+        return None
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
 def test_oracle_csv_and_ndjson_hold_equal_values(tmp_path):
-    common = []
-    for item in _SMALL["oracle"]:
-        common += ["--set", item]
-    assert main(["oracle", "--out", str(tmp_path), *common]) == 0
-    assert main(["oracle", "--out", str(tmp_path), *common,
-                 "--set", "output.format = ndjson"]) == 0
-    header, rows = read_csv(tmp_path / "oracle.csv")
-    recs = [json.loads(line)
-            for line in (tmp_path / "oracle.ndjson").read_text().splitlines()]
-    assert len(recs) == len(rows) == 5
-    for row, rec in zip(rows, recs):
-        assert list(rec) == header
-        assert [None if cell == "" else float(cell) for cell in row] == list(rec.values())
-    assert rows[0][header.index("se_mean")] == ""
+    # Every subcommand honours output.format; text cells (the sweep's pass)
+    # stay strings and flag cells integers.
+    for sub, items in _SMALL.items():
+        out = tmp_path / sub
+        argv = ["oracle" if sub == "langevin" else sub, "--out", str(out)]
+        for item in items:
+            argv += ["--set", item]
+        assert main(argv) == 0
+        assert main([*argv, "--set", "output.format = ndjson"]) == 0
+        stem = {"fringe-map": "fringe_map", "langevin": "oracle"}.get(sub, sub)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"{stem}.csv", f"{stem}.ndjson", f"{argv[0]}_meta.txt"]), sub
+        header, rows = read_csv(out / f"{stem}.csv")
+        recs = [json.loads(line)
+                for line in (out / f"{stem}.ndjson").read_text().splitlines()]
+        assert len(recs) == len(rows) > 0, sub
+        for row, rec in zip(rows, recs):
+            assert list(rec) == header
+            assert [_cell_value(cell) for cell in row] == list(rec.values()), sub
+        if sub == "oracle":
+            assert len(rows) == 5
+            assert rows[0][header.index("se_mean")] == ""
+        if sub == "sweep":
+            assert {rec["pass"] for rec in recs} == {"fwd", "bwd"}
+            assert {type(rec["stable"]) for rec in recs} == {int}

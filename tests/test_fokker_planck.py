@@ -1,5 +1,6 @@
 """Grid solver oracles: decay, fluctuation balance, conservation, identities."""
 
+import itertools
 import math
 
 import numpy as np
@@ -227,11 +228,14 @@ def test_grid_spec_validation():
         sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=64, init_width=0.0)
 
 
-@pytest.mark.parametrize("arg", ["tau", "t_end"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_non_finite_delay_or_span_is_rejected_by_name(arg, value):
+@pytest.mark.parametrize("value, arg", [
+    *itertools.product([math.nan, math.inf, -math.inf], ["tau", "t_end"]),
+    (-10.0, "t_end"),  # a negative span
+])
+def test_non_finite_delay_or_span_is_rejected_by_name(value, arg):
     spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=64, init_mean=0.0,
                        init_width=0.1, n_outputs=2)
     args = {"tau": 0.3, "t_end": 10.0, arg: value}
-    with pytest.raises(ValueError, match=f"non-finite {arg} {value!r}"):
+    kind = "non-finite" if not math.isfinite(value) else "negative"
+    with pytest.raises(ValueError, match=f"{kind} {arg} {value!r}"):
         sf.fp_grid_solve(single_site(gamma=0.1), args["tau"], args["t_end"], spec, P)
