@@ -22,6 +22,16 @@ total probability when C varies (the density is renormalized after every
 step and the pre-renormalization drift is reported per step as
 ``mass_err``); with Gamma = 0 the scheme is conservative to roundoff.
 
+The time stepping is explicit Heun with a constant operator, so a step
+is one linear map M.  Two sites take it one step at a time.  A
+one-site grid with enough steps to pay for it builds the band of M^K
+(K = ``_BLOCK``) once per solve by stepping comb probes
+(``_block_stepper``) and takes each run of K full steps as one banded
+product, renormalized once; the leftover steps and the short step onto
+an output time go one at a time.  The step schedule, and so every
+report time, is the same either way; the density and ``mass_err``
+differ from a step-at-a-time loop only by rounding.
+
 Moments of the grid cells and of the Langevin trajectories come from one
 function over weighted points, ``_weighted_moments``: normalized
 averages together with the exact and mean-field trion drifts, whose
@@ -36,12 +46,16 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CflViolationError, GridTooSmallError
 from .fringe import alpha_from_lattice, count_rate, count_rate_curvature
-from .params import Lattice, ModelParams
+from .params import Lattice, ModelParams, _require_finite
 
 __all__ = ["PdfGrid", "GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
+
+# A one-site grid takes full Heun steps _BLOCK at a time, as one banded product.
+_BLOCK = 16
 
 
 @dataclass
@@ -85,6 +99,7 @@ class GridSpec:
     n_outputs: int = 60
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.m_min < self.m_max:
             raise ValueError("m_min < m_max required")
         if self.n_cells < 16:
@@ -93,6 +108,8 @@ class GridSpec:
             raise ValueError("0 < cfl <= 0.9 required")
         if not self.init_width > 0:
             raise ValueError("init_width > 0 required")
+        if self.n_outputs < 1:
+            raise ValueError("n_outputs >= 1 required")
 
 
 def auto_grid(lat: Lattice, omega_lo: float, omega_hi: float, tau_ref: float,
@@ -204,13 +221,15 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
     where s, the row sum of the stencil, is the discrete divergence of v
     summed over the axes.  Weighting the neighbour differences keeps the
     large g/dm^2 terms from cancelling against the diagonal in rounding.
+    ``f`` may carry leading axes: a stack of densities is applied at once.
     """
     shape = np.broadcast_shapes(*(g.shape for g in g_diff))
     row_sum = np.zeros(shape)
     terms = []
     for j in range(len(vel)):
-        below = (slice(None),) * j + (slice(None, -1),)
-        above = (slice(None),) * j + (slice(1, None),)
+        rest = (slice(None),) * (len(vel) - 1 - j)
+        below = (..., slice(None, -1), *rest)
+        above = (..., slice(1, None), *rest)
         g = np.broadcast_to(g_diff[j], shape) / (dm * dm)
         h = 0.5 * vel[j] / dm
         row_sum[below] += 2.0 * h
@@ -226,6 +245,63 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
         return out
 
     return rhs
+
+
+def _heun(rhs):
+    """One explicit Heun step of ``rhs`` as a function of (f, dt)."""
+    def step(f: np.ndarray, dt: float) -> np.ndarray:
+        k1 = rhs(f)
+        k2 = rhs(f + dt * k1)
+        return f + 0.5 * dt * (k1 + k2)
+
+    return step
+
+
+def _block_stepper(step, n_cells: int, dt: float, cell: float):
+    """K = _BLOCK full steps of ``step`` (one-site Heun, step ``dt``) as one banded product.
+
+    The step is a linear map M, pentadiagonal, so M^K couples cell i only to
+    cells i - 2K .. i + 2K, and columns 4K + 1 apart never share a row.
+    Stepping the 4K + 1 comb probes (ones on every cell of one residue
+    mod 4K + 1) K times with ``step`` therefore gives every column of each
+    M^j in disjoint pieces (Curtis, Powell & Reid, J. Inst. Maths Applics
+    13, 1974).  The band of M^K comes from the last probes, and the column
+    sums 1^T M^j from adding each probe's entries up by column.  The
+    probes are stepped K at a time, which keeps the temporaries small.
+
+    Returns ``block(f) -> (f, err)``: M^K f renormalized once, which equals
+    renormalizing after every step because the step is linear, and the
+    per-step |mass change| summed over the block.  With mu_j = (1^T M^j f)
+    cell, the step j changes the mass by mu_j / mu_{j-1}.
+    """
+    half = 2 * _BLOCK
+    width = 2 * half + 1
+    cells = np.arange(n_cells)
+    band = np.empty((n_cells, width))
+    # sums[j, col + 2K] = (1^T M^j)[col]; the entries of columns off the
+    # grid, all zero, land in the pads.
+    sums = np.zeros((_BLOCK + 1, n_cells + 2 * half))
+    sums[0] = 1.0
+    for first in range(0, width, _BLOCK):
+        residue = np.arange(first, min(first + _BLOCK, width))[:, None]
+        # probes[r, i] is M^j[i, i - 2K + w[r, i]].
+        w = (residue - cells + half) % width
+        probes = (cells % width == residue).astype(float)
+        for j in range(1, _BLOCK + 1):
+            probes = step(probes, dt)
+            sums[j] += np.bincount((cells + w).ravel(), probes.ravel(), sums.shape[1])
+        band[cells, w] = probes
+    sums = sums[:, half:-half] * cell
+    f_padded = np.zeros(n_cells + 2 * half)
+    windows = sliding_window_view(f_padded, width)
+
+    def block(f: np.ndarray) -> tuple[np.ndarray, float]:
+        f_padded[half:-half] = f
+        mu = sums @ f
+        g = np.einsum("iw,iw->i", windows, band)
+        return g / (g.sum() * cell), float(np.abs(mu[1:] / mu[:-1] - 1.0).sum())
+
+    return block
 
 
 def _check_step_floor(dt: float, t_end: float, tau: float, t: float = 0.0) -> None:
@@ -262,7 +338,11 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     report evaluates the curvature only at <Omega>.  Explicit Heun
     stepping; the step obeys the diffusion stability bound
     cfl * dm^2 / (2 n max g) and the advection bound cfl * dm / (n max|v|),
-    shrinking automatically to land on output times.  ``init_values``
+    shrinking automatically to land on output times.  A one-site solve of
+    at least K (4K + 1) steps, K = ``_BLOCK`` (the probe steps that
+    building the band costs), takes each run of K full steps inside an
+    output interval as one banded product of M^K; see
+    ``_block_stepper``.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
     axes (continuation across tau).  Raises ValueError for a non-finite
     ``tau`` or ``t_end`` or a negative ``t_end``, CflViolationError if the
@@ -312,10 +392,15 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         bounds.append(dm / (n * v_max))
     dt_stable = spec.cfl * min(bounds)
     if not math.isfinite(dt_stable):
-        dt_stable = t_end / max(spec.n_outputs, 1)
+        dt_stable = t_end / spec.n_outputs
     _check_step_floor(dt_stable, t_end, tau)
 
-    rhs = _stencil(vel, g_diff, dm)
+    step = _heun(_stencil(vel, g_diff, dm))
+    # The band costs K steps of 4K + 1 probes: build it only when the
+    # solve takes more steps than that.
+    block = None
+    if n == 1 and t_end >= _BLOCK * (4 * _BLOCK + 1) * dt_stable:
+        block = _block_stepper(step, spec.n_cells, dt_stable, cell)
 
     points = np.stack(np.meshgrid(*[m] * n, indexing="ij"), axis=-1).reshape(-1, n)
     curv = (c1_cells.ravel(), c2_cells.ravel())
@@ -324,11 +409,21 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     t = 0.0
     mass_err = 0.0
     for t_next in out_times[1:]:
-        while t < t_next - 1e-12 * t_end:
+        t_close = t_next - 1e-12 * t_end
+        while t < t_close:
+            if block is not None:
+                # K steps at once where the loop below would take K full ones.
+                t_k, k = t, 0
+                while k < _BLOCK and t_k < t_close and dt_stable <= t_next - t_k:
+                    t_k += dt_stable
+                    k += 1
+                if k == _BLOCK:
+                    f, err = block(f)
+                    mass_err += err
+                    t = t_k
+                    continue
             dt = min(dt_stable, t_next - t)
-            k1 = rhs(f)
-            k2 = rhs(f + dt * k1)
-            f = f + 0.5 * dt * (k1 + k2)
+            f = step(f, dt)
             mass = f.sum() * cell
             mass_err += abs(mass - 1.0)
             f /= mass

@@ -38,6 +38,7 @@ bit-reproducible for a fixed seed regardless of host parallelism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -86,9 +87,13 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
 
     Each completed step draws one (n_traj, n) block of normals from
     ``rng``, in stream order, so on return or on raise ``rng`` has drawn
-    exactly one block per completed step.
+    exactly one block per completed step.  ``n_outputs`` = 0 takes no
+    step and returns the t = 0 report alone; a negative ``n_outputs``
+    raises ValueError.
     """
     _require_delay_and_span(tau, t_end)
+    if n_outputs < 0:
+        raise ValueError(f"n_outputs >= 0 required, got {n_outputs!r}")
     n = lat.n
     a = lat.a_array()
     gamma = lat.gamma_array()
@@ -201,10 +206,21 @@ def langevin_ensemble(lat: Lattice, tau: float, t_end: float, n_traj: int,
     """Moment time series of an n_traj ensemble started at a common mean.
 
     Fixed seed gives bit-identical reports.  Standard errors for the
-    mean and variance of Omega are attached to every report.
+    mean and variance of Omega are attached to every report.  Each
+    trajectory starts at ``init_mean`` plus ``init_width`` times a normal
+    draw; ``init_width`` = 0 is a point start.  Raises ValueError naming a
+    non-finite ``init_mean`` or ``init_width``, a negative ``init_width``,
+    ``n_traj`` < 100 or ``n_outputs`` < 1.
     """
     if n_traj < 100:
         raise ValueError("n_traj >= 100 required")
+    if n_outputs < 1:
+        raise ValueError(f"n_outputs >= 1 required, got {n_outputs!r}")
+    for name, value in (("init_mean", init_mean), ("init_width", init_width)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {float(value)!r}")
+    if init_width < 0.0:
+        raise ValueError(f"negative init_width {float(init_width)!r}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = np.full((n_traj, lat.n), float(init_mean))
     if init_width > 0.0:

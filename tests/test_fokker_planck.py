@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import fokker_planck
 from spinfringe.errors import CflViolationError, GridTooSmallError
 from spinfringe.fokker_planck import _stencil, _weighted_moments
 
@@ -16,6 +17,73 @@ P = sf.ModelParams()
 def single_site(gamma=0.0, f_const=0.0, d_bath=0.05, a=1.0):
     return sf.Lattice(n=1, a=(a,), gamma=(gamma,), d=(), f=(f_const,),
                       d_bath=d_bath)
+
+
+def _one_site_operator(lat, tau, spec):
+    """The solver's one-site cells, cell width, curvature, Heun rhs and stable step."""
+    n_cells = spec.n_cells
+    dm = (spec.m_max - spec.m_min) / n_cells
+    m = spec.m_min + dm * (np.arange(n_cells) + 0.5)
+    c, c1, c2 = sf.count_rate_curvature(lat.a[0] * m, tau, P)
+    g = lat.f[0] + lat.gamma[0] * np.maximum(c, 0.0)
+    vel = lat.d_bath * (spec.m_min + dm * np.arange(1, n_cells))
+    dt_stable = spec.cfl * min(dm * dm / (2.0 * g.max()), dm / np.abs(vel).max())
+    return m, dm, (c1, c2), _stencil([vel], [g], dm), dt_stable
+
+
+def _per_step_solve(lat, tau, t_end, spec, init_values=None):
+    """Reference: the one-site Heun loop a step at a time, renormalized after each.
+
+    Returns the final density, the reports at the output times and the
+    number of steps.
+    """
+    m, dm, curv, rhs, dt_stable = _one_site_operator(lat, tau, spec)
+    if init_values is None:
+        f = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
+    else:
+        f = np.array(init_values, dtype=float)
+    f /= f.sum() * dm
+    t, steps, mass_err, reports = 0.0, 0, 0.0, []
+    for t_next in np.linspace(0.0, t_end, spec.n_outputs + 1)[1:]:
+        while t < t_next - 1e-12 * t_end:
+            dt = min(dt_stable, t_next - t)
+            k1 = rhs(f)
+            k2 = rhs(f + dt * k1)
+            f = f + 0.5 * dt * (k1 + k2)
+            mass = f.sum() * dm
+            mass_err += abs(mass - 1.0)
+            f /= mass
+            t += dt
+            steps += 1
+        reports.append(_weighted_moments(t, f, m[:, None], lat, tau, P,
+                                         mass_err=mass_err, curv=curv))
+    return f, reports, steps
+
+
+def _count_steps(monkeypatch) -> dict:
+    """Count the density steps that fp_grid_solve takes one at a time and in blocks."""
+    counts = {"single": 0, "blocks": 0}
+    real_heun, real_stepper = fokker_planck._heun, fokker_planck._block_stepper
+
+    def heun(rhs):
+        step = real_heun(rhs)
+
+        def counted(f, dt):
+            counts["single"] += f.ndim == 1  # not the band's probes
+            return step(f, dt)
+        return counted
+
+    def block_stepper(*args):
+        block = real_stepper(*args)
+
+        def counted(f):
+            counts["blocks"] += 1
+            return block(f)
+        return counted
+
+    monkeypatch.setattr(fokker_planck, "_heun", heun)
+    monkeypatch.setattr(fokker_planck, "_block_stepper", block_stepper)
+    return counts
 
 
 def test_pure_decay_mean_is_exact_exponential():
@@ -41,13 +109,15 @@ def test_ou_stationary_variance_matches_balance():
     assert reports[-1].var_omega == pytest.approx(f_const / d_bath, rel=1e-4)
 
 
-def test_mass_conserved_without_trion_term():
+def test_mass_conserved_without_trion_term(monkeypatch):
     d_bath, f_const = 0.05, 0.00125
     lat = single_site(f_const=f_const, d_bath=d_bath)
     std = math.sqrt(f_const / d_bath)
     spec = sf.GridSpec(m_min=-4.75 * std, m_max=4.75 * std, n_cells=400,
                        init_mean=0.0, init_width=std / 2, n_outputs=8, cfl=0.85)
+    counts = _count_steps(monkeypatch)
     grid, reports = sf.fp_grid_solve(lat, 0.3, 4.0 / d_bath, spec, P)
+    assert counts["blocks"] > 0
     assert reports[-1].mass_err <= 1e-8  # cumulative raw drift over the run
     dm = grid.dm
     assert grid.values.sum() * dm == pytest.approx(1.0, abs=1e-12)
@@ -174,12 +244,14 @@ def test_reports_use_the_cells_curvature_taken_once():
                                                            rel=1e-13, abs=1e-300)
 
 
-def test_grid_too_small_raises():
+def test_grid_too_small_raises(monkeypatch):
     lat = single_site(f_const=0.01, d_bath=0.01)
     spec = sf.GridSpec(m_min=-0.5, m_max=0.5, n_cells=64, init_mean=0.0,
                        init_width=0.2, n_outputs=4)
+    counts = _count_steps(monkeypatch)
     with pytest.raises(GridTooSmallError):
         sf.fp_grid_solve(lat, 0.3, 400.0, spec, P)
+    assert counts["blocks"] > 0
 
 
 def test_cfl_floor_raises():
@@ -217,6 +289,40 @@ def test_two_site_mean_decay_via_bath():
                                              rel=1e-4)
 
 
+@pytest.mark.parametrize("n_cells, half_width", [(128, 3.0), (16, 6.0)],
+                         ids=["128-cells", "fewer-cells-than-the-band"])
+def test_block_steps_match_the_per_step_loop(monkeypatch, n_cells, half_width):
+    # Gamma > 0, so C varies and each step changes the mass.  Every output
+    # interval holds 13 K-step blocks and some leftover steps: at the
+    # first delay K - 1 full ones and a half step, where one block more
+    # would overrun the output time.  The second delay continues from the
+    # first one's density.
+    lat = single_site(gamma=0.01, f_const=5e-5, d_bath=0.02)
+    spec = sf.GridSpec(m_min=-half_width, m_max=half_width, n_cells=n_cells,
+                       init_mean=0.2, init_width=0.3, cfl=0.8, n_outputs=5)
+    k = fokker_planck._BLOCK
+    dt = _one_site_operator(lat, 0.17, spec)[-1]
+    t_end = spec.n_outputs * (13 * k + k - 0.5) * dt
+    counts = _count_steps(monkeypatch)
+    density = None
+    for tau in (0.17, 0.23):
+        counts.update(single=0, blocks=0)
+        grid, reports = sf.fp_grid_solve(lat, tau, t_end, spec, P, init_values=density)
+        want_f, want, want_steps = _per_step_solve(lat, tau, t_end, spec, density)
+        assert counts["blocks"] >= 12 * spec.n_outputs
+        assert counts["single"] > spec.n_outputs
+        assert counts["single"] + k * counts["blocks"] == want_steps
+        assert [r.t for r in reports[1:]] == [r.t for r in want]
+        for got, ref in zip(reports[1:], want):
+            assert got.mean_omega == pytest.approx(
+                ref.mean_omega, rel=1e-12, abs=1e-12 * math.sqrt(ref.var_omega))
+            for name in ("var_omega", "trion_drift_exact", "trion_drift_meanfield",
+                         "flatness_error", "mass_err"):
+                assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12)
+        assert np.max(np.abs(grid.values - want_f)) <= 1e-12 * np.max(want_f)
+        density = grid.values
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         sf.GridSpec(m_min=1.0, m_max=-1.0, n_cells=64)
@@ -226,6 +332,21 @@ def test_grid_spec_validation():
         sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=64, cfl=2.0)
     with pytest.raises(ValueError):
         sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=64, init_width=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m_min", math.nan, "m_min must be finite"),
+    ("m_min", -math.inf, "m_min must be finite"),
+    ("m_max", math.inf, "m_max must be finite"),
+    ("init_mean", math.nan, "init_mean must be finite"),
+    ("init_width", math.inf, "init_width must be finite"),
+    ("cfl", math.nan, "cfl must be finite"),
+    ("n_outputs", 0, "n_outputs >= 1 required"),
+    ("n_outputs", -3, "n_outputs >= 1 required"),
+])
+def test_grid_spec_rejects_a_bad_field_by_name(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        sf.GridSpec(**{"m_min": -1.0, "m_max": 1.0, "n_cells": 64, field: value})
 
 
 @pytest.mark.parametrize("value, arg", [

@@ -394,3 +394,28 @@ def test_non_finite_delay_or_span_is_rejected_by_name(value, arg):
     kind = "non-finite" if not math.isfinite(value) else "negative"
     with pytest.raises(ValueError, match=f"{kind} {arg} {value!r}"):
         langevin_ensemble(lat, args["tau"], args["t_end"], n_traj=100, seed=1, p=P)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_outputs": 0}, "n_outputs >= 1 required, got 0"),
+    ({"n_outputs": -3}, "n_outputs >= 1 required, got -3"),
+    ({"init_width": math.nan}, "non-finite init_width nan"),
+    ({"init_width": math.inf}, "non-finite init_width inf"),
+    ({"init_width": -1.0}, "negative init_width -1.0"),
+    ({"init_mean": math.nan}, "non-finite init_mean nan"),
+    ({"init_mean": -math.inf}, "non-finite init_mean -inf"),
+], ids=["no-outputs", "negative-outputs", "nan-width", "inf-width", "negative-width",
+        "nan-mean", "inf-mean"])
+def test_bad_ensemble_input_is_rejected_by_name(kwargs, message):
+    lat = sf.Lattice(n=1, a=(1.0,), gamma=(0.1,), d=(), f=(1e-4,), d_bath=1e-3)
+    with pytest.raises(ValueError, match=message):
+        langevin_ensemble(lat, 0.3, 10.0, n_traj=100, seed=1, p=P, **kwargs)
+
+
+def test_evolve_with_negative_outputs_is_rejected_before_a_draw():
+    # n_outputs = 0 stays a call that takes no step (see above).
+    rng = np.random.Generator(np.random.Philox(key=1))
+    fresh = np.random.Generator(np.random.Philox(key=1))
+    with pytest.raises(ValueError, match="n_outputs >= 0 required, got -3"):
+        evolve_trajectories(CHAIN3, 0.9, 20.0, np.zeros((100, 3)), rng, P, n_outputs=-3)
+    assert _generator_state(rng) == _generator_state(fresh)
