@@ -35,7 +35,7 @@ from .config import (
     config_to_text,
     parse_config,
 )
-from .fokker_planck import GridSpec, MomentReport, PdfGrid, fp_grid_solve
+from .fokker_planck import GridSpec, MomentReport, fp_grid_solve
 from .langevin import langevin_ensemble
 from .meanfield import d2_omega_C, drift, relax_to_steady, steady_states
 from .params import (

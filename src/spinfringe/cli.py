@@ -149,7 +149,7 @@ def _run_oracle(cfg: RunConfig):
     o = cfg.oracle
     lat = cfg.lattice
     t_end = o.t_end if o.t_end > 0 else 10.0 / max(lat.d_bath, 1e-300)
-    if o.method == "grid" or (o.method == "auto" and lat.n == 1):
+    if o.method == "auto" and lat.n == 1:
         _, reports = fp_grid_solve(lat, o.tau, t_end, _oracle_grid_spec(cfg),
                                    cfg.model)
     else:

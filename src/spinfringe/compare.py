@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooSmallError
-from .fokker_planck import GridSpec, MomentReport, auto_grid, fp_grid_solve
+from .fokker_planck import MomentReport, auto_grid, fp_grid_solve
 from .langevin import evolve_trajectories
 from .meanfield import _relax, _root_table
 from .params import Lattice, MeanFieldParams, ModelParams
@@ -47,7 +47,6 @@ class CompareRow:
 def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParams,
                       t_end: float | None = None, omega_init: float = 0.0,
                       n_traj: int = 4000, seed: int = 0,
-                      grid_spec: GridSpec | None = None,
                       n_cells: int = 640) -> list[CompareRow]:
     """Oracle stationary means against mean-field roots along tau_grid.
 
@@ -59,7 +58,8 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
 
     One and two sites always use the grid solver (two sites on at most
     160 cells per axis); larger lattices, up to eight sites, use the
-    trajectory ensemble.
+    trajectory ensemble.  Either oracle starts with its mean at
+    m_init = omega_init A / |A|^2, so <Omega> = omega_init at t = 0.
     """
     taus = [float(t) for t in np.asarray(tau_grid, dtype=float)]
     if not taus:
@@ -80,15 +80,16 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     m_init = omega_init * a_vec / float(np.dot(a_vec, a_vec))
     finals: list[MomentReport] = []
     if lat.n <= 2:
-        spec = grid_spec or auto_grid(lat, lo, hi, taus[len(taus) // 2], p,
-                                      n_cells if lat.n == 1 else min(n_cells, 160))
-        if grid_spec is None and omega_init != 0.0:
-            spec = replace(spec, init_mean=m_init[0])
+        spec = auto_grid(lat, lo, hi, taus[len(taus) // 2], p,
+                         n_cells if lat.n == 1 else min(n_cells, 160))
+        if omega_init != 0.0:
+            spec = replace(spec, init_mean=tuple(m_init.tolist()))
         density: np.ndarray | None = None
         for tau in taus:
             for widen in range(3):
                 try:
-                    grid, reps = fp_grid_solve(lat, tau, t_end, spec, p, init_values=density)
+                    density, reps = fp_grid_solve(lat, tau, t_end, spec, p,
+                                                  init_values=density)
                     break
                 except GridTooSmallError:
                     if widen == 2:
@@ -96,7 +97,6 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
                     pad = 0.25 * (spec.m_max - spec.m_min)
                     spec = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
                     density = None  # domain changed; restart from the init profile
-            density = grid.values
             finals.append(reps[-1])
     else:
         if lat.n > 8:

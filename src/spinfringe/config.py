@@ -39,11 +39,16 @@ RATIO_UNIT_FACTORS = {"ns2": 1.0, "ghz2": 1.0 / (TWO_PI * TWO_PI), "ps2": 1e-6}
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Driver settings for the density-oracle subcommand."""
+    """Driver settings for the density-oracle subcommand.
+
+    ``method`` "auto" runs the grid solver on a one-site lattice and the
+    trajectory ensemble on a larger one; "langevin" runs the ensemble on
+    any lattice.
+    """
 
     tau: float = 0.17
     t_end: float = 0.0          # 0 -> 10 / d_bath
-    method: str = "auto"        # auto | grid | langevin
+    method: str = "auto"        # auto | langevin
     n_traj: int = 10000
     dt: float = 0.0             # 0 -> auto
     n_outputs: int = 40
@@ -57,8 +62,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError("oracle.tau >= 0 required")
-        if self.method not in ("auto", "grid", "langevin"):
-            raise ValueError("oracle.method must be auto|grid|langevin")
+        if self.method not in ("auto", "langevin"):
+            raise ValueError("oracle.method must be auto|langevin")
         if self.n_traj < 100:
             raise ValueError("oracle.n_traj >= 100 required")
         if self.n_outputs < 1:
@@ -295,8 +300,6 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     oracle = build("oracle", OracleConfig)
     output = build("output", OutputConfig)
     map_cfg = build("map", MapConfig)
-    valid("oracle", (oracle.method != "grid" or lattice.n == 1,
-                     "oracle.method = grid requires lattice.n = 1"))
     seed = get("seed")
     valid("seed", (0 <= seed < 2 ** 128, "seed must be in [0, 2**128)"))
 

@@ -22,6 +22,11 @@ total probability when C varies (the density is renormalized after every
 step and the pre-renormalization drift is reported per step as
 ``mass_err``); with Gamma = 0 the scheme is conservative to roundoff.
 
+``GridSpec`` holds the grid's geometry (its cell width ``dm`` and cell
+``centers()``) and the initial profile.  ``fp_grid_solve`` returns the
+density as a plain array on those cells together with its moment
+reports, as the trajectory ensemble returns its state array.
+
 The time stepping is explicit Heun with a constant operator, so a step
 is one linear map M.  Two sites take it one step at a time.  A
 one-site grid with enough steps to pay for it builds the band of M^K
@@ -52,48 +57,29 @@ from .errors import CflViolationError, GridTooSmallError
 from .fringe import alpha_from_lattice, count_rate, count_rate_curvature
 from .params import Lattice, ModelParams, _require_finite
 
-__all__ = ["PdfGrid", "GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
+__all__ = ["GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
 
 # A one-site grid takes full Heun steps _BLOCK at a time, as one banded product.
 _BLOCK = 16
 
 
-@dataclass
-class PdfGrid:
-    """Discretized density on uniform cells of each magnetization axis.
-
-    values is an (n_cells,) * sites array; the density integrates to 1
-    over the domain throughout evolution.
-    """
-
-    m_min: float
-    m_max: float
-    n_cells: int
-    values: np.ndarray
-    t: float = 0.0
-
-    def centers(self) -> np.ndarray:
-        dm = (self.m_max - self.m_min) / self.n_cells
-        return self.m_min + dm * (np.arange(self.n_cells) + 0.5)
-
-    @property
-    def dm(self) -> float:
-        return (self.m_max - self.m_min) / self.n_cells
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid-solver configuration.
+    """Grid-solver configuration and the geometry of its cells.
 
-    The domain should span at least six standard deviations of the
-    expected stationary density; the solver raises GridTooSmallError if
-    more than 1e-6 of the mass reaches the edge cells.
+    Each magnetization axis spans m_min..m_max in n_cells uniform cells
+    of width ``dm``, centred at ``centers()``.  The initial profile is a
+    Gaussian of ``init_width`` on each axis, centred at ``init_mean``:
+    one value for every axis, or a tuple with one per axis.  The domain
+    should span at least six standard deviations of the expected
+    stationary density; the solver raises GridTooSmallError if more than
+    1e-6 of the mass reaches the edge cells.
     """
 
     m_min: float
     m_max: float
     n_cells: int = 512
-    init_mean: float = 0.0
+    init_mean: float | tuple[float, ...] = 0.0
     init_width: float = 0.5
     cfl: float = 0.4
     n_outputs: int = 60
@@ -110,6 +96,13 @@ class GridSpec:
             raise ValueError("init_width > 0 required")
         if self.n_outputs < 1:
             raise ValueError("n_outputs >= 1 required")
+
+    @property
+    def dm(self) -> float:
+        return (self.m_max - self.m_min) / self.n_cells
+
+    def centers(self) -> np.ndarray:
+        return self.m_min + self.dm * (np.arange(self.n_cells) + 0.5)
 
 
 def auto_grid(lat: Lattice, omega_lo: float, omega_hi: float, tau_ref: float,
@@ -329,10 +322,13 @@ def _require_delay_and_span(tau: float, t_end: float) -> None:
 
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   p: ModelParams, init_values: np.ndarray | None = None,
-                  ) -> tuple[PdfGrid, list[MomentReport]]:
-    """Evolve the density of a one- or two-site lattice to t_end, reporting moments en route.
+                  ) -> tuple[np.ndarray, list[MomentReport]]:
+    """Evolve the density of a one- or two-site lattice to t_end; returns (density, reports).
 
-    The density lives on an (n_cells,) * lat.n tensor grid.  The
+    The density is an (n_cells,) * lat.n array of values on the cells of
+    ``spec`` (``spec.centers()`` on each axis), normalized to integrate
+    to 1 with cell volume ``spec.dm ** lat.n``; the report at t = 0
+    describes the initial density.  The
     operator and the cells' count-rate curvature are evaluated once: the
     right-hand side is the precomputed stencil of ``_stencil``, and each
     report evaluates the curvature only at <Omega>.  Explicit Heun
@@ -344,10 +340,12 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     output interval as one banded product of M^K; see
     ``_block_stepper``.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
-    axes (continuation across tau).  Raises ValueError for a non-finite
-    ``tau`` or ``t_end`` or a negative ``t_end``, CflViolationError if the
-    stable step underflows the time span and GridTooSmallError if mass
-    reaches the edge cells.
+    axes (continuation across tau); it may carry small negative tails.
+    Raises ValueError for a non-finite ``tau`` or ``t_end``, a negative
+    ``t_end`` or a non-finite entry of ``init_values``,
+    CflViolationError if the stable step underflows the time span and
+    GridTooSmallError if the initial density has no positive, finite
+    mass on the grid or if mass reaches the edge cells.
     """
     _require_delay_and_span(tau, t_end)
     n = lat.n
@@ -355,19 +353,23 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         raise ValueError("fp_grid_solve requires a one- or two-site lattice")
 
     shape = (spec.n_cells,) * n
-    grid = PdfGrid(spec.m_min, spec.m_max, spec.n_cells, values=np.zeros(shape))
-    m = grid.centers()
-    dm = grid.dm
+    m = spec.centers()
+    dm = spec.dm
     cell = dm ** n
     if init_values is not None:
         if init_values.shape != shape:
             raise ValueError("init_values shape mismatch")
         f = np.array(init_values, dtype=float)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("non-finite entry in init_values")
     else:
-        prof = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
-        f = reduce(np.multiply.outer, [prof] * n)
-    f /= f.sum() * cell
-    grid.values = f
+        means = np.broadcast_to(spec.init_mean, (n,))
+        f = reduce(np.multiply.outer, [np.exp(-0.5 * ((m - mu) / spec.init_width) ** 2)
+                                       for mu in means])
+    mass = f.sum() * cell
+    if not 0.0 < mass < math.inf:
+        raise GridTooSmallError(f"initial density has mass {float(mass)!r} on the grid")
+    f /= mass
 
     def along(x: np.ndarray, j: int) -> np.ndarray:
         """x laid along axis j of the grid, broadcastable over the others."""
@@ -377,7 +379,7 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     c_cells, c1_cells, c2_cells = count_rate_curvature(omega_cells, tau, p)
     c_pos = np.maximum(c_cells, 0.0)
     g_diff = [lat.f[j] + lat.gamma[j] * c_pos for j in range(n)]
-    faces = grid.m_min + dm * np.arange(1, spec.n_cells)
+    faces = spec.m_min + dm * np.arange(1, spec.n_cells)
     vel = [lat.d_bath * along(faces, j) for j in range(n)]
     if n == 2:
         vel = [v + lat.d[0] * (along(faces, j) - along(m, 1 - j))
@@ -432,8 +434,6 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         if edge_mass > 1e-6:
             raise GridTooSmallError(
                 f"edge cells hold {edge_mass!r} of the mass at t={t!r}")
-        grid.values = f
-        grid.t = t
         reports.append(_weighted_moments(t, f.ravel(), points, lat, tau, p,
                                          mass_err=mass_err, curv=curv))
-    return grid, reports
+    return f, reports

@@ -87,14 +87,16 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
 
     Each completed step draws one (n_traj, n) block of normals from
     ``rng``, in stream order, so on return or on raise ``rng`` has drawn
-    exactly one block per completed step.  ``n_outputs`` = 0 takes no
-    step and returns the t = 0 report alone; a negative ``n_outputs``
-    raises ValueError.
+    exactly one block per completed step.  Raises ValueError, before any
+    draw, for ``n_outputs`` < 1 or for an ``m`` that is not of shape
+    (n_traj >= 1, lat.n).
     """
     _require_delay_and_span(tau, t_end)
-    if n_outputs < 0:
-        raise ValueError(f"n_outputs >= 0 required, got {n_outputs!r}")
+    if n_outputs < 1:
+        raise ValueError(f"n_outputs >= 1 required, got {n_outputs!r}")
     n = lat.n
+    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] != n:
+        raise ValueError(f"m must have shape (n_traj >= 1, {n}), got {m.shape}")
     a = lat.a_array()
     gamma = lat.gamma_array()
     f_const = lat.f_array()
@@ -109,7 +111,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     rate_scale = float(bath.max())
     if d_arr.size:
         rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
-    dt_cap = min(0.01 / max(rate_scale, 1e-300), t_end / (10.0 * max(n_outputs, 1)))
+    dt_cap = min(0.01 / max(rate_scale, 1e-300), t_end / (10.0 * n_outputs))
     # Drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C'' + A_j m_j C''')
     # + delta_jk Gamma_j A_j^2 C'', with lin the bath and chain rates.
     lin = np.diag(-bath)
@@ -214,8 +216,6 @@ def langevin_ensemble(lat: Lattice, tau: float, t_end: float, n_traj: int,
     """
     if n_traj < 100:
         raise ValueError("n_traj >= 100 required")
-    if n_outputs < 1:
-        raise ValueError(f"n_outputs >= 1 required, got {n_outputs!r}")
     for name, value in (("init_mean", init_mean), ("init_width", init_width)):
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} {float(value)!r}")

@@ -161,13 +161,29 @@ def test_module_entrypoint_runs(tmp_path):
 
 
 def test_grid_method_with_multisite_lattice_exits_2(tmp_path, capsys):
+    # "grid" is no oracle.method on any lattice: "auto" runs the grid on one site.
+    for n in (3, 1):
+        code = main(["oracle", "--out", str(tmp_path),
+                     "--set", f"lattice.n = {n}",
+                     "--set", "oracle.method = grid"])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigValidationError"
+        assert "(key 'oracle.method', line 2)" in record["message"]
+        assert not list(tmp_path.iterdir())
+
+
+def test_oracle_start_without_mass_on_the_grid_exits_3(tmp_path, capsys):
+    # The initial profile, 1000 widths off the grid, underflows to zero.
     code = main(["oracle", "--out", str(tmp_path),
-                 "--set", "lattice.n = 3",
-                 "--set", "oracle.method = grid"])
-    assert code == 2
+                 "--set", "oracle.m_min = -1", "--set", "oracle.m_max = 1",
+                 "--set", "oracle.init_mean = 100", "--set", "oracle.init_width = 0.1",
+                 "--set", "oracle.t_end = 5"])
+    assert code == 3
     record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ConfigValidationError"
-    assert not list(tmp_path.iterdir())
+    assert record["error"] == "GridTooSmallError"
+    assert "initial density has mass 0.0" in record["message"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sidecar_echoes_every_schema_key(tmp_path):

@@ -47,9 +47,9 @@ def test_two_site_remainder_matches_bruteforce_and_bound():
     tau = 0.17
     spec = sf.GridSpec(m_min=-3.2, m_max=3.2, n_cells=128, init_mean=0.0,
                        init_width=0.2, cfl=0.8, n_outputs=6)
-    grid, reports = sf.fp_grid_solve(lat, tau, 220.0, spec, P)
-    m = grid.centers()
-    dm = grid.dm
+    density, reports = sf.fp_grid_solve(lat, tau, 220.0, spec, P)
+    m = spec.centers()
+    dm = spec.dm
     reported = reports[-1].remainder
 
     # Brute force: accumulate the integrand cell by cell.
@@ -61,7 +61,7 @@ def test_two_site_remainder_matches_bruteforce_and_bound():
     sq_c2 = 0.0
     for i, m1 in enumerate(m):
         for j, m2 in enumerate(m):
-            w = grid.values[i, j] * dm * dm
+            w = density[i, j] * dm * dm
             omega = a1 * m1 + a2 * m2
             _, _, c2 = sf.count_rate_curvature(omega, tau, P)
             site = g1 * a1 ** 3 * m1 + g2 * a2 ** 3 * m2
@@ -193,3 +193,19 @@ def test_multisite_ensemble_compare_rows():
                            f=2e-4, d_bath=0.02)
     with pytest.raises(ValueError):
         compare_meanfield(big, [0.17], P, mf, n_traj=200, seed=5)
+
+
+@pytest.mark.parametrize("lat", [
+    sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02),
+    sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5),
+               d_bath=0.02),
+    sf.Lattice.chain(n=3, a_peak=0.8, gamma_peak=0.012, d=0.01, f=2e-4, d_bath=0.02),
+], ids=["one-site-grid", "two-site-grid", "three-site-ensemble"])
+def test_oracle_starts_at_the_requested_shift(lat):
+    # Over 1e-3 ns the mean moves by about 6e-5 rad/ns from where it starts.
+    # Centring both grid axes at m_init[0] would start <Omega> at
+    # (A_0 + A_1) A_0 / |A|^2 times omega_init: 1.098 times it on two sites.
+    mf = sf.MeanFieldParams(kappa=lat.d_bath, alpha=sf.alpha_from_lattice(lat))
+    (row,) = compare_meanfield(lat, [0.17], P, mf, omega_init=3.0, t_end=1e-3,
+                               n_traj=200)
+    assert row.oracle_mean == pytest.approx(3.0, abs=1e-4)

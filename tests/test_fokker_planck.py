@@ -116,12 +116,11 @@ def test_mass_conserved_without_trion_term(monkeypatch):
     spec = sf.GridSpec(m_min=-4.75 * std, m_max=4.75 * std, n_cells=400,
                        init_mean=0.0, init_width=std / 2, n_outputs=8, cfl=0.85)
     counts = _count_steps(monkeypatch)
-    grid, reports = sf.fp_grid_solve(lat, 0.3, 4.0 / d_bath, spec, P)
+    density, reports = sf.fp_grid_solve(lat, 0.3, 4.0 / d_bath, spec, P)
     assert counts["blocks"] > 0
     assert reports[-1].mass_err <= 1e-8  # cumulative raw drift over the run
-    dm = grid.dm
-    assert grid.values.sum() * dm == pytest.approx(1.0, abs=1e-12)
-    assert grid.values.min() >= -1e-12
+    assert density.sum() * spec.dm == pytest.approx(1.0, abs=1e-12)
+    assert density.min() >= -1e-12
 
 
 def test_mean_unaffected_by_state_independent_noise():
@@ -233,10 +232,10 @@ def test_reports_use_the_cells_curvature_taken_once():
                      f=(5e-5, 5e-5), d_bath=0.02)
     spec = sf.GridSpec(m_min=-4.0, m_max=4.0, n_cells=40, init_mean=0.5,
                        init_width=0.4, n_outputs=3, cfl=0.8)
-    grid, reports = sf.fp_grid_solve(lat, 0.23, 30.0, spec, P)
-    m = grid.centers()
+    density, reports = sf.fp_grid_solve(lat, 0.23, 30.0, spec, P)
+    m = spec.centers()
     points = np.stack(np.meshgrid(m, m, indexing="ij"), axis=-1).reshape(-1, 2)
-    again = _weighted_moments(reports[-1].t, grid.values.ravel(), points, lat, 0.23,
+    again = _weighted_moments(reports[-1].t, density.ravel(), points, lat, 0.23,
                               P, mass_err=reports[-1].mass_err)
     for name in ("mean_omega", "var_omega", "trion_drift_exact",
                  "trion_drift_meanfield", "flatness_error", "remainder"):
@@ -268,9 +267,9 @@ def test_two_site_solver_conserves_and_reports():
                      f=(4e-4, 4e-4), d_bath=0.02)
     spec = sf.GridSpec(m_min=-1.2, m_max=1.2, n_cells=96, init_mean=0.3,
                        init_width=0.15, n_outputs=6, cfl=0.8)
-    grid, reports = sf.fp_grid_solve(lat, 0.2, 120.0, spec, P)
+    density, reports = sf.fp_grid_solve(lat, 0.2, 120.0, spec, P)
     assert reports[-1].mass_err <= 1e-8
-    assert grid.values.sum() * grid.dm ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert density.sum() * spec.dm ** 2 == pytest.approx(1.0, abs=1e-10)
     # Mean decays through bath plus flattening; bounded by the slower rate.
     assert abs(reports[-1].mean_omega) < abs(reports[0].mean_omega)
 
@@ -307,7 +306,7 @@ def test_block_steps_match_the_per_step_loop(monkeypatch, n_cells, half_width):
     density = None
     for tau in (0.17, 0.23):
         counts.update(single=0, blocks=0)
-        grid, reports = sf.fp_grid_solve(lat, tau, t_end, spec, P, init_values=density)
+        got_f, reports = sf.fp_grid_solve(lat, tau, t_end, spec, P, init_values=density)
         want_f, want, want_steps = _per_step_solve(lat, tau, t_end, spec, density)
         assert counts["blocks"] >= 12 * spec.n_outputs
         assert counts["single"] > spec.n_outputs
@@ -319,8 +318,8 @@ def test_block_steps_match_the_per_step_loop(monkeypatch, n_cells, half_width):
             for name in ("var_omega", "trion_drift_exact", "trion_drift_meanfield",
                          "flatness_error", "mass_err"):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12)
-        assert np.max(np.abs(grid.values - want_f)) <= 1e-12 * np.max(want_f)
-        density = grid.values
+        assert np.max(np.abs(got_f - want_f)) <= 1e-12 * np.max(want_f)
+        density = got_f
 
 
 def test_grid_spec_validation():
@@ -360,3 +359,38 @@ def test_non_finite_delay_or_span_is_rejected_by_name(value, arg):
     kind = "non-finite" if not math.isfinite(value) else "negative"
     with pytest.raises(ValueError, match=f"{kind} {arg} {value!r}"):
         sf.fp_grid_solve(single_site(gamma=0.1), args["tau"], args["t_end"], spec, P)
+
+
+def test_non_finite_initial_density_is_rejected_by_name():
+    spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=40, init_width=0.1, n_outputs=2)
+    init = np.full(40, 1.0)
+    for bad in (math.nan, math.inf):
+        init[7] = bad
+        with pytest.raises(ValueError, match="non-finite entry in init_values"):
+            sf.fp_grid_solve(single_site(gamma=0.1), 0.3, 10.0, spec, P, init_values=init)
+
+
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_initial_density_without_mass_on_the_grid_raises(n_sites):
+    # A profile 1000 widths off the grid underflows to zero everywhere.
+    lat = (single_site(gamma=0.1) if n_sites == 1 else
+           sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                      f=(5e-5, 5e-5), d_bath=0.02))
+    spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=40, init_mean=100.0,
+                       init_width=0.1, n_outputs=2)
+    with pytest.raises(GridTooSmallError, match="initial density has mass 0.0"):
+        sf.fp_grid_solve(lat, 0.3, 5.0, spec, P)
+    with pytest.raises(GridTooSmallError, match="initial density has mass -"):
+        sf.fp_grid_solve(lat, 0.3, 5.0, spec, P, init_values=-np.ones((40,) * n_sites))
+
+
+def test_initial_density_may_carry_small_negative_tails():
+    # A continued density oscillates in sign through its tails.
+    spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=40, init_width=0.2, n_outputs=2)
+    m = spec.centers()
+    init = np.exp(-0.5 * (m / 0.1) ** 2) + 1e-9 * (-1.0) ** np.arange(40)
+    assert init.min() < 0.0
+    _, reports = sf.fp_grid_solve(single_site(gamma=0.1, f_const=1e-3), 0.3, 5.0, spec,
+                                  P, init_values=init)
+    assert all(math.isfinite(r.mean_omega) for r in reports)
+

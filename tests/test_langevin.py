@@ -293,8 +293,9 @@ def _generator_state(rng):
     ((0.9,), 1.0, 0.07, 3),      # every interval ends on a shortened step
     ((0.9,), 0.4, 0.5, 4),       # one step per output interval
     ((0.9,), 0.0, 0.05, 2),      # no step at all
-    ((0.9,), 1.0, 0.05, 0),      # no output interval, so no step
+    ((0.9,), 1.0, 0.05, 0),      # no output interval: rejected before a draw
     ((2.1,), 20.0, None, 4),     # the auto step changes every _RETAKE steps
+    ((0.9,), 1.0, 0.05, 1),      # the fewest output intervals, one
 ])
 def test_generator_left_as_the_serial_loop_leaves_it(monkeypatch, taus, t_end, dt,
                                                      n_outputs):
@@ -314,6 +315,12 @@ def test_generator_left_as_the_serial_loop_leaves_it(monkeypatch, taus, t_end, d
     rng = np.random.Generator(np.random.Philox(key=11))
     ref_rng = np.random.Generator(np.random.Philox(key=11))
     state = ref = init
+    if n_outputs < 1:
+        with pytest.raises(ValueError, match=f"n_outputs >= 1 required, got {n_outputs}"):
+            evolve_trajectories(CHAIN3, taus[0], t_end, state, rng, P, dt=dt,
+                                n_outputs=n_outputs)
+        assert _generator_state(rng) == _generator_state(ref_rng)
+        return
     for tau in taus:
         steps.clear()
         state, reports = evolve_trajectories(CHAIN3, tau, t_end, state, rng, P,
@@ -413,9 +420,18 @@ def test_bad_ensemble_input_is_rejected_by_name(kwargs, message):
 
 
 def test_evolve_with_negative_outputs_is_rejected_before_a_draw():
-    # n_outputs = 0 stays a call that takes no step (see above).
     rng = np.random.Generator(np.random.Philox(key=1))
     fresh = np.random.Generator(np.random.Philox(key=1))
-    with pytest.raises(ValueError, match="n_outputs >= 0 required, got -3"):
+    with pytest.raises(ValueError, match="n_outputs >= 1 required, got -3"):
         evolve_trajectories(CHAIN3, 0.9, 20.0, np.zeros((100, 3)), rng, P, n_outputs=-3)
+    assert _generator_state(rng) == _generator_state(fresh)
+
+
+@pytest.mark.parametrize("shape", [(100, 2), (0, 3), (100,), (5, 3, 1)],
+                         ids=["too-few-sites", "no-trajectories", "one-axis", "three-axes"])
+def test_evolve_with_a_misshapen_state_is_rejected_before_a_draw(shape):
+    rng = np.random.Generator(np.random.Philox(key=1))
+    fresh = np.random.Generator(np.random.Philox(key=1))
+    with pytest.raises(ValueError, match=r"m must have shape \(n_traj >= 1, 3\)"):
+        evolve_trajectories(CHAIN3, 0.9, 20.0, np.zeros(shape), rng, P)
     assert _generator_state(rng) == _generator_state(fresh)

@@ -5,7 +5,9 @@ single-site and two-site grid solvers and the per-module moment and
 remainder functions that the tensor-grid solver and the shared
 weighted-moments function replaced.  The compare rows (CMP1-3) depend on
 the mean-field root ``relax_to_steady`` returns; they were recorded once
-that became exactly a ``steady_states`` root.  Cases: a 1-site grid run,
+that became exactly a ``steady_states`` root.  GRID1_BANDED, a 1-site
+grid run long enough to take the banded K-step blocks, was recorded from
+the solver that introduced them.  Cases: a 1-site grid run,
 the 2-site lattice of the benchmark's oracle workload on the grid, a
 2-site Langevin ensemble, and the compare rows of both grid lattices and
 of a 3-site ensemble.
@@ -21,6 +23,7 @@ import math
 import pytest
 
 import spinfringe as sf
+from spinfringe import fokker_planck
 
 P = sf.ModelParams()
 ONE = sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02)
@@ -40,6 +43,18 @@ GRID1 = {
     "se_mean": None,
     "se_var": None,
     "mass_err": 0.00612657450496501,
+    "remainder": 0.0,
+}
+GRID1_BANDED = {
+    "t": 250.0,
+    "mean_omega": -0.06777573399790085,
+    "var_omega": 0.3075686180970569,
+    "trion_drift_exact": -0.0013865451710851494,
+    "trion_drift_meanfield": -0.0014029328849724692,
+    "flatness_error": 0.011681039102338368,
+    "se_mean": None,
+    "se_var": None,
+    "mass_err": 0.015732683701086825,
     "remainder": 0.0,
 }
 GRID2 = {
@@ -108,11 +123,23 @@ def _spec(n_cells: int) -> sf.GridSpec:
                        init_width=0.3, cfl=0.8, n_outputs=4)
 
 
-@pytest.mark.parametrize("lat, n_cells, want", [(ONE, 96, GRID1), (TWO, 40, GRID2)],
-                         ids=["one-site", "two-site"])
-def test_grid_final_report_pinned(lat, n_cells, want):
-    grid, reports = sf.fp_grid_solve(lat, 0.17, 100.0, _spec(n_cells), P)
-    assert grid.values.shape == (n_cells,) * lat.n
+@pytest.mark.parametrize("lat, n_cells, want, blocks", [
+    (ONE, 96, GRID1, 0),            # too short to build the band
+    (TWO, 40, GRID2, 0),
+    (ONE, 96, GRID1_BANDED, 76),    # GRID1 at t_end = 250
+], ids=["one-site", "two-site", "one-site-banded"])
+def test_grid_final_report_pinned(monkeypatch, lat, n_cells, want, blocks):
+    taken = []
+    real_stepper = fokker_planck._block_stepper
+
+    def block_stepper(*args):
+        block = real_stepper(*args)
+        return lambda f: taken.append(1) or block(f)
+
+    monkeypatch.setattr(fokker_planck, "_block_stepper", block_stepper)
+    density, reports = sf.fp_grid_solve(lat, 0.17, want["t"], _spec(n_cells), P)
+    assert density.shape == (n_cells,) * lat.n
+    assert len(taken) == blocks
     _assert_pinned(reports[-1], want, {
         "mean_omega": math.sqrt(want["var_omega"]),
         "remainder": abs(want["trion_drift_exact"]),
