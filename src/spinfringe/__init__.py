@@ -7,7 +7,7 @@ oracles (``fokker_planck``, ``langevin``, ``compare``), and a config-driven
 CLI (``config``, ``cli``).
 """
 
-from .constants import TWO_PI, ghz_to_rad_per_ns, rad_per_ns_to_ghz
+from .constants import TWO_PI, ghz_to_rad_per_ns
 from .errors import (
     BracketEscapeError,
     CflViolationError,

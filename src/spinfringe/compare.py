@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridTooSmallError
-from .fokker_planck import MomentReport, auto_grid, fp_grid_solve
+from .fokker_planck import GridSpec, MomentReport, auto_grid, fp_grid_solve
 from .langevin import evolve_trajectories
 from .meanfield import _relax, _root_table
 from .params import Lattice, MeanFieldParams, ModelParams
@@ -44,6 +44,21 @@ class CompareRow:
     remainder: float
 
 
+def _resample(f: np.ndarray, old: GridSpec, new: GridSpec) -> np.ndarray:
+    """A density on the cells of ``old`` carried onto the cells of ``new``.
+
+    Linear along each axis between the old cell centres, zero beyond them.
+    """
+    x_old, x_new = old.centers(), new.centers()
+
+    def line(values: np.ndarray) -> np.ndarray:
+        return np.interp(x_new, x_old, values, left=0.0, right=0.0)
+
+    for axis in range(f.ndim):
+        f = np.apply_along_axis(line, axis, f)
+    return f
+
+
 def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParams,
                       t_end: float | None = None, omega_init: float = 0.0,
                       n_traj: int = 4000, seed: int = 0,
@@ -60,6 +75,10 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     160 cells per axis); larger lattices, up to eight sites, use the
     trajectory ensemble.  Either oracle starts with its mean at
     m_init = omega_init A / |A|^2, so <Omega> = omega_init at t = 0.
+    A grid solve whose density reaches the edge cells is retried, at most
+    twice, on a grid widened by a quarter of its span on each side, from
+    the carried density resampled onto the wider cells (``_resample``),
+    so the branch is kept.
     """
     taus = [float(t) for t in np.asarray(tau_grid, dtype=float)]
     if not taus:
@@ -95,8 +114,10 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
                     if widen == 2:
                         raise
                     pad = 0.25 * (spec.m_max - spec.m_min)
-                    spec = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
-                    density = None  # domain changed; restart from the init profile
+                    wide = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
+                    if density is not None:
+                        density = _resample(density, spec, wide)
+                    spec = wide
             finals.append(reps[-1])
     else:
         if lat.n > 8:

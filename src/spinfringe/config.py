@@ -43,7 +43,10 @@ class OracleConfig:
 
     ``method`` "auto" runs the grid solver on a one-site lattice and the
     trajectory ensemble on a larger one; "langevin" runs the ensemble on
-    any lattice.
+    any lattice.  ``init_width`` = 0 gives the trajectory ensemble a
+    point start, a hand-set grid (m_min < m_max) a width of
+    (m_max - m_min) / 40 and an auto-sized grid the width ``auto_grid``
+    gives it: half the stationary width, at least 1e-3.
     """
 
     tau: float = 0.17
@@ -56,7 +59,7 @@ class OracleConfig:
     m_max: float = 0.0
     n_cells: int = 640
     init_mean: float = 0.0
-    init_width: float = 0.0     # 0 -> auto
+    init_width: float = 0.0     # 0 -> per oracle (see above)
     cfl: float = 0.8
 
     def __post_init__(self):
@@ -76,7 +79,7 @@ class OracleConfig:
             raise ValueError("0 < oracle.cfl <= 0.9 required")
         for key in ("t_end", "dt", "init_width"):
             if getattr(self, key) < 0:
-                raise ValueError(f"oracle.{key} >= 0 required (0 is auto)")
+                raise ValueError(f"oracle.{key} >= 0 required (0 picks the default)")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,3 @@ M3_PER_NM3 = 1e-27
 def ghz_to_rad_per_ns(freq_ghz: float) -> float:
     """Ordinary frequency in GHz to angular frequency in rad/ns."""
     return TWO_PI * freq_ghz
-
-
-def rad_per_ns_to_ghz(omega: float) -> float:
-    """Angular frequency in rad/ns to ordinary frequency in GHz."""
-    return omega / TWO_PI

@@ -28,14 +28,15 @@ density as a plain array on those cells together with its moment
 reports, as the trajectory ensemble returns its state array.
 
 The time stepping is explicit Heun with a constant operator, so a step
-is one linear map M.  Two sites take it one step at a time.  A
-one-site grid with enough steps to pay for it builds the band of M^K
-(K = ``_BLOCK``) once per solve by stepping comb probes
-(``_block_stepper``) and takes each run of K full steps as one banded
-product, renormalized once; the leftover steps and the short step onto
-an output time go one at a time.  The step schedule, and so every
-report time, is the same either way; the density and ``mass_err``
-differ from a step-at-a-time loop only by rounding.
+is one linear map M.  Each of the equal output intervals takes the same
+number of equal steps, fixed before the loop, so every report lands
+exactly on its output time.  A one-site grid with enough steps to pay
+for it rounds that number up to a multiple of K = ``_BLOCK``, builds
+the band of M^K once per solve by stepping comb probes
+(``_block_stepper``) and takes each K steps as one banded product,
+renormalized once; the density and ``mass_err`` differ from a
+step-at-a-time loop on the same schedule only by rounding.  Other
+grids take the steps one at a time.
 
 Moments of the grid cells and of the Langevin trajectories come from one
 function over weighted points, ``_weighted_moments``: normalized
@@ -59,7 +60,7 @@ from .params import Lattice, ModelParams, _require_finite
 
 __all__ = ["GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
 
-# A one-site grid takes full Heun steps _BLOCK at a time, as one banded product.
+# A long one-site solve takes its Heun steps _BLOCK at a time, as one banded product.
 _BLOCK = 16
 
 
@@ -191,10 +192,10 @@ def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
     remainder = average((site - alpha * omega) * c2)
     scale = max(abs(exact), abs(mean_field))
     return MomentReport(
-        t=t, mean_omega=mean, var_omega=var, trion_drift_exact=exact,
+        t=float(t), mean_omega=mean, var_omega=var, trion_drift_exact=exact,
         trion_drift_meanfield=mean_field,
         flatness_error=abs(exact - mean_field) / scale if scale >= 1e-300 else 0.0,
-        remainder=remainder, mass_err=mass_err,
+        remainder=remainder, mass_err=float(mass_err),
     )
 
 
@@ -251,7 +252,7 @@ def _heun(rhs):
 
 
 def _block_stepper(step, n_cells: int, dt: float, cell: float):
-    """K = _BLOCK full steps of ``step`` (one-site Heun, step ``dt``) as one banded product.
+    """K = _BLOCK steps of ``step`` (one-site Heun, step ``dt``) as one banded product.
 
     The step is a linear map M, pentadiagonal, so M^K couples cell i only to
     cells i - 2K .. i + 2K, and columns 4K + 1 apart never share a row.
@@ -332,13 +333,14 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     operator and the cells' count-rate curvature are evaluated once: the
     right-hand side is the precomputed stencil of ``_stencil``, and each
     report evaluates the curvature only at <Omega>.  Explicit Heun
-    stepping; the step obeys the diffusion stability bound
-    cfl * dm^2 / (2 n max g) and the advection bound cfl * dm / (n max|v|),
-    shrinking automatically to land on output times.  A one-site solve of
-    at least K (4K + 1) steps, K = ``_BLOCK`` (the probe steps that
-    building the band costs), takes each run of K full steps inside an
-    output interval as one banded product of M^K; see
-    ``_block_stepper``.  ``init_values``
+    stepping: each of the ``spec.n_outputs`` output intervals takes N
+    equal steps, N the fewest that keep the step within the diffusion
+    stability bound cfl * dm^2 / (2 n max g) and the advection bound
+    cfl * dm / (n max|v|) (none where both vanish), so each report's t
+    is exactly its output time.  A one-site solve of at least K (4K + 1)
+    steps in all, K = ``_BLOCK`` (the probe steps that building the band
+    costs), rounds N up to a multiple of K and takes each K steps as one
+    banded product of M^K; see ``_block_stepper``.  ``init_values``
     replaces the Gaussian initial profile, an outer product over the
     axes (continuation across tau); it may carry small negative tails.
     Raises ValueError for a non-finite ``tau`` or ``t_end``, a negative
@@ -393,47 +395,39 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     if v_max > 0.0:
         bounds.append(dm / (n * v_max))
     dt_stable = spec.cfl * min(bounds)
-    if not math.isfinite(dt_stable):
-        dt_stable = t_end / spec.n_outputs
     _check_step_floor(dt_stable, t_end, tau)
 
+    # Each output interval takes the fewest equal steps within the bound.
+    interval = t_end / spec.n_outputs
+    steps = math.ceil(interval / dt_stable) if t_end > 0.0 else 0
     step = _heun(_stencil(vel, g_diff, dm))
     # The band costs K steps of 4K + 1 probes: build it only when the
-    # solve takes more steps than that.
-    block = None
-    if n == 1 and t_end >= _BLOCK * (4 * _BLOCK + 1) * dt_stable:
-        block = _block_stepper(step, spec.n_cells, dt_stable, cell)
+    # solve takes at least that many steps.
+    if n == 1 and spec.n_outputs * steps >= _BLOCK * (4 * _BLOCK + 1):
+        steps = -(-steps // _BLOCK) * _BLOCK
+        advance = _block_stepper(step, spec.n_cells, interval / steps, cell)
+        advances = steps // _BLOCK
+    else:
+        dt = interval / max(steps, 1)
+
+        def advance(f: np.ndarray) -> tuple[np.ndarray, float]:
+            f = step(f, dt)
+            mass = f.sum() * cell
+            return f / mass, abs(mass - 1.0)
+        advances = steps
 
     points = np.stack(np.meshgrid(*[m] * n, indexing="ij"), axis=-1).reshape(-1, n)
     curv = (c1_cells.ravel(), c2_cells.ravel())
-    out_times = np.linspace(0.0, t_end, spec.n_outputs + 1)
     reports = [_weighted_moments(0.0, f.ravel(), points, lat, tau, p, curv=curv)]
-    t = 0.0
     mass_err = 0.0
-    for t_next in out_times[1:]:
-        t_close = t_next - 1e-12 * t_end
-        while t < t_close:
-            if block is not None:
-                # K steps at once where the loop below would take K full ones.
-                t_k, k = t, 0
-                while k < _BLOCK and t_k < t_close and dt_stable <= t_next - t_k:
-                    t_k += dt_stable
-                    k += 1
-                if k == _BLOCK:
-                    f, err = block(f)
-                    mass_err += err
-                    t = t_k
-                    continue
-            dt = min(dt_stable, t_next - t)
-            f = step(f, dt)
-            mass = f.sum() * cell
-            mass_err += abs(mass - 1.0)
-            f /= mass
-            t += dt
+    for t in np.linspace(0.0, t_end, spec.n_outputs + 1)[1:]:
+        for _ in range(advances):
+            f, err = advance(f)
+            mass_err += err
         edge_mass = sum(f.take(0, j).sum() + f.take(-1, j).sum() for j in range(n)) * cell
         if edge_mass > 1e-6:
             raise GridTooSmallError(
-                f"edge cells hold {edge_mass!r} of the mass at t={t!r}")
+                f"edge cells hold {float(edge_mass)!r} of the mass at t={float(t)!r}")
         reports.append(_weighted_moments(t, f.ravel(), points, lat, tau, p,
                                          mass_err=mass_err, curv=curv))
     return f, reports

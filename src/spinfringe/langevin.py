@@ -88,8 +88,9 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     Each completed step draws one (n_traj, n) block of normals from
     ``rng``, in stream order, so on return or on raise ``rng`` has drawn
     exactly one block per completed step.  Raises ValueError, before any
-    draw, for ``n_outputs`` < 1 or for an ``m`` that is not of shape
-    (n_traj >= 1, lat.n).
+    draw, for ``n_outputs`` < 1, for an ``m`` that is not of shape
+    (n_traj >= 1, lat.n) or for a non-finite entry of ``m``, whether the
+    step is given or not.
     """
     _require_delay_and_span(tau, t_end)
     if n_outputs < 1:
@@ -97,6 +98,8 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     n = lat.n
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] != n:
         raise ValueError(f"m must have shape (n_traj >= 1, {n}), got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entry in m")
     a = lat.a_array()
     gamma = lat.gamma_array()
     f_const = lat.f_array()

@@ -1,11 +1,13 @@
 """Oracle/mean-field comparison: remainder identities and flatness behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import compare
 from spinfringe.compare import compare_meanfield
 from spinfringe.fokker_planck import _weighted_moments
 from spinfringe.meanfield import d2_omega_C, steady_states
@@ -174,6 +176,42 @@ def test_grid_oracle_hysteresis_gate_is_empty_then_skip():
         f"loop comparison there: {confirmed}")
     pytest.skip("no bistable window passes the flatness gate for the grid "
                 "oracle; hysteresis covered by the ensemble loop test")
+
+
+def test_widened_grid_goes_on_from_the_carried_density(monkeypatch):
+    # On cells of +-2.4 the first delay holds its density, but in the
+    # second one the spreading density reaches the edge cells.  The grid
+    # widens by half, once, and the second delay goes on from the first
+    # one's density resampled onto the wider cells: it ends where both
+    # delays run on the wide grid from the start end, not where a restart
+    # from the initial profile ends (-0.023).
+    lat = sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02)
+    mf = sf.MeanFieldParams(kappa=0.02, alpha=sf.alpha_from_lattice(lat))
+    narrow = sf.GridSpec(m_min=-2.4, m_max=2.4, n_cells=96, init_mean=0.0,
+                         init_width=0.28, cfl=0.8, n_outputs=8)
+    wide = replace(narrow, m_min=-3.6, m_max=3.6)
+    monkeypatch.setattr(compare, "auto_grid", lambda *args: narrow)
+    solves = []
+    real_solve = compare.fp_grid_solve
+
+    def solve(*args, init_values=None):
+        solves.append((args[3], None))  # the spec, and the reports once it succeeds
+        density, reports = real_solve(*args, init_values=init_values)
+        solves[-1] = (args[3], reports)
+        return density, reports
+
+    monkeypatch.setattr(compare, "fp_grid_solve", solve)
+    rows = compare_meanfield(lat, [0.13, 0.17], P, mf, t_end=20.0)
+    (_, first), (failed, _), (spec, retry) = solves
+    assert failed == narrow
+    assert (spec.m_min, spec.m_max) == pytest.approx((wide.m_min, wide.m_max))
+    assert retry[0].mean_omega == pytest.approx(first[-1].mean_omega, abs=1e-6)
+    assert retry[0].var_omega == pytest.approx(first[-1].var_omega, rel=1e-2)
+
+    density, _ = real_solve(lat, 0.13, 20.0, wide, P)
+    _, want = real_solve(lat, 0.17, 20.0, wide, P, init_values=density)
+    assert rows[1].oracle_mean == pytest.approx(want[-1].mean_omega, abs=1e-5)
+    assert retry[-1].var_omega == pytest.approx(want[-1].var_omega, rel=1e-2)
 
 
 def test_multisite_ensemble_compare_rows():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -31,36 +32,34 @@ def _one_site_operator(lat, tau, spec):
     return m, dm, (c1, c2), _stencil([vel], [g], dm), dt_stable
 
 
-def _per_step_solve(lat, tau, t_end, spec, init_values=None):
+def _per_step_solve(lat, tau, t_end, spec, steps, init_values=None):
     """Reference: the one-site Heun loop a step at a time, renormalized after each.
 
-    Returns the final density, the reports at the output times and the
-    number of steps.
+    Each output interval takes ``steps`` equal steps.  Returns the final
+    density and the reports at the output times.
     """
-    m, dm, curv, rhs, dt_stable = _one_site_operator(lat, tau, spec)
+    m, dm, curv, rhs, _ = _one_site_operator(lat, tau, spec)
     if init_values is None:
         f = np.exp(-0.5 * ((m - spec.init_mean) / spec.init_width) ** 2)
     else:
         f = np.array(init_values, dtype=float)
     f /= f.sum() * dm
-    t, steps, mass_err, reports = 0.0, 0, 0.0, []
-    for t_next in np.linspace(0.0, t_end, spec.n_outputs + 1)[1:]:
-        while t < t_next - 1e-12 * t_end:
-            dt = min(dt_stable, t_next - t)
+    dt = t_end / spec.n_outputs / steps
+    mass_err, reports = 0.0, []
+    for t in np.linspace(0.0, t_end, spec.n_outputs + 1)[1:]:
+        for _ in range(steps):
             k1 = rhs(f)
             k2 = rhs(f + dt * k1)
             f = f + 0.5 * dt * (k1 + k2)
             mass = f.sum() * dm
             mass_err += abs(mass - 1.0)
             f /= mass
-            t += dt
-            steps += 1
         reports.append(_weighted_moments(t, f, m[:, None], lat, tau, P,
                                          mass_err=mass_err, curv=curv))
-    return f, reports, steps
+    return f, reports
 
 
-def _count_steps(monkeypatch) -> dict:
+def _count_steps(monkeypatch, n_sites: int = 1) -> dict:
     """Count the density steps that fp_grid_solve takes one at a time and in blocks."""
     counts = {"single": 0, "blocks": 0}
     real_heun, real_stepper = fokker_planck._heun, fokker_planck._block_stepper
@@ -69,7 +68,7 @@ def _count_steps(monkeypatch) -> dict:
         step = real_heun(rhs)
 
         def counted(f, dt):
-            counts["single"] += f.ndim == 1  # not the band's probes
+            counts["single"] += f.ndim == n_sites  # not the band's probes
             return step(f, dt)
         return counted
 
@@ -291,26 +290,26 @@ def test_two_site_mean_decay_via_bath():
 @pytest.mark.parametrize("n_cells, half_width", [(128, 3.0), (16, 6.0)],
                          ids=["128-cells", "fewer-cells-than-the-band"])
 def test_block_steps_match_the_per_step_loop(monkeypatch, n_cells, half_width):
-    # Gamma > 0, so C varies and each step changes the mass.  Every output
-    # interval holds 13 K-step blocks and some leftover steps: at the
-    # first delay K - 1 full ones and a half step, where one block more
-    # would overrun the output time.  The second delay continues from the
-    # first one's density.
+    # Gamma > 0, so C varies and each step changes the mass.  At the first
+    # delay each output interval is 13 K + 1/2 stable steps long, so it
+    # takes 13 K + 1 steps rounded up to 14 K: 14 blocks of K equal steps.
+    # The second delay continues from the first one's density.
     lat = single_site(gamma=0.01, f_const=5e-5, d_bath=0.02)
     spec = sf.GridSpec(m_min=-half_width, m_max=half_width, n_cells=n_cells,
                        init_mean=0.2, init_width=0.3, cfl=0.8, n_outputs=5)
     k = fokker_planck._BLOCK
-    dt = _one_site_operator(lat, 0.17, spec)[-1]
-    t_end = spec.n_outputs * (13 * k + k - 0.5) * dt
+    interval = (13 * k + 0.5) * _one_site_operator(lat, 0.17, spec)[-1]
+    t_end = spec.n_outputs * interval
     counts = _count_steps(monkeypatch)
     density = None
     for tau in (0.17, 0.23):
         counts.update(single=0, blocks=0)
         got_f, reports = sf.fp_grid_solve(lat, tau, t_end, spec, P, init_values=density)
-        want_f, want, want_steps = _per_step_solve(lat, tau, t_end, spec, density)
-        assert counts["blocks"] >= 12 * spec.n_outputs
-        assert counts["single"] > spec.n_outputs
-        assert counts["single"] + k * counts["blocks"] == want_steps
+        steps = k * math.ceil(interval / _one_site_operator(lat, tau, spec)[-1] / k)
+        if tau == 0.17:
+            assert steps == 14 * k
+        want_f, want = _per_step_solve(lat, tau, t_end, spec, steps, density)
+        assert counts == {"single": 0, "blocks": spec.n_outputs * steps // k}
         assert [r.t for r in reports[1:]] == [r.t for r in want]
         for got, ref in zip(reports[1:], want):
             assert got.mean_omega == pytest.approx(
@@ -320,6 +319,51 @@ def test_block_steps_match_the_per_step_loop(monkeypatch, n_cells, half_width):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-12)
         assert np.max(np.abs(got_f - want_f)) <= 1e-12 * np.max(want_f)
         density = got_f
+
+
+@pytest.mark.parametrize("n_sites, t_end, banded", [
+    (1, 40.0, False),
+    (1, 2400.0, True),
+    (2, 40.0, False),
+], ids=["one-site", "one-site-banded", "two-site"])
+def test_each_output_interval_takes_the_fewest_whole_steps(monkeypatch, n_sites,
+                                                           t_end, banded):
+    # Gamma = 0 and no chain flow: g = F and |v| peaks at the outer faces,
+    # so the stable step has a closed form.
+    lat = sf.Lattice(n=n_sites, a=(1.0,) * n_sites, gamma=(0.0,) * n_sites,
+                     d=(0.0,) * (n_sites - 1), f=(4e-4,) * n_sites, d_bath=0.02)
+    spec = sf.GridSpec(m_min=-1.5, m_max=1.5, n_cells=48, init_mean=0.2,
+                       init_width=0.3, cfl=0.8, n_outputs=3)
+    dm, k = spec.dm, fokker_planck._BLOCK
+    dt_stable = spec.cfl * min(dm * dm / (2 * n_sites * 4e-4),
+                               dm / (n_sites * 0.02 * (1.5 - dm)))
+    steps = math.ceil(t_end / spec.n_outputs / dt_stable)
+    if banded:
+        steps = k * math.ceil(steps / k)
+    counts = _count_steps(monkeypatch, n_sites)
+    _, reports = sf.fp_grid_solve(lat, 0.2, t_end, spec, P)
+    assert counts["single"] + k * counts["blocks"] == spec.n_outputs * steps
+    assert (counts["blocks"] > 0) == banded
+    assert [r.t for r in reports] == np.linspace(0.0, t_end, spec.n_outputs + 1).tolist()
+    for r in reports:
+        assert {type(v) for v in astuple(r) if v is not None} == {float}
+
+
+@pytest.mark.parametrize("lat, t_end", [
+    (single_site(gamma=0.1, f_const=1e-3), 0.0),
+    (single_site(d_bath=0.0), 50.0),  # an unbounded stable step
+], ids=["zero-span", "no-drift-or-diffusion"])
+def test_nothing_to_evolve_takes_no_step(monkeypatch, lat, t_end):
+    counts = _count_steps(monkeypatch)
+    spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=40, init_mean=0.1,
+                       init_width=0.1, n_outputs=2)
+    density, reports = sf.fp_grid_solve(lat, 0.3, t_end, spec, P)
+    assert counts == {"single": 0, "blocks": 0}
+    assert [r.t for r in reports] == [0.0, 0.5 * t_end, t_end]
+    assert reports[-1] == replace(reports[0], t=t_end)
+    m = spec.centers()
+    initial = np.exp(-0.5 * ((m - 0.1) / 0.1) ** 2)
+    assert np.array_equal(density, initial / (initial.sum() * spec.dm))
 
 
 def test_grid_spec_validation():

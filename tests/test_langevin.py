@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -214,13 +215,23 @@ def test_step_below_floor_raises_at_once():
 
 @pytest.mark.parametrize("t_end, init, dt", [
     (1e301, 0.0, 1.0),      # a fixed step below the floor
-    (100.0, np.nan, None),  # a NaN state has no slope to take a step from
+    (100.0, np.nan, None),  # a non-finite state, under the auto step
+    (100.0, np.nan, 0.1),   # and under a fixed one
+    (100.0, np.inf, 0.1),
 ])
 def test_fixed_or_nan_step_fails_before_the_first_step(t_end, init, dt):
-    with pytest.raises(sf.CflViolationError) as raised:
-        evolve_trajectories(NO_BATH, 0.17, t_end, np.full((100, 2), init),
-                            np.random.Generator(np.random.Philox(key=1)), P, dt=dt)
-    assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
+    # A step below the floor fails with the delay and the time it was
+    # taken at; a non-finite state is rejected by name.  Neither draws.
+    rng = np.random.Generator(np.random.Philox(key=1))
+    before = _generator_state(rng)
+    expected = sf.CflViolationError if math.isfinite(init) else ValueError
+    with pytest.raises(expected) as raised:
+        evolve_trajectories(NO_BATH, 0.17, t_end, np.full((100, 2), init), rng, P, dt=dt)
+    assert _generator_state(rng) == before
+    if expected is ValueError:
+        assert str(raised.value) == "non-finite entry in m"
+    else:
+        assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
 
 
 def _row_major_evolve(lat, tau, t_end, m, rng, p, dt, n_outputs):
@@ -286,6 +297,17 @@ def _generator_state(rng):
             return {k: plain(v) for k, v in x.items()}
         return x.tolist() if isinstance(x, np.ndarray) else x
     return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("dt", [0.07, None], ids=["fixed-step", "auto-step"])
+def test_reports_carry_plain_floats(dt):
+    # Every interval ends on a shortened step, whose time comes from the
+    # output times; the reports still carry plain floats, as the grid's do.
+    _, reports = evolve_trajectories(CHAIN3, 0.9, 1.0, np.full((300, 3), 0.1),
+                                     np.random.Generator(np.random.Philox(key=11)), P,
+                                     dt=dt, n_outputs=3)
+    for r in reports:
+        assert {type(v) for v in astuple(r)} == {float}
 
 
 @pytest.mark.parametrize("taus, t_end, dt, n_outputs", [
