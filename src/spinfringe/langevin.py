@@ -14,15 +14,22 @@ constant both terms vanish and the mean obeys pure exponential decay.
 
 A given step is fixed.  The auto step is taken from where the
 trajectories are, at t = 0 and afresh every ten steps, however often
-the moments are reported.  It is the smallest of: 1.5 / slope, with
-slope the largest row-sum norm over the ensemble of the drift Jacobian,
-a bound on its spectral radius (Euler's stability needs slope * dt < 2);
-0.1 of the drift's Omega scale min(1/tau, sigma) over the fastest rate
-of change of Omega, so that no trajectory outruns the slope it was
-given (from a point state, say, whose slope says nothing of the basin
-it falls into); 0.01 over the fastest bath or chain rate; and a tenth
-of the output interval.  Gamma scales the noise and stiffens nothing by
-itself: it enters the step only through the drift.
+the moments are reported.  It is the smallest of three bounds: 1.5 /
+slope, with slope the largest row-sum norm over the ensemble of the
+drift Jacobian, a bound on its spectral radius (Euler's stability needs
+slope * dt < 2); 0.1 of the drift's Omega scale min(1/tau, sigma) over
+the fastest rate of change of Omega, so that no trajectory outruns the
+slope it was given (from a point state, say, whose slope says nothing
+of the basin it falls into); and 0.01 over the fastest bath or chain
+rate.  Gamma scales the noise and stiffens nothing by itself: it enters
+the step only through the drift.  The output times only end the step
+that would pass them.
+
+Each ensemble state gets one curvature call, (C, C', C'') over its
+trajectories, with C''' too when an auto step is taken there.  A report
+at an output time reads C' and C'' from the call of the step that
+starts there, so a run makes one call per step and one for its final
+state.
 
 Inside the time loop the state is held sites-major, as a C-contiguous
 (n, n_traj) array updated in place, so that every elementwise update
@@ -70,17 +77,19 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
 
     A given ``dt`` is a fixed step.  Without one, the step is
 
-        min(1.5 / slope, 0.1 * scale / speed, 0.01 / max(D_bath, 2 max D),
-            t_end / (10 n_outputs))
+        min(1.5 / slope, 0.1 * scale / speed, 0.01 / max(D_bath, 2 max D))
 
-    taken from the ensemble at t = 0 and again every ten steps.
-    ``slope`` is the largest row-sum norm of the drift Jacobian, which
-    for one site is |g'| = |-D_bath + Gamma A^2 (3 C'' + A m C''')|, with
-    C''' in closed form from the step's own curvature call.  ``speed`` is
-    the largest |dOmega/dt| of the drift and ``scale`` = min(1/tau, sigma)
-    the Omega scale on which C varies.  Either way a step that would pass
-    an output time is shortened to end on it.  Raises ValueError for a
-    non-finite ``tau`` or ``t_end`` or a negative ``t_end``, and
+    taken from the ensemble at t = 0 and again every ten steps, whatever
+    ``n_outputs`` is.  ``slope`` is the largest row-sum norm of the drift
+    Jacobian, which for one site is |g'| = |-D_bath + Gamma A^2 (3 C'' +
+    A m C''')|, with C''' in closed form from the step's own curvature
+    call.  ``speed`` is the largest |dOmega/dt| of the drift and
+    ``scale`` = min(1/tau, sigma) the Omega scale on which C varies.
+    Either way a step that would pass an output time is shortened to end
+    on it.  Each state the loop reaches gets one ``count_rate_curvature``
+    call, shared by the report made there and the step taken from there:
+    a run of ``steps`` steps makes ``steps + 1`` calls.  Raises ValueError
+    for a non-finite ``tau`` or ``t_end`` or a negative ``t_end``, and
     CflViolationError, with ``tau`` and the time ``t`` the step was taken
     at, if a step is below the grid solver's floor of 1e-12 * t_end or is
     NaN.
@@ -114,7 +123,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     rate_scale = float(bath.max())
     if d_arr.size:
         rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
-    dt_cap = min(0.01 / max(rate_scale, 1e-300), t_end / (10.0 * n_outputs))
+    dt_cap = 0.01 / max(rate_scale, 1e-300)
     # Drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C'' + A_j m_j C''')
     # + delta_jk Gamma_j A_j^2 C'', with lin the bath and chain rates.
     lin = np.diag(-bath)
@@ -132,9 +141,15 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     n_traj = m.shape[0]
     ones = np.ones(n_traj)
 
-    def report(t: float, m_t: np.ndarray) -> MomentReport:
-        r = _weighted_moments(t, ones, np.ascontiguousarray(m_t.T), lat, tau, p,
-                              ddof=1 if n_traj > 1 else 0)
+    def curvature(k: int):
+        # Omega as one dot product per trajectory row, so that it has the
+        # same bits as for a trajectory-major state.
+        np.copyto(rows, m_t.T)
+        return count_rate_curvature(rows @ a, tau, p, third=dt is None and k % _RETAKE == 0)
+
+    def report(t: float, curv) -> MomentReport:
+        r = _weighted_moments(t, ones, rows, lat, tau, p, ddof=1 if n_traj > 1 else 0,
+                              curv=curv[1:3])
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
@@ -163,18 +178,15 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     drift, term, noise = (np.empty_like(m_t) for _ in range(3))
     rows = np.empty((n_traj, n))  # trajectory-major
     z = np.empty((n_traj, n))
-    reports = [report(0.0, m_t)]
+    # ``rows`` and ``curv`` always describe the current state m_t.
+    curv = curvature(0)
+    reports = [report(0.0, curv)]
     t, step_max, k = 0.0, dt, 0
     for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
         while t < t_next - 1e-12 * t_end:
-            # Omega as one dot product per trajectory row, so that it has
-            # the same bits as for a trajectory-major state.
-            np.copyto(rows, m_t.T)
-            if dt is None and k % _RETAKE == 0:
-                cval, c1, c2, c3 = count_rate_curvature(rows @ a, tau, p, third=True)
-                step_max = auto_step(t, m_t, c1, c2, c3)
-            else:
-                cval, c1, c2 = count_rate_curvature(rows @ a, tau, p)
+            cval, c1, c2, *c3 = curv
+            if c3:  # C''' comes with the curvature where the auto step is retaken
+                step_max = auto_step(t, m_t, c1, c2, c3[0])
             step = min(step_max, t_next - t)
             np.multiply(-bath, m_t, out=drift)
             if n > 1:
@@ -200,7 +212,8 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
             m_t += noise
             t += step
             k += 1
-        reports.append(report(t, m_t))
+            curv = curvature(k)
+        reports.append(report(t, curv))
     return m_t.T, reports
 
 

@@ -233,17 +233,20 @@ def test_multisite_ensemble_compare_rows():
         compare_meanfield(big, [0.17], P, mf, n_traj=200, seed=5)
 
 
-@pytest.mark.parametrize("lat", [
-    sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02),
-    sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5),
-               d_bath=0.02),
-    sf.Lattice.chain(n=3, a_peak=0.8, gamma_peak=0.012, d=0.01, f=2e-4, d_bath=0.02),
+@pytest.mark.parametrize("lat, t_end", [
+    (sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02), 1e-3),
+    (sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5),
+                d_bath=0.02), 1e-3),
+    # The ensemble mean's standard error grows as sqrt(t_end): about 2.1e-4
+    # at 1e-3 ns for 200 trajectories, 2.1e-5 at 1e-5 ns.
+    (sf.Lattice.chain(n=3, a_peak=0.8, gamma_peak=0.012, d=0.01, f=2e-4, d_bath=0.02),
+     1e-5),
 ], ids=["one-site-grid", "two-site-grid", "three-site-ensemble"])
-def test_oracle_starts_at_the_requested_shift(lat):
+def test_oracle_starts_at_the_requested_shift(lat, t_end):
     # Over 1e-3 ns the mean moves by about 6e-5 rad/ns from where it starts.
     # Centring both grid axes at m_init[0] would start <Omega> at
     # (A_0 + A_1) A_0 / |A|^2 times omega_init: 1.098 times it on two sites.
     mf = sf.MeanFieldParams(kappa=lat.d_bath, alpha=sf.alpha_from_lattice(lat))
-    (row,) = compare_meanfield(lat, [0.17], P, mf, omega_init=3.0, t_end=1e-3,
+    (row,) = compare_meanfield(lat, [0.17], P, mf, omega_init=3.0, t_end=t_end,
                                n_traj=200)
     assert row.oracle_mean == pytest.approx(3.0, abs=1e-4)

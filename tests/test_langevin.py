@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -137,25 +137,26 @@ NO_BATH = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
                      f=(5e-5, 5e-5), d_bath=0.0)
 
 
-class _PairSums:
-    """Generator stand-in: each block is (z1 + z2) / sqrt(2) of the next
-    two blocks of ``rng``, the Brownian increment of two half steps."""
+class _BlockSums:
+    """Generator stand-in: each block is (z_1 + ... + z_k) / sqrt(k) of the
+    next k blocks of ``rng``, the Brownian increment of k equal part steps."""
 
-    def __init__(self, rng):
-        self.rng = rng
+    def __init__(self, rng, k):
+        self.rng, self.k = rng, k
 
     def standard_normal(self, out):
         self.rng.standard_normal(out=out)
-        out += self.rng.standard_normal(out.shape)
-        out /= math.sqrt(2.0)
+        for _ in range(self.k - 1):
+            out += self.rng.standard_normal(out.shape)
+        out /= math.sqrt(self.k)
         return out
 
 
-def coupled_halving(lat, tau, t_end, n_traj, seed, p, n_outputs):
+def coupled_refinement(lat, tau, t_end, n_traj, seed, p, n_outputs, k=2):
     """Shifts of each report's mean and variance of Omega, in standard
-    errors, when every auto step is taken as two halves along the same
+    errors, when every auto step is taken as k equal parts along the same
     Brownian path, from a point state at 0.  The auto step must keep one
-    value, so that its halves are a fixed step; it is returned too.
+    value, so that its parts are a fixed step; it is returned too.
 
     The full-size check of the default 4-site oracle run:
     ``PYTHONPATH=src:tests python -c "import test_langevin as t;
@@ -172,14 +173,14 @@ def coupled_halving(lat, tau, t_end, n_traj, seed, p, n_outputs):
     langevin._check_step_floor = spy
     try:
         _, coarse = evolve_trajectories(
-            lat, tau, t_end, m0, _PairSums(np.random.Generator(np.random.Philox(key=seed))),
+            lat, tau, t_end, m0, _BlockSums(np.random.Generator(np.random.Philox(key=seed)), k),
             p, n_outputs=n_outputs)
     finally:
         langevin._check_step_floor = real_floor
     assert len(set(steps)) == 1
     _, fine = evolve_trajectories(lat, tau, t_end, m0,
                                   np.random.Generator(np.random.Philox(key=seed)), p,
-                                  dt=steps[0] / 2, n_outputs=n_outputs)
+                                  dt=steps[0] / k, n_outputs=n_outputs)
     mean_shift = [abs(c.mean_omega - f.mean_omega) / f.se_mean
                   for c, f in zip(coarse[1:], fine[1:])]
     var_shift = [abs(c.var_omega - f.var_omega) / f.se_var
@@ -188,11 +189,11 @@ def coupled_halving(lat, tau, t_end, n_traj, seed, p, n_outputs):
 
 
 def default_4_site_halving(n_traj, n_outputs, t_end=None):
-    """``coupled_halving`` on the default 4-site oracle run, seed 421."""
+    """``coupled_refinement`` into halves on the default 4-site oracle run, seed 421."""
     cfg = parse_config("", ["lattice.n=4"])
     lat = cfg.lattice
     t_end = 10.0 / lat.d_bath if t_end is None else t_end
-    return coupled_halving(lat, cfg.oracle.tau, t_end, n_traj, 421, cfg.model, n_outputs)
+    return coupled_refinement(lat, cfg.oracle.tau, t_end, n_traj, 421, cfg.model, n_outputs)
 
 
 def test_halving_the_auto_step_moves_no_mean_by_a_standard_error():
@@ -201,6 +202,77 @@ def test_halving_the_auto_step_moves_no_mean_by_a_standard_error():
     mean_shift, _, step = default_4_site_halving(10000, 5, t_end=1250.0)
     assert step == 5.0
     assert np.all(mean_shift < 1.0)
+
+
+def test_a_tenth_of_the_auto_step_moves_no_mean_by_a_standard_error():
+    # The benchmark's 4-site ensemble (t_end = 100, 20 outputs) at 2000
+    # trajectories: its auto step, the chain bound of 5 ns, against fixed
+    # 0.5 ns steps along the same Brownian path.
+    cfg = parse_config("", ["lattice.n=4"])
+    mean_shift, _, step = coupled_refinement(cfg.lattice, cfg.oracle.tau, 100.0, 2000, 421,
+                                             cfg.model, 20, k=10)
+    assert step == 5.0
+    assert np.all(mean_shift < 1.0)
+
+
+def test_the_auto_step_ignores_the_report_schedule():
+    # The output times of 1, 4 and 20 reports over 100 ns all fall on
+    # whole 5 ns steps of the default 4-site lattice, so the run takes the
+    # same steps and draws the same normals however often it reports.
+    cfg = parse_config("", ["lattice.n=4"])
+    runs = []
+    for n_outputs in (1, 4, 20):
+        rng = np.random.Generator(np.random.Philox(key=421))
+        state, reports = evolve_trajectories(cfg.lattice, 0.17, 100.0, np.zeros((1000, 4)),
+                                             rng, cfg.model, n_outputs=n_outputs)
+        assert reports[-1].t == 100.0
+        runs.append((state, _generator_state(rng), reports[-1]))
+    state, gen, last = runs[0]
+    for other_state, other_gen, other_last in runs[1:]:
+        assert np.array_equal(other_state, state)
+        assert other_gen == gen
+        assert other_last == last
+
+
+class _CountingGenerator:
+    """Generator stand-in that counts the blocks of normals drawn."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+
+    def standard_normal(self, out):
+        self.blocks += 1
+        return self.rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("dt", [0.07, None], ids=["fixed-step", "auto-step"])
+def test_one_curvature_call_per_state(monkeypatch, dt):
+    # Every state gets one curvature call, shared by its report and the
+    # step taken from it: steps + 1 calls.  Each report equals the moments
+    # computed afresh on the state a run that ends there returns.
+    calls = []
+    real = langevin.count_rate_curvature
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    init = np.random.default_rng(6).normal(0.1, 0.4, (300, 3))
+    monkeypatch.setattr(langevin, "count_rate_curvature", counted)
+    rng = _CountingGenerator(np.random.Generator(np.random.Philox(key=11)))
+    _, reports = evolve_trajectories(CHAIN3, 2.1, 20.0, init, rng, P, dt=dt, n_outputs=4)
+    assert len(calls) == rng.blocks + 1 > 4 * langevin._RETAKE
+    monkeypatch.setattr(langevin, "count_rate_curvature", real)
+    for j, r in enumerate(reports):
+        state = init
+        if j:
+            state, _ = evolve_trajectories(CHAIN3, 2.1, 5.0 * j, init,
+                                           np.random.Generator(np.random.Philox(key=11)),
+                                           P, dt=dt, n_outputs=j)
+        # As trajectory rows, for the bits of Omega (the state is returned sites-major).
+        fresh = _weighted_moments(5.0 * j, np.ones(300), np.ascontiguousarray(state), CHAIN3,
+                                  2.1, P, ddof=1)
+        assert replace(fresh, se_mean=r.se_mean, se_var=r.se_var) == r
 
 
 def test_step_below_floor_raises_at_once():
@@ -366,11 +438,11 @@ def test_error_in_a_step_leaves_one_block_per_completed_step(monkeypatch, fail_a
     real = langevin.count_rate_curvature
     boom = FloatingPointError("step failed")
 
-    def flaky(*args):
+    def flaky(*args, **kwargs):
         calls.append(None)
         if len(calls) == fail_at:
             raise boom
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(langevin, "count_rate_curvature", flaky)
     rng = np.random.Generator(np.random.Philox(key=4))
@@ -408,7 +480,7 @@ def test_step_floor_error_names_the_time_it_failed_at(monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=2))
     with pytest.raises(sf.CflViolationError) as raised:
         evolve_trajectories(CHAIN3, 0.9, 20.0, np.zeros((100, 3)), rng, P, n_outputs=4)
-    # 0.25 ns steps (the output cap): the first ten end at t = 2.5.
+    # 0.25 ns steps (the chain bound 0.01 / (2 d)): the first ten end at t = 2.5.
     assert steps[0] == 0.25
     assert (raised.value.tau, raised.value.t) == (0.9, langevin._RETAKE * 0.25)
 
