@@ -9,11 +9,12 @@ effective configuration (defaults marked), the seed, and library
 versions, so runs sharing an output directory keep their provenance.
 ``--seed N`` is the override ``seed = N``, applied after the ``--set``
 items: the echo shows it, and ``--seed`` with ``--set seed=...`` is a
-duplicate key.  A seed lies in [0, 2**128).  Identical configuration
-and seed give byte-identical data files.  Exit
-codes: 0 ok, 2 configuration or I/O error, 3 numeric failure (a
-machine-readable JSON error record goes to stderr and partial outputs
-are removed).
+duplicate key.  A seed lies in [0, 2**128).  Data files are formatted
+and written in chunks of ``_CHUNK`` rows, so a run holds one chunk's
+text at a time.  Identical configuration and seed give byte-identical
+data files.  Exit codes: 0 ok, 2 configuration or I/O error, 3 numeric
+failure (a machine-readable JSON error record goes to stderr and partial
+outputs are removed).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -36,31 +38,52 @@ from .meanfield import relax_to_steady
 from .sweep import fringe_map, nullcline, run_sweep
 
 
-def _table(name: str, header: list[str], columns: list, precision: int) -> str:
-    """The text of data file ``name``: CSV, or NDJSON for a ``.ndjson`` name.
+# Rows per chunk of a data file.  Chunks of 2**12 to 2**16 rows format a
+# 451k-row map about equally fast, and about 20% faster than one chunk of
+# the whole table; a write holds one chunk's text in memory.
+_CHUNK = 1 << 14
 
-    One %-template formats each row: ``%.{precision}g`` for a float
-    column, ``%d`` for an int or flag column, ``%s`` for a text column
-    and nothing for a column of None (an empty cell).  An NDJSON record
-    holds the same cells: ``float(cell)`` for a float, ``int(cell)`` for
-    an int or flag, the string for a text cell and null for an empty cell.
+
+def _table(name: str, header: list[str], columns: list,
+           precision: int) -> Iterator[str]:
+    """The text of data file ``name`` in chunks of ``_CHUNK`` rows: CSV, or
+    NDJSON for a ``.ndjson`` name.
+
+    The CSV header is a chunk of its own.  A cell is ``format(v, spec)``
+    with spec ``.{precision}g`` for a float column, ``d`` for an int or
+    flag column and ``s`` for a text column; a column of None gives empty
+    cells.  A CSV row joins its cells with commas.  An NDJSON record holds
+    the same cells: ``float(cell)`` for a float, ``int(cell)`` for an int or
+    flag, the string for a text cell and null for an empty cell.
     """
-    fields, values = [], []
-    for col in columns:
-        col = np.asarray(col)
-        if col.dtype == object:
-            fields.append("")
-            continue
-        fields.append({"f": f"%.{precision}g", "U": "%s"}.get(col.dtype.kind, "%d"))
-        values.append(col.tolist())
-    template = ",".join(fields)
-    rows = [template % row for row in zip(*values)]
-    if name.endswith(".ndjson"):
-        casts = [{"%s": str, "%d": int}.get(f, float) for f in fields]
-        return "".join(json.dumps({k: cast(c) if c else None
-                                   for k, cast, c in zip(header, casts, row.split(","))})
-                       + "\n" for row in rows)
-    return "\n".join([",".join(header), *rows]) + "\n"
+    ndjson = name.endswith(".ndjson")
+    columns = [np.asarray(col) for col in columns]
+    if not ndjson:
+        yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), _CHUNK):
+        cells = [_cells(col[start:start + _CHUNK], precision, ndjson) for col in columns]
+        if ndjson:
+            yield "".join(json.dumps(dict(zip(header, rec))) + "\n" for rec in zip(*cells))
+        else:
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _cells(col: np.ndarray, precision: int, ndjson: bool) -> list:
+    """The cells of one column chunk, or with ``ndjson`` their record values.
+
+    Each distinct value is formatted once.  A float is keyed by its bits,
+    so that -0.0, 0.0 and every NaN keep their own text.
+    """
+    if col.dtype == object:
+        return [None if ndjson else ""] * len(col)
+    kind = col.dtype.kind
+    spec, cast = {"f": (f".{precision}g", float), "U": ("s", str)}.get(kind, ("d", int))
+    key = col.view(f"i{col.itemsize}") if kind == "f" else col
+    distinct, inverse = np.unique(key, return_inverse=True)
+    texts = [format(v, spec) for v in distinct.view(col.dtype).tolist()]
+    if ndjson:
+        texts = [cast(t) if t else None for t in texts]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 class _RunWriter:
@@ -70,7 +93,9 @@ class _RunWriter:
         self.out_dir = out_dir
         self.written: list[str] = []
 
-    def write_text(self, name: str, text: str) -> str:
+    def write_text(self, name: str, chunks: Iterable[str]) -> str:
+        """Write the text ``chunks`` to ``name`` through a ``.tmp`` file that
+        is renamed into place once the last chunk is written."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
         tmp = path + ".tmp"
@@ -78,7 +103,7 @@ class _RunWriter:
         # also removes a partial write.
         self.written.append(tmp)
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
         self.written[-1] = path
         return path
@@ -213,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         name = f"{stem}.{cfg.output.format}"
         writer.write_text(name, _table(name, header, columns, cfg.output.precision))
         writer.write_text(f"{args.subcommand}_meta.txt",
-                          _sidecar(cfg, args.subcommand, name))
+                          [_sidecar(cfg, args.subcommand, name)])
     except BaseException as exc:
         writer.rollback()
         if not isinstance(exc, (OSError, SpinFringeError)):

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import cli
 from spinfringe.cli import main
 
 
@@ -197,9 +200,10 @@ def test_sidecar_echoes_every_schema_key(tmp_path):
 
 
 def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
-    # A rename that fails after the .tmp file is written must not leave
-    # the partial file behind once the run rolls back, and it exits 2
-    # with the I/O error record.
+    # A rename that fails after the .tmp file is written, or a write that
+    # fails after the first chunks of a table, must not leave the partial
+    # file behind once the run rolls back, and it exits 2 with the I/O
+    # error record.
     def refuse(src, dst):
         raise OSError("rename refused")
 
@@ -207,6 +211,39 @@ def test_failed_write_leaves_no_tmp_file(tmp_path, monkeypatch, capsys):
     assert main(["rate", "--out", str(tmp_path)]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record == {"error": "IOError", "message": "rename refused"}
+    assert list(tmp_path.iterdir()) == []
+
+    partial = []
+
+    class FullDisk:
+        """The .tmp file, on a disk that fills up at the third chunk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def writelines(self, chunks):
+            for i, chunk in enumerate(chunks):
+                if i == 2:
+                    self.fh.flush()
+                    partial.append(os.path.getsize(self.fh.name))
+                    raise OSError("disk full")
+                self.fh.write(chunk)
+
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    monkeypatch.setattr("spinfringe.cli.open",
+                        lambda *args, **kwargs: FullDisk(open(*args, **kwargs)),
+                        raising=False)
+    assert main(["fringe-map", "--out", str(tmp_path), "--set", "map.n_omega = 5",
+                 "--set", "map.n_tau = 7"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {"error": "IOError", "message": "disk full"}
+    assert partial[0] > 0  # the header and the first four rows were on disk
     assert list(tmp_path.iterdir()) == []
 
 
@@ -392,3 +429,65 @@ def test_oracle_csv_and_ndjson_hold_equal_values(tmp_path):
         if sub == "sweep":
             assert {rec["pass"] for rec in recs} == {"fwd", "bwd"}
             assert {type(rec["stable"]) for rec in recs} == {int}
+
+
+@pytest.mark.parametrize("sub, chunk", [*((sub, 3) for sub in _SMALL),
+                                        ("fringe-map", None)])
+def test_tables_across_chunk_boundaries(tmp_path, monkeypatch, sub, chunk):
+    # Three-row chunks split every small table mid-way; the 131 x 127 map
+    # is longer than one chunk of the default size.
+    if chunk is None:
+        overrides = ["map.n_omega = 131", "map.n_tau = 127", "sweep.tau_end = 0.4"]
+        assert 131 * 127 > cli._CHUNK
+    else:
+        overrides = _SMALL[sub]
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    argv = ["oracle" if sub == "langevin" else sub, "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert main([*argv, "--set", "output.format = ndjson"]) == 0
+    name, text = _expected_table(sub, sf.parse_config("", overrides))
+    assert (tmp_path / name).read_text() == text
+    header, rows = read_csv(tmp_path / name)
+    recs = [json.loads(line) for line in
+            (tmp_path / name.replace(".csv", ".ndjson")).read_text().splitlines()]
+    assert len(recs) == len(rows)
+    for row, rec in zip(rows, recs):
+        assert list(rec) == header
+        assert [_cell_value(cell) for cell in row] == list(rec.values())
+
+
+def test_ndjson_text_cell_holding_a_comma_is_one_string():
+    chunks = cli._table("t.ndjson", ["name", "x"],
+                        [np.array(["a,b", "c"]), np.array([1.5, 2.0])], 17)
+    recs = [json.loads(line) for line in "".join(chunks).splitlines()]
+    assert recs == [{"name": "a,b", "x": 1.5}, {"name": "c", "x": 2.0}]
+
+
+@pytest.mark.parametrize("precision", [3, 17])
+def test_float_cells_keep_the_text_of_their_own_bits(precision):
+    # Distinct values are formatted once: -0.0 must not share 0.0's text.
+    col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 1.0, 0.0])
+    text = "".join(cli._table("t.csv", ["x"], [col], precision))
+    assert text.splitlines() == ["x", *(format(x, f".{precision}g") for x in col.tolist())]
+
+
+def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 256)
+    rng = np.random.default_rng(5)
+    writer = cli._RunWriter(str(tmp_path))
+
+    def peak(n):
+        columns = [np.repeat(np.linspace(-3, 3, n // 64), 64),
+                   np.tile(np.linspace(0.05, 1.5, 64), n // 64), rng.random(n)]
+        tracemalloc.start()
+        try:
+            writer.write_text("t.csv", cli._table("t.csv", ["omega", "tau", "count"],
+                                                  columns, 17))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2048)  # first-call allocations
+    assert peak(8192) < 1.5 * peak(2048)
