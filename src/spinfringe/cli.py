@@ -13,7 +13,8 @@ duplicate key.  A seed lies in [0, 2**128).  Data files are formatted
 and written in chunks of ``_CHUNK`` rows, so a run holds one chunk's
 text at a time.  Identical configuration and seed give byte-identical
 data files.  Exit codes: 0 ok, 2 configuration or I/O error, 3 numeric
-failure (a machine-readable JSON error record goes to stderr and partial
+failure (a machine-readable JSON error record, with the delay ``tau_ns``
+and time ``t_ns`` of the failure where known, goes to stderr and partial
 outputs are removed).
 """
 
@@ -245,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
             raise
         record = {"error": "IOError" if isinstance(exc, OSError) else type(exc).__name__,
                   "message": str(exc)}
-        if getattr(exc, "tau", None) is not None:
-            record["tau_ns"] = float(exc.tau)
+        for attr, key in (("tau", "tau_ns"), ("t", "t_ns")):
+            if getattr(exc, attr, None) is not None:
+                record[key] = float(getattr(exc, attr))
         print(json.dumps(record), file=sys.stderr)
         return 2 if isinstance(exc, (OSError, ConfigParseError, ConfigValidationError)) else 3
     return 0

@@ -78,8 +78,13 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     A grid solve whose density reaches the edge cells is retried, at most
     twice, on a grid widened by a quarter of its span on each side, from
     the carried density resampled onto the wider cells (``_resample``),
-    so the branch is kept.
+    so the branch is kept.  Raises ValueError, before any work, for more
+    than eight sites or, on three or more, for ``n_traj`` < 100.
     """
+    if lat.n > 8:
+        raise ValueError("ensemble oracle limited to n <= 8 sites")
+    if lat.n > 2 and n_traj < 100:
+        raise ValueError("n_traj >= 100 required")
     taus = [float(t) for t in np.asarray(tau_grid, dtype=float)]
     if not taus:
         return []
@@ -120,8 +125,6 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
                     spec = wide
             finals.append(reps[-1])
     else:
-        if lat.n > 8:
-            raise ValueError("ensemble oracle limited to n <= 8 sites")
         rng = np.random.Generator(np.random.Philox(key=seed))
         state = np.tile(m_init, (n_traj, 1))
         for tau in taus:

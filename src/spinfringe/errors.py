@@ -9,25 +9,25 @@ class NonConvergedError(SpinFringeError):
     """Pulse-map fixed-point iteration failed to reach tolerance."""
 
 
-class BracketEscapeError(SpinFringeError):
-    """Relaxation seed outside the search bracket, or no root between it and the edge."""
-
-    def __init__(self, message: str, tau: float | None = None):
-        super().__init__(message)
-        self.tau = tau
-
-
-class GridTooSmallError(SpinFringeError):
-    """Probability density reached the edge of the solver grid."""
-
-
-class CflViolationError(SpinFringeError):
-    """Stable time step of a density solver fell below the floor."""
+class _SolverError(SpinFringeError):
+    """A numeric failure at delay ``tau`` and time ``t``; None where either is unknown."""
 
     def __init__(self, message: str, tau: float | None = None, t: float | None = None):
         super().__init__(message)
         self.tau = tau
         self.t = t
+
+
+class BracketEscapeError(_SolverError):
+    """Relaxation seed outside the search bracket, or no root between it and the edge."""
+
+
+class GridTooSmallError(_SolverError):
+    """Probability density reached the edge of the solver grid."""
+
+
+class CflViolationError(_SolverError):
+    """Stable time step of a density solver fell below the floor."""
 
 
 class ConfigParseError(SpinFringeError):

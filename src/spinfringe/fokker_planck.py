@@ -5,22 +5,23 @@ a uniform tensor grid with one magnetization axis per site:
 
     df/dt = sum_j { d/dm_j [v_j f]  +  [F_j + Gamma_j C(Omega, tau)] d^2 f / dm_j^2 }
 
-with Omega = sum_j A_j m_j and velocity v_j = D_bath m_j (both sites of
-a pair sit on the chain boundary) plus, for two sites, the inter-site
-flattening drift D (m_j - m_k).  The drift uses a conservative
-central-flux finite-volume form with no-flux boundaries, applied axis by
-axis.  At a fixed tau the operator is constant, so it is built once per
-solve as a three-point stencil per axis (``_stencil``) that folds in the
-drift, its no-flux edges and the zero-gradient second difference, and
-applies its neighbour weights to neighbour differences.  The
-trion/fluctuation term keeps its coefficient outside the
-second derivative, exactly as the mean-field reduction requires:
-integrating its first moment by parts gives d<Omega>/dt = Gamma A^2
-<d^2/dOmega^2 [Omega C]>, the bracket that the flatness assumption later
-collapses to the mean.  In that form the operator does not conserve
-total probability when C varies (the density is renormalized after every
-step and the pre-renormalization drift is reported per step as
-``mass_err``); with Gamma = 0 the scheme is conservative to roundoff.
+with Omega = sum_j A_j m_j and velocity v = -L m, L =
+``Lattice.rates()`` the bath and chain rates the ensemble also applies;
+v_j is taken at the faces of axis j and the other axes' cell centres.
+The drift uses a conservative central-flux finite-volume form with
+no-flux boundaries, applied axis by axis.  At a fixed tau the operator
+is constant, so it is built once per solve as a three-point stencil per
+axis (``_stencil``) that folds in the drift, its no-flux edges and the
+zero-gradient second difference, and applies its neighbour weights to
+neighbour differences.  The trion/fluctuation term keeps its coefficient
+outside the second derivative, exactly as the mean-field reduction
+requires: integrating its first moment by parts gives d<Omega>/dt =
+Gamma A^2 <d^2/dOmega^2 [Omega C]>, the bracket that the flatness
+assumption later collapses to the mean.  In that form the operator does
+not conserve total probability when C varies (the density is
+renormalized after every step and the pre-renormalization drift is
+reported per step as ``mass_err``); with Gamma = 0 the scheme is
+conservative to roundoff.
 
 ``GridSpec`` holds the grid's geometry (its cell width ``dm`` and cell
 ``centers()``) and the initial profile.  ``fp_grid_solve`` returns the
@@ -347,7 +348,8 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     ``t_end`` or a non-finite entry of ``init_values``,
     CflViolationError if the stable step underflows the time span and
     GridTooSmallError if the initial density has no positive, finite
-    mass on the grid or if mass reaches the edge cells.
+    mass on the grid (at t = 0) or if mass reaches the edge cells (at
+    the report time); either error carries ``tau`` and ``t``.
     """
     _require_delay_and_span(tau, t_end)
     n = lat.n
@@ -370,7 +372,8 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                                        for mu in means])
     mass = f.sum() * cell
     if not 0.0 < mass < math.inf:
-        raise GridTooSmallError(f"initial density has mass {float(mass)!r} on the grid")
+        raise GridTooSmallError(f"initial density has mass {float(mass)!r} on the grid",
+                                tau=tau, t=0.0)
     f /= mass
 
     def along(x: np.ndarray, j: int) -> np.ndarray:
@@ -382,10 +385,10 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     c_pos = np.maximum(c_cells, 0.0)
     g_diff = [lat.f[j] + lat.gamma[j] * c_pos for j in range(n)]
     faces = spec.m_min + dm * np.arange(1, spec.n_cells)
-    vel = [lat.d_bath * along(faces, j) for j in range(n)]
-    if n == 2:
-        vel = [v + lat.d[0] * (along(faces, j) - along(m, 1 - j))
-               for j, v in enumerate(vel)]
+    lin = lat.rates()
+    # v_j = -sum_k L_jk x_k: x_j at the faces of axis j, x_k at the cell centres.
+    vel = [-sum(lin[j, k] * along(faces if k == j else m, k) for k in range(n))
+           for j in range(n)]
 
     g_max = max(float(np.max(g)) for g in g_diff)
     v_max = max(float(np.max(np.abs(v))) for v in vel)
@@ -427,7 +430,8 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         edge_mass = sum(f.take(0, j).sum() + f.take(-1, j).sum() for j in range(n)) * cell
         if edge_mass > 1e-6:
             raise GridTooSmallError(
-                f"edge cells hold {float(edge_mass)!r} of the mass at t={float(t)!r}")
+                f"edge cells hold {float(edge_mass)!r} of the mass at t={float(t)!r}",
+                tau=tau, t=float(t))
         reports.append(_weighted_moments(t, f.ravel(), points, lat, tau, p,
                                          mass_err=mass_err, curv=curv))
     return f, reports

@@ -2,9 +2,11 @@
 
 Euler-Maruyama updates of per-site magnetizations m_j with
 
-    drift_j = -sum_k D_jk (m_j - m_k) - D_bath m_j [boundary sites]
-              + Gamma_j A_j (2 C'(Omega) + A_j m_j C''(Omega))
+    drift_j = sum_k L_jk m_k + Gamma_j A_j (2 C'(Omega) + A_j m_j C''(Omega))
     noise_j ~ Normal(0, 2 (F_j + Gamma_j C(Omega)) dt)
+
+where L = ``Lattice.rates()`` holds the bath and chain rates (the spin
+diffusion), applied to the whole ensemble as one matrix product a step.
 
 The trion drift terms are the Ito compensation that makes the
 ensemble's first-moment evolution agree with the grid solver's literal
@@ -18,12 +20,12 @@ the moments are reported.  It is the smallest of three bounds: 1.5 /
 slope, with slope the largest row-sum norm over the ensemble of the
 drift Jacobian, a bound on its spectral radius (Euler's stability needs
 slope * dt < 2); 0.1 of the drift's Omega scale min(1/tau, sigma) over
-the fastest rate of change of Omega, so that no trajectory outruns the
-slope it was given (from a point state, say, whose slope says nothing
-of the basin it falls into); and 0.01 over the fastest bath or chain
-rate.  Gamma scales the noise and stiffens nothing by itself: it enters
-the step only through the drift.  The output times only end the step
-that would pass them.
+the fastest rate of change of Omega, A . drift from the step's own
+drift, so that no trajectory outruns the slope it was given (from a
+point state, say, whose slope says nothing of the basin it falls into);
+and 0.01 over the fastest bath or chain rate.  Gamma scales the noise
+and stiffens nothing by itself: it enters the step only through the
+drift.  The output times only end the step that would pass them.
 
 Each ensemble state gets one curvature call, (C, C', C'') over its
 trajectories, with C''' too when an auto step is taken there.  A report
@@ -83,8 +85,9 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     ``n_outputs`` is.  ``slope`` is the largest row-sum norm of the drift
     Jacobian, which for one site is |g'| = |-D_bath + Gamma A^2 (3 C'' +
     A m C''')|, with C''' in closed form from the step's own curvature
-    call.  ``speed`` is the largest |dOmega/dt| of the drift and
-    ``scale`` = min(1/tau, sigma) the Omega scale on which C varies.
+    call.  ``speed`` is the largest |dOmega/dt| = |A . drift|, with the
+    drift's linear part L m, L = ``lat.rates()``, and ``scale`` =
+    min(1/tau, sigma) the Omega scale on which C varies.
     Either way a step that would pass an output time is shortened to end
     on it.  Each state the loop reaches gets one ``count_rate_curvature``
     call, shared by the report made there and the step taken from there:
@@ -110,33 +113,15 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     if not np.all(np.isfinite(m)):
         raise ValueError("non-finite entry in m")
     a = lat.a_array()
-    gamma = lat.gamma_array()
-    f_const = lat.f_array()
-
-    bath = np.zeros(n)
-    bath[0] = lat.d_bath
-    bath[-1] = lat.d_bath
-    d_arr = np.asarray(lat.d, dtype=float) if n > 1 else np.zeros(0)
-
+    ga = lat.gamma_array() * a
+    lin = lat.rates()
     if dt is not None:
         _check_step_floor(dt, t_end, tau)
-    rate_scale = float(bath.max())
-    if d_arr.size:
-        rate_scale = max(rate_scale, 2.0 * float(d_arr.max()))
-    dt_cap = 0.01 / max(rate_scale, 1e-300)
-    # Drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C'' + A_j m_j C''')
-    # + delta_jk Gamma_j A_j^2 C'', with lin the bath and chain rates.
-    lin = np.diag(-bath)
-    for j, d in enumerate(d_arr):
-        lin[j:j + 2, j:j + 2] += d * np.array([[-1.0, 1.0], [1.0, -1.0]])
-    ga = gamma * a
+    dt_cap = 0.01 / max(lat.d_bath, 2 * max(lat.d, default=0), 1e-300)
     scale = 1.0 / max(tau, 1.0 / p.sigma)  # Omega scale of a fringe and of the pump profile
-
-    two_a_gamma = 2.0 * gamma * a
-    a2_gamma = gamma * a * a
     # Per-site constants as columns of the sites-major state.
-    bath, d_arr, gamma, f_const, two_a_gamma, a2_gamma = (
-        x[:, None] for x in (bath, d_arr, gamma, f_const, two_a_gamma, a2_gamma))
+    gamma, f_const, two_a_gamma, a2_gamma = (
+        x[:, None] for x in (lat.gamma_array(), lat.f_array(), 2.0 * ga, ga * a))
 
     n_traj = m.shape[0]
     ones = np.ones(n_traj)
@@ -153,8 +138,9 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
-    def auto_step(t: float, m_t: np.ndarray, c1, c2, c3) -> float:
-        # Row sums of J one site at a time: only (n_traj,) temporaries.
+    def auto_step(t: float, c2, c3) -> float:
+        # Row sums of the drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C''
+        # + A_j m_j C''') + delta_jk Gamma_j A_j^2 C'', one site at a time.
         row_sums = []
         for j in range(n):
             s_j = 2.0 * c2 + a[j] * m_t[j] * c3
@@ -163,9 +149,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
                 if k != j:
                     row += np.abs(lin[j, k] + ga[j] * a[k] * s_j)
             row_sums.append(row.max(initial=0.0))
-        # dOmega/dt = a.lin.m + sum_j Gamma_j A_j^2 (2 C' + A_j m_j C'')
-        omega_rate = (a @ lin) @ m_t + 2.0 * (ga @ a) * c1 + ((ga * a * a) @ m_t) * c2
-        speed = np.abs(omega_rate).max(initial=0.0)
+        speed = np.abs(a @ drift).max(initial=0.0)  # dOmega/dt = A . drift
         # np.min and np.maximum keep a NaN, which the floor check rejects.
         step = float(np.min([_SLOPE_STEP / np.maximum(np.max(row_sums), 1e-300),
                              _TRAVEL_STEP * scale / np.maximum(speed, 1e-300), dt_cap]))
@@ -185,21 +169,15 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
         while t < t_next - 1e-12 * t_end:
             cval, c1, c2, *c3 = curv
-            if c3:  # C''' comes with the curvature where the auto step is retaken
-                step_max = auto_step(t, m_t, c1, c2, c3[0])
-            step = min(step_max, t_next - t)
-            np.multiply(-bath, m_t, out=drift)
-            if n > 1:
-                flow = term[:-1]
-                np.subtract(m_t[:-1], m_t[1:], out=flow)
-                np.multiply(d_arr, flow, out=flow)
-                drift[:-1] -= flow
-                drift[1:] += flow
+            np.matmul(lin, m_t, out=drift)
             np.multiply(a2_gamma, m_t, out=term)
             np.multiply(term, c2, out=term)
             np.multiply(two_a_gamma, c1, out=noise)
             np.add(noise, term, out=noise)
             drift += noise
+            if c3:  # C''' comes with the curvature where the auto step is retaken
+                step_max = auto_step(t, c2, c3[0])
+            step = min(step_max, t_next - t)
             # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
             np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
             np.add(f_const, noise, out=noise)

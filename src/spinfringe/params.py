@@ -211,7 +211,8 @@ class Lattice:
     d       nearest-neighbor diffusion rates D_{j,j+1} [1/ns], length n-1
     f       per-site fluctuation constants F_j [magnetization^2/ns]
     d_bath  boundary-to-bath rate applied to the chain ends [1/ns];
-            the bath magnetization is fixed at zero
+            the bath magnetization is fixed at zero; ``rates()`` holds
+            the bath and chain rates as one matrix
     """
 
     n: int
@@ -265,3 +266,14 @@ class Lattice:
 
     def f_array(self) -> np.ndarray:
         return np.asarray(self.f, dtype=float)
+
+    def rates(self) -> np.ndarray:
+        """The (n, n) spin-diffusion matrix L: L m is the linear part of the site drift.
+
+        Each bond adds d * [[-1, 1], [1, -1]] to its 2x2 block, and -d_bath
+        sits on both chain ends (once for one site)."""
+        rates = np.zeros((self.n, self.n))
+        rates[[0, -1], [0, -1]] = -self.d_bath  # the same entry twice for one site
+        for j, d in enumerate(self.d):
+            rates[j:j + 2, j:j + 2] += d * np.array([[-1.0, 1.0], [1.0, -1.0]])
+        return rates

@@ -186,6 +186,7 @@ def test_oracle_start_without_mass_on_the_grid_exits_3(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "GridTooSmallError"
     assert "initial density has mass 0.0" in record["message"]
+    assert (record["tau_ns"], record["t_ns"]) == (0.17, 0.0)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -308,6 +309,7 @@ def test_langevin_oracle_without_bath_exits_3(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "CflViolationError"
     assert record["tau_ns"] == 0.17  # the oracle.tau default
+    assert record["t_ns"] == 0.0
     assert list(tmp_path.iterdir()) == []
 
 

@@ -233,6 +233,32 @@ def test_multisite_ensemble_compare_rows():
         compare_meanfield(big, [0.17], P, mf, n_traj=200, seed=5)
 
 
+class _RootTableCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n_sites, n_traj, message", [
+    (9, 200, "ensemble oracle limited to n <= 8 sites"),
+    (3, 99, "n_traj >= 100 required"),
+    (8, 1, "n_traj >= 100 required"),
+    (2, 1, None),  # the grid oracle draws no trajectories
+], ids=["nine-sites", "three-sites-99-traj", "eight-sites-1-traj", "two-site-grid"])
+def test_bad_input_is_rejected_before_the_meanfield_pre_run(monkeypatch, n_sites, n_traj,
+                                                            message):
+    # The mean-field pre-run over every delay is the first work done; a
+    # rejected call must never reach it.
+    def fail(*args, **kwargs):
+        raise _RootTableCalled
+
+    monkeypatch.setattr(compare, "_root_table", fail)
+    lat = sf.Lattice.chain(n=n_sites, a_peak=0.8, gamma_peak=0.01, d=0.01, f=2e-4,
+                           d_bath=0.02)
+    mf = sf.MeanFieldParams(kappa=0.02, alpha=sf.alpha_from_lattice(lat))
+    expected = ValueError if message else _RootTableCalled
+    with pytest.raises(expected, match=message):
+        compare_meanfield(lat, [0.17, 0.23], P, mf, n_traj=n_traj)
+
+
 @pytest.mark.parametrize("lat, t_end", [
     (sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02), 1e-3),
     (sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5),

@@ -247,9 +247,11 @@ def test_grid_too_small_raises(monkeypatch):
     spec = sf.GridSpec(m_min=-0.5, m_max=0.5, n_cells=64, init_mean=0.0,
                        init_width=0.2, n_outputs=4)
     counts = _count_steps(monkeypatch)
-    with pytest.raises(GridTooSmallError):
+    with pytest.raises(GridTooSmallError, match="of the mass at t=100.0") as raised:
         sf.fp_grid_solve(lat, 0.3, 400.0, spec, P)
     assert counts["blocks"] > 0
+    # The first report time, 100 ns, is where the edge check fails.
+    assert (raised.value.tau, raised.value.t) == (0.3, 100.0)
 
 
 def test_cfl_floor_raises():
@@ -422,8 +424,9 @@ def test_initial_density_without_mass_on_the_grid_raises(n_sites):
                       f=(5e-5, 5e-5), d_bath=0.02))
     spec = sf.GridSpec(m_min=-1.0, m_max=1.0, n_cells=40, init_mean=100.0,
                        init_width=0.1, n_outputs=2)
-    with pytest.raises(GridTooSmallError, match="initial density has mass 0.0"):
+    with pytest.raises(GridTooSmallError, match="initial density has mass 0.0") as raised:
         sf.fp_grid_solve(lat, 0.3, 5.0, spec, P)
+    assert (raised.value.tau, raised.value.t) == (0.3, 0.0)
     with pytest.raises(GridTooSmallError, match="initial density has mass -"):
         sf.fp_grid_solve(lat, 0.3, 5.0, spec, P, init_values=-np.ones((40,) * n_sites))
 

@@ -306,17 +306,41 @@ def test_fixed_or_nan_step_fails_before_the_first_step(t_end, init, dt):
         assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
 
 
+@pytest.mark.parametrize("d", [(), (0.3,), (0.3, 0.07), (0.3, 0.07, 0.0, 1.1)],
+                         ids=["n1", "n2", "n3", "n5"])
+def test_rates_hold_the_bath_and_every_bond(d):
+    # Entry by entry: the bath pulls each chain end to zero and each bond
+    # D_{j,j+1} flows from the higher of its two sites to the lower.
+    n, d_bath = len(d) + 1, 0.02
+    lat = sf.Lattice(n=n, a=(1.0,) * n, gamma=(0.0,) * n, d=d, f=(0.0,) * n,
+                     d_bath=d_bath)
+    want = np.zeros((n, n))
+    for j in range(n):
+        if j in (0, n - 1):
+            want[j, j] -= d_bath
+        if j > 0:
+            want[j, j] -= d[j - 1]
+            want[j, j - 1] = d[j - 1]
+        if j < n - 1:
+            want[j, j] -= d[j]
+            want[j, j + 1] = d[j]
+    rates = lat.rates()
+    assert np.array_equal(rates, want)
+    assert np.array_equal(rates, rates.T)
+    rows = rates.sum(axis=1)
+    assert rows[1:-1] == pytest.approx(0.0, abs=1e-15)
+    assert rows[[0, -1]] == pytest.approx(-d_bath, rel=1e-14)  # one -d_bath for n = 1
+
+
 def _row_major_evolve(lat, tau, t_end, m, rng, p, dt, n_outputs):
     """Reference: the Euler-Maruyama loop on a trajectory-major (n_traj, n) state.
 
     ``dt`` is one fixed step, or the list of auto steps, each taken for
-    the next ``langevin._RETAKE`` steps.
+    the next ``langevin._RETAKE`` steps.  The linear drift is m L^T with
+    L = ``lat.rates()``, as the loop's one matrix product gives it.
     """
-    n = lat.n
     a, gamma, f_const = lat.a_array(), lat.gamma_array(), lat.f_array()
-    bath = np.zeros(n)
-    bath[0] = bath[-1] = lat.d_bath
-    d_arr = np.asarray(lat.d, dtype=float)
+    rates_t = lat.rates().T
     two_a_gamma, a2_gamma = 2.0 * gamma * a, gamma * a * a
     steps = iter(dt) if isinstance(dt, list) else itertools.repeat(dt)
     t, k = 0.0, 0
@@ -326,10 +350,7 @@ def _row_major_evolve(lat, tau, t_end, m, rng, p, dt, n_outputs):
                 step_max = next(steps)
             step = min(step_max, t_next - t)
             cval, c1, c2 = sf.count_rate_curvature(m @ a, tau, p)
-            drift = -(bath * m)
-            flow = d_arr * (m[:, :-1] - m[:, 1:])
-            drift[:, :-1] -= flow
-            drift[:, 1:] += flow
+            drift = m @ rates_t
             drift += two_a_gamma * c1[:, None] + a2_gamma * m * c2[:, None]
             g_noise = f_const + gamma * np.maximum(cval, 0.0)[:, None]
             m = m + step * drift \
