@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -55,36 +56,52 @@ def _table(name: str, header: list[str], columns: list,
     flag column and ``s`` for a text column; a column of None gives empty
     cells.  A CSV row joins its cells with commas.  An NDJSON record holds
     the same cells: ``float(cell)`` for a float, ``int(cell)`` for an int or
-    flag, the string for a text cell and null for an empty cell.
+    flag, the string for a text cell and null for an empty cell.  Its
+    text is that of ``json.dumps`` on the record's dict, joined from the
+    JSON text of each key and of each distinct value, each encoded once.
     """
     ndjson = name.endswith(".ndjson")
     columns = [np.asarray(col) for col in columns]
-    if not ndjson:
+    if ndjson:
+        # Each NDJSON cell carries its key: '{"k0": v0', then ', "k1": v1', ...
+        keys = [("{" if i == 0 else ", ") + json.dumps(h) + ": " for i, h in enumerate(header)]
+    else:
+        keys = [None] * len(header)
         yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), _CHUNK):
-        cells = [_cells(col[start:start + _CHUNK], precision, ndjson) for col in columns]
+        cells = [_cells(col[start:start + _CHUNK], precision, key)
+                 for col, key in zip(columns, keys)]
         if ndjson:
-            yield "".join(json.dumps(dict(zip(header, rec))) + "\n" for rec in zip(*cells))
+            yield "}\n".join(map("".join, zip(*cells))) + "}\n"
         else:
             yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _cells(col: np.ndarray, precision: int, ndjson: bool) -> list:
-    """The cells of one column chunk, or with ``ndjson`` their record values.
+def _cells(col: np.ndarray, precision: int, key: str | None) -> list:
+    """The cells of one column chunk, or with an NDJSON ``key`` their JSON texts.
 
-    Each distinct value is formatted once.  A float is keyed by its bits,
-    so that -0.0, 0.0 and every NaN keep their own text.
+    Each distinct value is formatted once, and for NDJSON encoded once
+    and prefixed with ``key``.  A float is keyed by its bits, so that
+    -0.0, 0.0 and every NaN keep their own text.
     """
     if col.dtype == object:
-        return [None if ndjson else ""] * len(col)
+        return ["" if key is None else key + "null"] * len(col)
     kind = col.dtype.kind
-    spec, cast = {"f": (f".{precision}g", float), "U": ("s", str)}.get(kind, ("d", int))
-    key = col.view(f"i{col.itemsize}") if kind == "f" else col
-    distinct, inverse = np.unique(key, return_inverse=True)
+    spec = {"f": f".{precision}g", "U": "s"}.get(kind, "d")
+    bits = col.view(f"i{col.itemsize}") if kind == "f" else col
+    distinct, inverse = np.unique(bits, return_inverse=True)
     texts = [format(v, spec) for v in distinct.view(col.dtype).tolist()]
-    if ndjson:
-        texts = [cast(t) if t else None for t in texts]
+    if key is not None:
+        # The JSON text of the record value: an int cell is its own.
+        encode = {"f": _json_float, "U": lambda t: json.dumps(t or None)}.get(kind, str)
+        texts = [key + encode(t) for t in texts]
     return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _json_float(cell: str) -> str:
+    """``json.dumps(float(cell))``: the float's repr, or NaN / Infinity / -Infinity."""
+    x = float(cell)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
 class _RunWriter:

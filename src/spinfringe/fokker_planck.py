@@ -13,13 +13,17 @@ no-flux boundaries, applied axis by axis.  At a fixed tau the operator
 is constant, so it is built once per solve as a three-point stencil per
 axis (``_stencil``) that folds in the drift, its no-flux edges and the
 zero-gradient second difference, and applies its neighbour weights to
-neighbour differences.  The trion/fluctuation term keeps its coefficient
-outside the second derivative, exactly as the mean-field reduction
-requires: integrating its first moment by parts gives d<Omega>/dt =
-Gamma A^2 <d^2/dOmega^2 [Omega C]>, the bracket that the flatness
-assumption later collapses to the mean.  In that form the operator does
-not conserve total probability when C varies (the density is
-renormalized after every step and the pre-renormalization drift is
+neighbour differences.  The stencil sees the grid as one flat row of
+cells, in which axis j is a shift by its stride n_cells^(n-1-j); two
+cells that a shift pairs across the end of a grid row share a face of
+weight 0.  So every pass reads and writes contiguous slices, into work
+arrays kept for the solve.  The trion/fluctuation term keeps its
+coefficient outside the second derivative, exactly as the mean-field
+reduction requires: integrating its first moment by parts gives
+d<Omega>/dt = Gamma A^2 <d^2/dOmega^2 [Omega C]>, the bracket that the
+flatness assumption later collapses to the mean.  In that form the
+operator does not conserve total probability when C varies (the density
+is renormalized after every step and the pre-renormalization drift is
 reported per step as ``mass_err``); with Gamma = 0 the scheme is
 conservative to roundoff.
 
@@ -29,7 +33,8 @@ density as a plain array on those cells together with its moment
 reports, as the trajectory ensemble returns its state array.
 
 The time stepping is explicit Heun with a constant operator, so a step
-is one linear map M.  Each of the equal output intervals takes the same
+is one linear map M; its stages reuse work arrays, and a step allocates
+only the new density.  Each of the equal output intervals takes the same
 number of equal steps, fixed before the loop, so every report lands
 exactly on its output time.  A one-site grid with enough steps to pay
 for it rounds that number up to a multiple of K = ``_BLOCK``, builds
@@ -211,16 +216,27 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
     ``up = v_{i+1/2}/(2 dm) + g_i/dm^2`` and to its lower one with
     ``lo = g_i/dm^2 - v_{i-1/2}/(2 dm)``.  Returns
 
-        rhs(f) = s f + sum_j [up_j (f_{i+1} - f_i) + lo_j (f_{i-1} - f_i)]
+        rhs(f, out=None) = s f + sum_j [up_j (f_{i+1} - f_i) + lo_j (f_{i-1} - f_i)]
 
     where s, the row sum of the stencil, is the discrete divergence of v
     summed over the axes.  Weighting the neighbour differences keeps the
     large g/dm^2 terms from cancelling against the diagonal in rounding.
+
+    ``rhs`` sees the grid as one flat row of N cells in C order, so axis
+    j is a shift by its stride s_j = n_cells^(n-1-j) and every pass reads
+    and writes contiguous slices.  ``up_j`` and ``lo_j`` are flat weights
+    of length N - s_j; a pair of cells s_j apart that are not neighbours
+    along axis j (the last cell of one grid row and the first of the
+    next) shares a face of weight 0.  The axes are applied in order, as
+    on the grid, so every cell sums the same terms in the same order.
     ``f`` may carry leading axes: a stack of densities is applied at once.
+    The result goes to ``out`` (f's shape) or a new array; the neighbour
+    differences and products go to work arrays kept per stack shape.
     """
-    shape = np.broadcast_shapes(*(g.shape for g in g_diff))
+    shape = (vel[0].shape[0] + 1,) * len(vel)  # n_cells - 1 faces along each axis
+    size = math.prod(shape)
     row_sum = np.zeros(shape)
-    terms = []
+    faces = []
     for j in range(len(vel)):
         rest = (slice(None),) * (len(vel) - 1 - j)
         below = (..., slice(None, -1), *rest)
@@ -229,25 +245,53 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
         h = 0.5 * vel[j] / dm
         row_sum[below] += 2.0 * h
         row_sum[above] -= 2.0 * h
-        terms.append((below, above, h + g[below], g[above] - h))
+        up, lo = np.zeros(shape), np.zeros(shape)
+        up[below] = h + g[below]
+        lo[above] = g[above] - h
+        stride = math.prod(shape[j + 1:])
+        faces.append((stride, up.ravel()[:size - stride], lo.ravel()[stride:]))
+    row_sum = row_sum.ravel()
+    work = {}
 
-    def rhs(f: np.ndarray) -> np.ndarray:
-        out = row_sum * f
-        for below, above, up, lo in terms:
-            df = f[above] - f[below]
-            out[below] += up * df
-            out[above] -= lo * df
+    def rhs(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        lead = f.shape[:f.ndim - len(shape)]
+        if out is None:
+            out = np.empty(f.shape)
+        if lead not in work:
+            work[lead] = np.empty((2, *lead, size))
+        diff, prod = work[lead]
+        flat, acc = f.reshape(*lead, size), out.reshape(*lead, size)
+        np.multiply(row_sum, flat, out=acc)
+        for stride, up, lo in faces:
+            df = np.subtract(flat[..., stride:], flat[..., :-stride],
+                             out=diff[..., stride:])
+            w = prod[..., stride:]
+            below, above = acc[..., :-stride], acc[..., stride:]
+            np.add(below, np.multiply(up, df, out=w), out=below)
+            np.subtract(above, np.multiply(lo, df, out=w), out=above)
         return out
 
     return rhs
 
 
 def _heun(rhs):
-    """One explicit Heun step of ``rhs`` as a function of (f, dt)."""
+    """One explicit Heun step of ``rhs`` as a function of (f, dt).
+
+    The stages k1, f + dt k1 and k2 go to work arrays kept per state
+    shape, so a step allocates only its result, a new array that shares
+    memory with nothing the caller holds.
+    """
+    work = {}
+
     def step(f: np.ndarray, dt: float) -> np.ndarray:
-        k1 = rhs(f)
-        k2 = rhs(f + dt * k1)
-        return f + 0.5 * dt * (k1 + k2)
+        if f.shape not in work:
+            work[f.shape] = np.empty((3, *f.shape))
+        k1, stage, k2 = work[f.shape]
+        rhs(f, out=k1)
+        np.add(f, np.multiply(dt, k1, out=stage), out=stage)
+        rhs(stage, out=k2)
+        np.multiply(0.5 * dt, np.add(k1, k2, out=k1), out=k1)
+        return f + k1
 
     return step
 
@@ -416,7 +460,8 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
         def advance(f: np.ndarray) -> tuple[np.ndarray, float]:
             f = step(f, dt)
             mass = f.sum() * cell
-            return f / mass, abs(mass - 1.0)
+            f /= mass
+            return f, abs(mass - 1.0)
         advances = steps
 
     points = np.stack(np.meshgrid(*[m] * n, indexing="ij"), axis=-1).reshape(-1, n)

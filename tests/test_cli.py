@@ -468,6 +468,25 @@ def test_ndjson_text_cell_holding_a_comma_is_one_string():
 
 
 @pytest.mark.parametrize("precision", [3, 17])
+def test_ndjson_records_are_json_dumps_of_each_record(monkeypatch, precision):
+    # Eleven rows in four-row chunks; every kind of cell, each value encoded once.
+    monkeypatch.setattr(cli, "_CHUNK", 4)
+    floats = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, 1.5, 1 / 3, -2e-300,
+              1e300, 0.1]
+    names = ["a,b", "", 'q"uote', "\u00fc", "a,b", "", "x", "y", "x", "", "z"]
+    counts = [n - 5 for n in range(11)]
+    flags = [n % 3 == 0 for n in range(11)]
+    header = ["x", "empty", "name", "count", "flag"]
+    text = "".join(cli._table("t.ndjson", header,
+                              [np.array(floats), [None] * 11, np.array(names),
+                               np.array(counts), np.array(flags)], precision))
+    want = "".join(json.dumps(dict(zip(header, rec))) + "\n" for rec in zip(
+        [float(format(x, f".{precision}g")) for x in floats], [None] * 11,
+        [name or None for name in names], counts, [int(flag) for flag in flags]))
+    assert text == want
+
+
+@pytest.mark.parametrize("precision", [3, 17])
 def test_float_cells_keep_the_text_of_their_own_bits(precision):
     # Distinct values are formatted once: -0.0 must not share 0.0's text.
     col = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, 1.0, 0.0])

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -222,6 +223,132 @@ def test_stencil_matches_flux_form(n, n_cells):
         flux = sum(_flux_drift_divergence(f, vel[j], dm, j)
                    + g_diff[j] * _flux_laplacian(f, dm, j) for j in range(n))
         assert np.max(np.abs(rhs(f) - flux)) <= 1e-13 * np.max(np.abs(flux))
+
+
+def _axis_slice_stencil(vel, g_diff, dm):
+    """Reference: the stencil applied along each grid axis by slices of the grid."""
+    shape = np.broadcast_shapes(*(g.shape for g in g_diff))
+    row_sum = np.zeros(shape)
+    terms = []
+    for j in range(len(vel)):
+        rest = (slice(None),) * (len(vel) - 1 - j)
+        below = (..., slice(None, -1), *rest)
+        above = (..., slice(1, None), *rest)
+        g = np.broadcast_to(g_diff[j], shape) / (dm * dm)
+        h = 0.5 * vel[j] / dm
+        row_sum[below] += 2.0 * h
+        row_sum[above] -= 2.0 * h
+        terms.append((below, above, h + g[below], g[above] - h))
+
+    def rhs(f):
+        out = row_sum * f
+        for below, above, up, lo in terms:
+            df = f[above] - f[below]
+            out[below] += up * df
+            out[above] -= lo * df
+        return out
+
+    return rhs
+
+
+def _solver_operator(monkeypatch, lat, n_cells, tau=1.3):
+    """The (vel, g_diff, dm) that fp_grid_solve passes to _stencil for ``lat``."""
+    taken = []
+    real_stencil = fokker_planck._stencil
+    monkeypatch.setattr(fokker_planck, "_stencil",
+                        lambda *args: taken.append(args) or real_stencil(*args))
+    spec = sf.GridSpec(m_min=-3.0, m_max=2.5, n_cells=n_cells, init_mean=-0.3,
+                       init_width=0.5)
+    sf.fp_grid_solve(lat, tau, 0.0, spec, P)
+    monkeypatch.setattr(fokker_planck, "_stencil", real_stencil)
+    (args,) = taken
+    return args
+
+
+@pytest.mark.parametrize("n, n_cells, stack", [
+    (1, 640, ()), (1, 640, (16,)), (2, 40, ()), (2, 96, ()),
+], ids=["one-site", "probe-stack", "two-site-40", "two-site-96"])
+def test_flat_stencil_matches_axis_slices_bit_for_bit(monkeypatch, n, n_cells, stack):
+    # The solver's own coefficients: C varies across the grid (Gamma > 0)
+    # and the chain flow couples the axes (d > 0).
+    lat = sf.Lattice.chain(n=n, a_peak=1.0, gamma_peak=0.05, d=0.03, f=2e-4,
+                           d_bath=0.02)
+    vel, g_diff, dm = _solver_operator(monkeypatch, lat, n_cells)
+    assert np.ptp(g_diff[0]) > 0.01 and (n == 1 or np.ptp(vel[0], axis=1).max() > 0)
+    rhs, want = _stencil(vel, g_diff, dm), _axis_slice_stencil(vel, g_diff, dm)
+    step = fokker_planck._heun(rhs)
+    dt = 0.4 * dm * dm / max(np.max(g) for g in g_diff)
+    rng = np.random.default_rng(n_cells)
+    for _ in range(3):
+        f = rng.uniform(-0.2, 1.0, (*stack, *(n_cells,) * n))
+        k1 = want(f)
+        k2 = want(f + dt * k1)
+        assert np.array_equal(rhs(f), k1)
+        assert np.array_equal(step(f, dt), f + 0.5 * dt * (k1 + k2))
+
+
+@pytest.mark.parametrize("n, stack", [(2, ()), (1, (16,))], ids=["grid", "probe-stack"])
+def test_a_step_returns_a_state_no_later_step_writes(monkeypatch, n, stack):
+    lat = sf.Lattice.chain(n=n, a_peak=1.0, gamma_peak=0.05, d=0.03, f=2e-4,
+                           d_bath=0.02)
+    vel, g_diff, dm = _solver_operator(monkeypatch, lat, 48)
+    step = fokker_planck._heun(_stencil(vel, g_diff, dm))
+    dt = 0.4 * dm * dm / max(np.max(g) for g in g_diff)
+    f0 = np.random.default_rng(7).uniform(0.05, 1.0, (*stack, *(48,) * n))
+    kept = f0.copy()
+    f1 = step(f0, dt)
+    f1_kept = f1.copy()
+    f3 = step(step(f1, dt), dt)
+    assert np.array_equal(f0, kept) and np.array_equal(f1, f1_kept)
+    assert not np.shares_memory(f1, f3)
+
+
+def test_a_solved_density_is_not_written_by_the_next_solve():
+    # compare_meanfield's continuation hands each solve's density to the next.
+    lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                     f=(5e-5, 5e-5), d_bath=0.02)
+    spec = sf.GridSpec(m_min=-4.0, m_max=4.0, n_cells=40, init_mean=0.5,
+                       init_width=0.4, n_outputs=3, cfl=0.8)
+    first, _ = sf.fp_grid_solve(lat, 0.17, 20.0, spec, P)
+    kept = first.copy()
+    second, _ = sf.fp_grid_solve(lat, 0.23, 20.0, spec, P, init_values=first)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+
+
+def test_grid_steps_allocate_no_per_step_temporaries(monkeypatch):
+    # The benchmark's two-site lattice at 96^2 cells.  After one warm-up
+    # step, 50 steps with their renormalization peak at most two densities
+    # above their start.  A step needs one: the new state beside the old.
+    lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                     f=(5e-5, 5e-5), d_bath=0.02)
+    spec = sf.GridSpec(m_min=-4.0, m_max=4.0, n_cells=96, init_mean=0.5,
+                       init_width=0.4, n_outputs=1, cfl=0.8)
+    real_heun = fokker_planck._heun
+    calls, traced = [], {}
+
+    def heun(rhs):
+        step = real_heun(rhs)
+
+        def traced_step(f, dt):
+            if len(calls) == 1:
+                tracemalloc.reset_peak()
+                traced["start"] = tracemalloc.get_traced_memory()[0]
+                traced["nbytes"] = f.nbytes
+            elif len(calls) == 51:
+                traced["peak"] = tracemalloc.get_traced_memory()[1]
+            calls.append(1)
+            return step(f, dt)
+        return traced_step
+
+    monkeypatch.setattr(fokker_planck, "_heun", heun)
+    tracemalloc.start()
+    try:
+        sf.fp_grid_solve(lat, 0.17, 30.0, spec, P)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) > 51
+    assert traced["peak"] - traced["start"] <= 2 * traced["nbytes"]
 
 
 def test_reports_use_the_cells_curvature_taken_once():
