@@ -31,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
+from .compare import _solve_widening
 from .config import RunConfig, config_to_text, parse_config
 from .errors import ConfigParseError, ConfigValidationError, SpinFringeError
 from .fokker_planck import GridSpec, auto_grid, fp_grid_solve
@@ -193,8 +194,11 @@ def _run_oracle(cfg: RunConfig):
     lat = cfg.lattice
     t_end = o.t_end if o.t_end > 0 else 10.0 / max(lat.d_bath, 1e-300)
     if o.method == "auto" and lat.n == 1:
-        _, reports = fp_grid_solve(lat, o.tau, t_end, _oracle_grid_spec(cfg),
-                                   cfg.model)
+        spec = _oracle_grid_spec(cfg)
+        if o.m_min < o.m_max:  # a grid set by hand fails loudly
+            _, reports = fp_grid_solve(lat, o.tau, t_end, spec, cfg.model)
+        else:
+            *_, reports = _solve_widening(lat, o.tau, t_end, spec, cfg.model)
     else:
         reports = langevin_ensemble(lat, o.tau, t_end, o.n_traj, cfg.seed, cfg.model,
                                     dt=o.dt if o.dt > 0 else None,

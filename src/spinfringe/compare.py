@@ -59,6 +59,32 @@ def _resample(f: np.ndarray, old: GridSpec, new: GridSpec) -> np.ndarray:
     return f
 
 
+def _solve_widening(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
+                    p: ModelParams, density: np.ndarray | None = None,
+                    ) -> tuple[GridSpec, np.ndarray, list[MomentReport]]:
+    """``fp_grid_solve`` on an auto-sized grid, widened where the density outgrows it.
+
+    A solve that raises GridTooSmallError is retried, at most twice, on a
+    grid widened by a quarter of its span on each side, with as many
+    cells, from ``density`` (the carried density, or None for the initial
+    profile) resampled onto the wider cells (``_resample``), so a branch
+    carried across delays is kept.  Returns the grid solved on with the
+    density and reports of ``fp_grid_solve``; a third GridTooSmallError
+    propagates.
+    """
+    for widen in range(3):
+        try:
+            return (spec, *fp_grid_solve(lat, tau, t_end, spec, p, init_values=density))
+        except GridTooSmallError:
+            if widen == 2:
+                raise
+            pad = 0.25 * (spec.m_max - spec.m_min)
+            wide = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
+            if density is not None:
+                density = _resample(density, spec, wide)
+            spec = wide
+
+
 def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParams,
                       t_end: float | None = None, omega_init: float = 0.0,
                       n_traj: int = 4000, seed: int = 0,
@@ -71,14 +97,16 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     should be built from the lattice (kappa = d_bath, alpha =
     alpha_from_lattice) for the comparison to be meaningful.
 
-    One and two sites always use the grid solver (two sites on at most
-    160 cells per axis); larger lattices, up to eight sites, use the
-    trajectory ensemble.  Either oracle starts with its mean at
-    m_init = omega_init A / |A|^2, so <Omega> = omega_init at t = 0.
-    A grid solve whose density reaches the edge cells is retried, at most
-    twice, on a grid widened by a quarter of its span on each side, from
-    the carried density resampled onto the wider cells (``_resample``),
-    so the branch is kept.  Raises ValueError, before any work, for more
+    One and two sites always use the grid solver on the grid
+    ``auto_grid`` sizes around the mean-field excursions.  ``n_cells`` is
+    its nominal cell count, capped at 160 per axis for two sites; the
+    cells beyond the density's linear-noise reach are not solved, so the
+    grid holds at most that many cells per axis.  Larger lattices, up to
+    eight sites, use the trajectory ensemble.  Either oracle starts with
+    its mean at m_init = omega_init A / |A|^2, so <Omega> = omega_init at
+    t = 0.  A grid solve whose density reaches the edge cells is retried
+    on a wider grid from the carried density (``_solve_widening``), so
+    the branch is kept.  Raises ValueError, before any work, for more
     than eight sites or, on three or more, for ``n_traj`` < 100.
     """
     if lat.n > 8:
@@ -110,19 +138,7 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
             spec = replace(spec, init_mean=tuple(m_init.tolist()))
         density: np.ndarray | None = None
         for tau in taus:
-            for widen in range(3):
-                try:
-                    density, reps = fp_grid_solve(lat, tau, t_end, spec, p,
-                                                  init_values=density)
-                    break
-                except GridTooSmallError:
-                    if widen == 2:
-                        raise
-                    pad = 0.25 * (spec.m_max - spec.m_min)
-                    wide = replace(spec, m_min=spec.m_min - pad, m_max=spec.m_max + pad)
-                    if density is not None:
-                        density = _resample(density, spec, wide)
-                    spec = wide
+            spec, density, reps = _solve_widening(lat, tau, t_end, spec, p, density)
             finals.append(reps[-1])
     else:
         rng = np.random.Generator(np.random.Philox(key=seed))

@@ -46,7 +46,10 @@ class OracleConfig:
     any lattice.  ``init_width`` = 0 gives the trajectory ensemble a
     point start, a hand-set grid (m_min < m_max) a width of
     (m_max - m_min) / 40 and an auto-sized grid the width ``auto_grid``
-    gives it: half the stationary width, at least 1e-3.
+    gives it: half the stationary width, at least 1e-3.  For an
+    auto-sized grid (m_min == m_max) ``n_cells`` is the nominal cell
+    count: ``auto_grid`` drops the nominal cells beyond six linear-noise
+    deviations of the mean-field window, so fewer cells are solved.
     """
 
     tau: float = 0.17

@@ -31,6 +31,10 @@ conservative to roundoff.
 ``centers()``) and the initial profile.  ``fp_grid_solve`` returns the
 density as a plain array on those cells together with its moment
 reports, as the trajectory ensemble returns its state array.
+``auto_grid`` sizes a grid around a mean-field window and solves only
+the cells within six deviations of the linear-noise covariance.  The
+cells keep the width of the nominal grid, so a solve takes no more
+steps on fewer cells.
 
 The time stepping is explicit Heun with a constant operator, so a step
 is one linear map M; its stages reuse work arrays, and a step allocates
@@ -54,7 +58,7 @@ oracle/mean-field comparisons, and the site-structure remainder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -68,6 +72,10 @@ __all__ = ["GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
 
 # A long one-site solve takes its Heun steps _BLOCK at a time, as one banded product.
 _BLOCK = 16
+# An auto-sized grid keeps the cells within this many stationary deviations
+# of its window: a Gaussian holds about 1e-9 of its mass beyond six
+# deviations on each side, far below the solver's 1e-6 edge guard.
+_TAIL_DEVIATIONS = 6.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +88,10 @@ class GridSpec:
     one value for every axis, or a tuple with one per axis.  The domain
     should span at least six standard deviations of the expected
     stationary density; the solver raises GridTooSmallError if more than
-    1e-6 of the mass reaches the edge cells.
+    1e-6 of the mass reaches the edge cells.  ``n_cells`` is the count
+    solved.  For a grid that ``auto_grid`` sizes, the count asked for is
+    the nominal one: the grid keeps only the nominal cells the density
+    can reach, so it may hold fewer.
     """
 
     m_min: float
@@ -112,24 +123,68 @@ class GridSpec:
         return self.m_min + self.dm * (np.arange(self.n_cells) + 0.5)
 
 
+def _stationary_covariance(lat: Lattice, p: ModelParams) -> np.ndarray:
+    """Stationary covariance of the site magnetizations in the linear-noise balance.
+
+    Returns the (n, n) matrix Sigma that solves
+
+        L Sigma + Sigma L^T + 2 diag(F + 2 s_p Gamma) = 0,
+
+    L = ``lat.rates()``: the magnetizations relax under L and diffuse with
+    the grid solver's coefficients F_j + Gamma_j C at the largest count
+    rate C = 2 s_p (van Kampen, Stochastic Processes in Physics and
+    Chemistry, ch. X).  The balance is one linear solve on
+    kron(I, L) + kron(L, I), n^2 unknowns.  Raises
+    ``np.linalg.LinAlgError`` where that matrix is singular: without a
+    bath the density has no stationary state.
+    """
+    n = lat.n
+    lin = lat.rates()
+    noise = np.diag(lat.f_array() + 2.0 * p.s_p * lat.gamma_array())
+    sigma = np.linalg.solve(np.kron(np.eye(n), lin) + np.kron(lin, np.eye(n)),
+                            -2.0 * noise.ravel()).reshape(n, n)
+    return 0.5 * (sigma + sigma.T)
+
+
 def auto_grid(lat: Lattice, omega_lo: float, omega_hi: float, tau_ref: float,
               p: ModelParams, n_cells: int) -> GridSpec:
     """Size the magnetization grid to hold the expected sweep excursions.
 
-    The domain covers omega_lo..omega_hi, in magnetization units of the
-    largest hyperfine weight, padded by nine stationary widths of the
-    fluctuation balance at the count rate of the window's centre.
+    The nominal domain covers omega_lo..omega_hi, in magnetization units
+    of the largest hyperfine weight, padded by nine stationary widths of
+    the fluctuation balance at the count rate of the window's centre, in
+    ``n_cells`` cells; the cell width and ``init_width`` come from it.
+    The grid returned keeps the run of those whole cells that covers the
+    window padded by ``_TAIL_DEVIATIONS`` deviations sigma = sqrt(max_j
+    Sigma_jj) of the linear-noise covariance (``_stationary_covariance``),
+    clipped to the nominal domain, and at least 16 cells.  So
+    ``n_cells`` is the nominal count: the solved grid has at most that
+    many cells, centred where the nominal grid's are, to rounding.  A
+    lattice with no stationary covariance (no bath) keeps every cell.
     """
     a_scale = max(abs(max(lat.a, key=abs)), 1e-300)
     c_ref = max(count_rate(0.5 * (omega_lo + omega_hi), tau_ref, p), 0.05)
     var_omega = (float(np.dot(lat.f_array(), lat.a_array() ** 2))
                  + alpha_from_lattice(lat) * c_ref) / max(lat.d_bath, 1e-300)
     width_m = math.sqrt(var_omega) / a_scale
-    lo = omega_lo / a_scale - 9.0 * width_m
-    hi = omega_hi / a_scale + 9.0 * width_m
-    return GridSpec(m_min=lo, m_max=hi, n_cells=n_cells,
-                    init_mean=0.0, init_width=max(width_m / 2.0, 1e-3),
-                    cfl=0.8, n_outputs=8)
+    lo, hi = omega_lo / a_scale, omega_hi / a_scale
+    nominal = GridSpec(m_min=lo - 9.0 * width_m, m_max=hi + 9.0 * width_m,
+                       n_cells=n_cells, init_mean=0.0,
+                       init_width=max(width_m / 2.0, 1e-3), cfl=0.8, n_outputs=8)
+    try:
+        var = float(np.max(np.diag(_stationary_covariance(lat, p))))
+    except np.linalg.LinAlgError:
+        var = math.inf
+    if not 0.0 <= var < math.inf:
+        return nominal
+    reach, dm = _TAIL_DEVIATIONS * math.sqrt(var), nominal.dm
+    first = max(math.floor((lo - reach - nominal.m_min) / dm), 0)
+    last = min(math.ceil((hi + reach - nominal.m_min) / dm), n_cells)
+    if last - first < 16:
+        first = min(max((first + last - 16) // 2, 0), n_cells - 16)
+        last = first + 16
+    return replace(nominal, m_min=nominal.m_min + first * dm,
+                   m_max=nominal.m_min + last * dm, n_cells=last - first)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,33 @@ def test_oracle_start_without_mass_on_the_grid_exits_3(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_default_oracle_grid_takes_one_solve(tmp_path, grid_solves):
+    assert main(["oracle", "--out", str(tmp_path)]) == 0
+    ((_, spec, error),) = grid_solves
+    assert error is None
+    assert spec.n_cells < 640  # the default nominal count, trimmed
+
+
+def test_auto_sized_oracle_grid_widens_where_the_density_outgrows_it(tmp_path, monkeypatch,
+                                                                     grid_solves):
+    # On cells of +-20 the default density (mean -1.2, deviation 4.8 at
+    # t_end) reaches the edge cells; widened by half to +-30 it fits.  The
+    # run goes on there from the initial profile, as a grid set by hand on
+    # +-30 with the same cells and start does.
+    narrow = sf.GridSpec(m_min=-20.0, m_max=20.0, n_cells=96, init_width=1.5,
+                         cfl=0.8, n_outputs=8)
+    monkeypatch.setattr(cli, "auto_grid", lambda *args: narrow)
+    assert main(["oracle", "--out", str(tmp_path / "auto")]) == 0
+    (_, first, error), (_, wide, retry_error) = grid_solves
+    assert first.m_min == -20.0 and isinstance(error, sf.GridTooSmallError)
+    assert (wide.m_min, wide.m_max, retry_error) == (-30.0, 30.0, None)
+    assert main(["oracle", "--out", str(tmp_path / "hand"),
+                 "--set", "oracle.m_min = -30", "--set", "oracle.m_max = 30",
+                 "--set", "oracle.n_cells = 96", "--set", "oracle.init_width = 1.5"]) == 0
+    assert ((tmp_path / "auto" / "oracle.csv").read_bytes()
+            == (tmp_path / "hand" / "oracle.csv").read_bytes())
+
+
 def test_sidecar_echoes_every_schema_key(tmp_path):
     from spinfringe.config import _SCHEMA
 

@@ -276,3 +276,21 @@ def test_oracle_starts_at_the_requested_shift(lat, t_end):
     (row,) = compare_meanfield(lat, [0.17], P, mf, omega_init=3.0, t_end=t_end,
                                n_traj=200)
     assert row.oracle_mean == pytest.approx(3.0, abs=1e-4)
+
+
+TWO_SITE = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
+                      f=(5e-5, 5e-5), d_bath=0.02)
+ONE_SITE = sf.Lattice(n=1, a=(1.0,), gamma=(0.01,), d=(), f=(5e-5,), d_bath=0.02)
+
+
+@pytest.mark.parametrize("lat, taus, kwargs", [
+    (TWO_SITE, [0.17, 0.23], {"n_cells": 96}),
+    (TWO_SITE, [0.17, 0.23], {"n_cells": 40}),
+    (ONE_SITE, [0.17], {"t_end": 100.0, "n_cells": 96}),
+], ids=["benchmark-96", "benchmark-40", "pinned-one-site"])
+def test_trimmed_grid_takes_one_solve_per_delay(grid_solves, lat, taus, kwargs):
+    # The grid trimmed to six deviations of the density still holds it:
+    # no delay widens its grid.
+    mf = sf.MeanFieldParams(kappa=lat.d_bath, alpha=sf.alpha_from_lattice(lat))
+    compare_meanfield(lat, taus, P, mf, **kwargs)
+    assert [(tau, error) for tau, _, error in grid_solves] == [(tau, None) for tau in taus]

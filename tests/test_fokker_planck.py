@@ -10,8 +10,10 @@ import pytest
 
 import spinfringe as sf
 from spinfringe import fokker_planck
+from spinfringe.config import parse_config
 from spinfringe.errors import CflViolationError, GridTooSmallError
 from spinfringe.fokker_planck import _stencil, _weighted_moments
+from spinfringe.langevin import evolve_trajectories
 
 P = sf.ModelParams()
 
@@ -568,3 +570,107 @@ def test_initial_density_may_carry_small_negative_tails():
                                   P, init_values=init)
     assert all(math.isfinite(r.mean_omega) for r in reports)
 
+
+# The two-site lattice of the benchmark's oracle workload.
+TWO = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5),
+                 d_bath=0.02)
+
+
+def test_one_site_covariance_is_the_balance_variance():
+    lat = single_site(gamma=0.03, f_const=2e-4, d_bath=0.02)
+    ((var,),) = fokker_planck._stationary_covariance(lat, P)
+    assert var == (2e-4 + 2.0 * P.s_p * 0.03) / 0.02
+
+
+@pytest.mark.parametrize("lat", [TWO, replace(TWO, d=(0.0,))], ids=["bonded", "d-zero"])
+def test_two_site_covariance_solves_the_lyapunov_balance(lat):
+    sigma = fokker_planck._stationary_covariance(lat, P)
+    lin = lat.rates()
+    noise = 2.0 * np.diag(lat.f_array() + 2.0 * P.s_p * lat.gamma_array())
+    residual = lin @ sigma + sigma @ lin.T + noise
+    assert np.abs(residual).max() <= 1e-15 * np.abs(noise).max()
+    assert np.array_equal(sigma, sigma.T)
+    assert np.linalg.eigvalsh(sigma).min() > 0.0
+
+
+def test_covariance_matches_an_ornstein_uhlenbeck_ensemble():
+    # At Gamma = 0 the drift is linear and the noise constant: the ensemble
+    # is an Ornstein-Uhlenbeck process whose stationary covariance is Sigma.
+    # After 12 relaxation times the start at the origin is forgotten to 6e-6.
+    lat = replace(TWO, gamma=(0.0, 0.0), d=(0.01,), f=(5e-5, 1e-4))
+    sigma = fokker_planck._stationary_covariance(lat, P)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    state, _ = evolve_trajectories(lat, 0.17, 300.0, np.zeros((4000, 2)), rng, P,
+                                   n_outputs=1)
+    sample = np.cov(state, rowvar=False)
+    se = np.sqrt((np.outer(sigma.diagonal(), sigma.diagonal()) + sigma ** 2) / len(state))
+    assert np.all(np.abs(sample - sigma) <= 5.0 * se)
+
+
+def _nominal_grid(monkeypatch, *args) -> sf.GridSpec:
+    """The grid auto_grid sizes for ``args`` before it drops the tail cells."""
+    def no_covariance(*_):
+        raise np.linalg.LinAlgError
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fokker_planck, "_stationary_covariance", no_covariance)
+        return fokker_planck.auto_grid(*args)
+
+
+def _benchmark_window() -> tuple[float, float]:
+    """The mean-field window of the benchmark's compare, delays 0.17 and 0.23."""
+    mf = sf.MeanFieldParams(kappa=TWO.d_bath, alpha=sf.alpha_from_lattice(TWO))
+    w, ws = 0.0, [0.0]
+    for tau in (0.17, 0.23):
+        w = sf.relax_to_steady(w, tau, P, mf).omega_f
+        ws.append(w)
+    return min(ws), max(ws)
+
+
+@pytest.mark.parametrize("case", ["benchmark-96", "benchmark-40", "one-site-96",
+                                  "cli-default", "tiny-sigma"])
+def test_auto_grid_keeps_the_nominal_cells_within_six_deviations(monkeypatch, case):
+    lo, hi = _benchmark_window()
+    p = P
+    lat, n_cells, tau = TWO, 96, 0.23
+    if case == "benchmark-40":
+        n_cells = 40
+    elif case == "one-site-96":
+        lat = single_site(gamma=0.01, f_const=5e-5, d_bath=0.02)
+    elif case == "cli-default":
+        cfg = parse_config("", [])
+        w_f = sf.relax_to_steady(0.0, cfg.oracle.tau, cfg.model, cfg.meanfield).omega_f
+        lat, n_cells, tau = cfg.lattice, cfg.oracle.n_cells, cfg.oracle.tau
+        lo, hi = min(w_f, 0.0), max(w_f, 0.0)
+    elif case == "tiny-sigma":
+        # The count rate tops out at 2 s_p = 0.002, far below the 0.05 floor of
+        # the nominal width's count rate: sigma is a fifth of that width.
+        lat, lo, hi, n_cells = single_site(gamma=0.01, d_bath=0.02), 0.0, 0.0, 64
+        p = sf.ModelParams(s_p=0.001)
+    args = (lat, lo, hi, tau, p, n_cells)
+    nominal = _nominal_grid(monkeypatch, *args)
+    spec = fokker_planck.auto_grid(*args)
+    assert nominal.n_cells == n_cells
+    assert 16 <= spec.n_cells <= n_cells
+    assert spec.dm == pytest.approx(nominal.dm, rel=1e-12)
+    first = round((spec.m_min - nominal.m_min) / nominal.dm)
+    assert 0 <= first <= n_cells - spec.n_cells
+    np.testing.assert_allclose(spec.centers(), nominal.centers()[first:first + spec.n_cells],
+                               rtol=0.0, atol=1e-12 * (nominal.m_max - nominal.m_min))
+    a_scale = max(map(abs, lat.a))
+    reach = 6.0 * math.sqrt(fokker_planck._stationary_covariance(lat, p).diagonal().max())
+    assert spec.m_min <= lo / a_scale - reach and spec.m_max >= hi / a_scale + reach
+    if case == "tiny-sigma":
+        assert spec.n_cells == 16
+    else:  # no whole cell beyond the reach is kept
+        assert spec.m_min + spec.dm > lo / a_scale - reach
+        assert spec.m_max - spec.dm < hi / a_scale + reach
+    if case == "benchmark-96":
+        assert spec.n_cells <= 66
+
+
+def test_auto_grid_without_bath_keeps_every_cell():
+    lat = single_site(gamma=0.01, f_const=5e-5, d_bath=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        fokker_planck._stationary_covariance(lat, P)
+    assert fokker_planck.auto_grid(lat, -0.1, 0.0, 0.17, P, 64).n_cells == 64

@@ -15,6 +15,14 @@ full steps of the stability bound and a short step onto each output
 time, by at most 8.2e-8 relative (GRID1_BANDED's ``mass_err``) and, in
 CMP2, by at most 1.9e-6 relative; every shift is well inside that
 earlier scheme's own error, measured by running it at half the ``cfl``.
+CMP1 and CMP2 were re-recorded again when ``auto_grid`` began to drop
+the nominal grid's cells beyond six linear-noise deviations of the
+window (96 -> 82 cells for CMP1, 40 -> 26 per axis for CMP2): the
+step, bounded by dm / v_max, and the cell edges moved.  CMP1 moved by
+at most 1.0e-11 relative, CMP2 by at most 2.6e-5 (``oracle_mean``)
+and 1.6e-5 (``remainder``); doubling the earlier scheme's nominal cell
+count moves the same fields by 1.0e-5 (CMP1) and 6.6e-4 and 4.7e-2
+(CMP2), so every shift is well inside that scheme's own error.
 GRID1_BANDED is a 1-site grid run long enough to take the banded K-step
 blocks.  Cases: a 1-site grid run,
 the 2-site lattice of the benchmark's oracle workload on the grid, a
@@ -90,22 +98,22 @@ ENS2 = {
     "mass_err": 0.0,
 }
 CMP1 = {
-    "oracle_mean": -0.06031357563683783,
+    "oracle_mean": -0.060313575636211626,
     "oracle_se": 0.0,
     "meanfield_omega": -0.070128864328523,
-    "flatness_error": 0.011437098555819779,
-    "trion_exact": -0.0013883236853036807,
-    "trion_meanfield": -0.001404385783924821,
+    "flatness_error": 0.011437098555705606,
+    "trion_exact": -0.0013883236853039617,
+    "trion_meanfield": -0.0014043857839249432,
     "remainder": 0.0,
 }
 CMP2 = {
-    "oracle_mean": -0.09794753911194085,
+    "oracle_mean": -0.0979450047761376,
     "oracle_se": 0.0,
     "meanfield_omega": -0.11428720833273172,
-    "flatness_error": 0.010991859596047565,
-    "trion_exact": -0.0022658928236295173,
-    "trion_meanfield": -0.0022910760094492564,
-    "remainder": -1.440481493458357e-05,
+    "flatness_error": 0.01099177245359682,
+    "trion_exact": -0.002265893838547994,
+    "trion_meanfield": -0.002291076833778595,
+    "remainder": -1.4404578042298378e-05,
 }
 CMP3 = {
     "oracle_mean": -0.03282132661992589,
