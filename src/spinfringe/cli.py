@@ -11,11 +11,13 @@ versions, so runs sharing an output directory keep their provenance.
 items: the echo shows it, and ``--seed`` with ``--set seed=...`` is a
 duplicate key.  A seed lies in [0, 2**128).  Data files are formatted
 and written in chunks of ``_CHUNK`` rows, so a run holds one chunk's
-text at a time.  Identical configuration and seed give byte-identical
-data files.  Exit codes: 0 ok, 2 configuration or I/O error, 3 numeric
-failure (a machine-readable JSON error record, with the delay ``tau_ns``
-and time ``t_ns`` of the failure where known, goes to stderr and partial
-outputs are removed).
+text at a time.  A chunk's text is one ``%`` operation on a row template
+made once per file; the fringe map's omega and tau axes are formatted
+once per grid value.  Identical configuration and seed give
+byte-identical data files.  Exit codes: 0 ok, 2 configuration or I/O
+error, 3 numeric failure (a machine-readable JSON error record, with the
+delay ``tau_ns`` and time ``t_ns`` of the failure where known, goes to
+stderr and partial outputs are removed).
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ from .meanfield import relax_to_steady
 from .sweep import fringe_map, nullcline, run_sweep
 
 
-# Rows per chunk of a data file.  Chunks of 2**12 to 2**16 rows format a
-# 451k-row map about equally fast, and about 20% faster than one chunk of
-# the whole table; a write holds one chunk's text in memory.
+# Rows per chunk of a data file.  Chunks of 2**12 to 2**17 rows format the
+# 451k-row 601 x 751 map equally fast within a shared 2-core host's noise
+# (medians 0.22-0.34 s over three rounds), and 5-25% faster than one chunk of
+# the whole table, whose text and cells take 60 MB of traced memory against
+# 2.4 MB at 2**14 rows; a write holds one chunk's text in memory.
 _CHUNK = 1 << 14
 
 
@@ -52,51 +56,66 @@ def _table(name: str, header: list[str], columns: list,
     """The text of data file ``name`` in chunks of ``_CHUNK`` rows: CSV, or
     NDJSON for a ``.ndjson`` name.
 
-    The CSV header is a chunk of its own.  A cell is ``format(v, spec)``
-    with spec ``.{precision}g`` for a float column, ``d`` for an int or
-    flag column and ``s`` for a text column; a column of None gives empty
-    cells.  A CSV row joins its cells with commas.  An NDJSON record holds
-    the same cells: ``float(cell)`` for a float, ``int(cell)`` for an int or
-    flag, the string for a text cell and null for an empty cell.  Its
-    text is that of ``json.dumps`` on the record's dict, joined from the
-    JSON text of each key and of each distinct value, each encoded once.
+    The CSV header is a chunk of its own.  Each chunk is one ``%``
+    operation, ``(row * n) % cells``, on a row template that holds one
+    spec per column: ``%.{precision}g`` for a float column, ``%d`` for an
+    int or flag column, ``%s`` for a text column, and nothing for a column
+    of None, whose cells are empty.  A CSV row joins its cells with
+    commas.  An NDJSON record holds the same cells as ``json.dumps`` of
+    the record's dict would write them: ``float(cell)`` for a float,
+    ``int(cell)`` for an int or flag, the string for a text cell and null
+    for an empty cell.  Its template holds the JSON text of each key, with
+    ``%`` escaped as ``%%``, and a float or text cell comes encoded, as
+    ``%s``.
+
+    A column is an array of values, or a factor ``(values, codes)`` whose
+    row i holds ``values[codes[i]]``: each of its values is formatted (and
+    encoded) once per file, and a chunk takes its texts by code.  Every
+    other cell is formatted from its own value.
     """
     ndjson = name.endswith(".ndjson")
-    columns = [np.asarray(col) for col in columns]
+    specs, fills = zip(*(_column(col, precision, ndjson) for col in columns))
+    fills = [fill for fill in fills if fill is not None]
     if ndjson:
-        # Each NDJSON cell carries its key: '{"k0": v0', then ', "k1": v1', ...
-        keys = [("{" if i == 0 else ", ") + json.dumps(h) + ": " for i, h in enumerate(header)]
+        keys = [json.dumps(h).replace("%", "%%") for h in header]
+        row = "{" + ", ".join(f"{k}: {s}" for k, s in zip(keys, specs)) + "}\n"
     else:
-        keys = [None] * len(header)
+        row = ",".join(specs) + "\n"
         yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), _CHUNK):
-        cells = [_cells(col[start:start + _CHUNK], precision, key)
-                 for col, key in zip(columns, keys)]
-        if ndjson:
-            yield "}\n".join(map("".join, zip(*cells))) + "}\n"
-        else:
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    first = columns[0]
+    n_rows = len(first[1] if isinstance(first, tuple) else first)
+    for start in range(0, n_rows, _CHUNK):
+        stop = min(start + _CHUNK, n_rows)
+        cells = np.empty((stop - start, len(fills)), dtype=object)
+        for j, fill in enumerate(fills):
+            cells[:, j] = fill(start, stop)
+        yield (row * (stop - start)) % tuple(cells.ravel().tolist())
 
 
-def _cells(col: np.ndarray, precision: int, key: str | None) -> list:
-    """The cells of one column chunk, or with an NDJSON ``key`` their JSON texts.
-
-    Each distinct value is formatted once, and for NDJSON encoded once
-    and prefixed with ``key``.  A float is keyed by its bits, so that
-    -0.0, 0.0 and every NaN keep their own text.
+def _column(col, precision: int, ndjson: bool):
+    """``(spec, fill)`` of one ``_table`` column: its spec in the row
+    template, and ``fill(start, stop)`` giving its cells for rows
+    [start, stop), or None for a column of None.
     """
-    if col.dtype == object:
-        return ["" if key is None else key + "null"] * len(col)
+    if isinstance(col, tuple):
+        values, codes = col[0], np.asarray(col[1])
+        spec, fill = _column(values, precision, ndjson)
+        cells = np.asarray(fill(0, len(values)), dtype=object)
+        texts = np.array([spec % v for v in cells], dtype=object)
+        return "%s", lambda start, stop: texts[codes[start:stop]]
+    col = np.asarray(col)
     kind = col.dtype.kind
-    spec = {"f": f".{precision}g", "U": "s"}.get(kind, "d")
-    bits = col.view(f"i{col.itemsize}") if kind == "f" else col
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = [format(v, spec) for v in distinct.view(col.dtype).tolist()]
-    if key is not None:
-        # The JSON text of the record value: an int cell is its own.
-        encode = {"f": _json_float, "U": lambda t: json.dumps(t or None)}.get(kind, str)
-        texts = [key + encode(t) for t in texts]
-    return np.array(texts, dtype=object)[inverse].tolist()
+    if kind == "O":
+        return ("null" if ndjson else ""), None
+    number = f"%.{precision}g"
+    if ndjson and kind in "fU":
+        # JSON text of the record value: a float's repr (or NaN, Infinity),
+        # a string, or null for an empty string.
+        encode = (lambda v: _json_float(number % v)) if kind == "f" else (
+            lambda t: json.dumps(t or None))
+        return "%s", lambda start, stop: list(map(encode, col[start:stop].tolist()))
+    spec = number if kind == "f" else "%s" if kind == "U" else "%d"
+    return spec, lambda start, stop: col[start:stop]
 
 
 def _json_float(cell: str) -> str:
@@ -155,7 +174,8 @@ def _run_fringe_map(cfg: RunConfig):
     tau = np.linspace(cfg.sweep.tau_start, cfg.sweep.tau_end, cfg.map.n_tau)
     grid = fringe_map(omega, tau, cfg.model)
     return ("fringe_map", ["omega_rad_per_ns", "tau_ns", "count"],
-            [np.repeat(omega, tau.size), np.tile(tau, omega.size), grid.ravel()])
+            [(omega, np.repeat(np.arange(omega.size), tau.size)),
+             (tau, np.tile(np.arange(tau.size), omega.size)), grid.ravel()])
 
 
 def _run_sweep(cfg: RunConfig):
@@ -171,7 +191,7 @@ def _run_steady(cfg: RunConfig):
     rows = [(pt.tau, root.omega_f, root.stable, root.residual, branch)
             for pt in points for root, branch in zip(pt.roots, pt.branch_ids)]
     return ("steady", ["tau_ns", "omega_f_rad_per_ns", "stable", "residual",
-                       "branch"], list(zip(*rows)))
+                       "branch"], [list(col) for col in zip(*rows)])
 
 
 def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:

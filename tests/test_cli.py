@@ -521,14 +521,58 @@ def test_float_cells_keep_the_text_of_their_own_bits(precision):
     assert text.splitlines() == ["x", *(format(x, f".{precision}g") for x in col.tolist())]
 
 
+@pytest.mark.parametrize("name", ["t.csv", "t.ndjson"])
+def test_percent_in_cells_and_header_is_written_verbatim(name):
+    # The row template is a % format: cells are its arguments, and NDJSON
+    # keys sit inside it escaped as %%.
+    header = ["share_%", "%s", "name", "word"]
+    names = ["%", "%s", "100%", "%(x)d"]
+    words = np.array(["%%", "%d%"])
+    codes = np.array([0, 1, 1, 0])
+    text = "".join(cli._table(name, header, [np.array([0.5, 1.0, 2.0, -0.0]),
+                                             np.arange(4), np.array(names),
+                                             (words, codes)], 12))
+    records = zip([0.5, 1.0, 2.0, -0.0], range(4), names, words[codes].tolist())
+    if name.endswith(".ndjson"):
+        want = "".join(json.dumps(dict(zip(header, rec))) + "\n" for rec in records)
+    else:
+        want = "share_%,%s,name,word\n" + "".join(
+            f"{x:.12g},{i},{t},{w}\n" for x, i, t, w in records)
+    assert text == want
+
+
+@pytest.mark.parametrize("name", ["t.csv", "t.ndjson"])
+@pytest.mark.parametrize("chunk", [3, 4])
+@pytest.mark.parametrize("precision", [3, 17])
+def test_factor_column_writes_the_bytes_of_its_plain_column(monkeypatch, name, chunk,
+                                                            precision):
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1 / 3, -2e-300, 1e300])
+    codes = np.array([1, 0, 2, 2, 8, 3, 4, 5, 6, 5, 1])  # value 7 unused
+    words, word_codes = np.array(["a,b", "", "%s"]), np.array([2, 1, 0] * 3 + [1, 1])
+    flags, flag_codes = np.array([True, False]), np.arange(11) % 2
+    header = ["x", "word", "flag", "y"]
+    y = np.linspace(-1.0, 1.0, 11)
+    factor = "".join(cli._table(name, header, [(values, codes), (words, word_codes),
+                                               (flags, flag_codes), y], precision))
+    plain = "".join(cli._table(name, header, [values[codes], words[word_codes],
+                                              flags[flag_codes], y], precision))
+    assert factor == plain
+    assert len(factor.splitlines()) == 11 + (name == "t.csv")
+
+
 def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_CHUNK", 256)
     rng = np.random.default_rng(5)
     writer = cli._RunWriter(str(tmp_path))
 
-    def peak(n):
-        columns = [np.repeat(np.linspace(-3, 3, n // 64), 64),
-                   np.tile(np.linspace(0.05, 1.5, 64), n // 64), rng.random(n)]
+    def peak(n, factor=False):
+        omega, tau = np.linspace(-3, 3, n // 64), np.linspace(0.05, 1.5, 64)
+        if factor:  # the fringe map's form: both axes as (values, codes)
+            columns = [(omega, np.repeat(np.arange(omega.size), 64)),
+                       (tau, np.tile(np.arange(64), omega.size)), rng.random(n)]
+        else:
+            columns = [np.repeat(omega, 64), np.tile(tau, n // 64), rng.random(n)]
         tracemalloc.start()
         try:
             writer.write_text("t.csv", cli._table("t.csv", ["omega", "tau", "count"],
@@ -539,3 +583,4 @@ def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
 
     peak(2048)  # first-call allocations
     assert peak(8192) < 1.5 * peak(2048)
+    assert peak(8192, factor=True) < 1.5 * peak(2048, factor=True)

@@ -1,10 +1,15 @@
-"""Property tests: fringe bounds and symmetry, steady-state structure, config text."""
+"""Property tests: fringe bounds and symmetry, steady-state structure, config
+text, data-file cells."""
+
+import json
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spinfringe as sf
+from spinfringe import cli
 from spinfringe.config import config_to_text, parse_config
 
 P = sf.ModelParams()
@@ -95,3 +100,23 @@ def test_config_text_round_trips(values):
     assert cfg2 == cfg
     assert config_to_text(cfg2) == echoed
     assert all(dict(cfg.effective)[k] == v for k, v in values.items())
+
+
+float_cells = st.one_of(
+    st.floats(),  # NaN, +-inf and subnormals included
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-308,
+                     1e300, -1e300]))
+
+
+@SETTINGS
+@given(st.lists(float_cells, min_size=1, max_size=40), st.integers(3, 17))
+def test_table_float_cells_are_their_own_format(values, precision):
+    # The same values as a plain column and as a factor over their reversal.
+    col = np.array(values)
+    columns = [col, (col[::-1].copy(), np.arange(col.size)[::-1])]
+    texts = [format(v, f".{precision}g") for v in values]
+    csv = "".join(cli._table("t.csv", ["x", "y"], columns, precision))
+    assert csv == "x,y\n" + "".join(f"{t},{t}\n" for t in texts)
+    ndjson = "".join(cli._table("t.ndjson", ["x", "y"], columns, precision))
+    assert ndjson.splitlines() == [json.dumps({"x": float(t), "y": float(t)})
+                                   for t in texts]
