@@ -7,13 +7,15 @@ The average shift omega obeys
 balancing spin-diffusion decay against the trion-induced nuclear random
 walk whose rate follows the count rate C.  This module evaluates the
 right-hand side in closed form and finds its roots with one engine,
-``_root_table``, which bisects the sign-change brackets of the scan grids
-of all requested delays together.  ``steady_states`` is its public call,
-on one delay or on a whole delay grid; ``nullcline`` makes one such call.
-``relax_to_steady``, the continuation step of sweeps, is a lookup in that
-table with no bisection of its own; sweeps build one table for all their
-delays and apply the same lookup (``_relax``).  Where no crossing shows
-stability, the sign of the closed-form drift slope (``_slope``) does.
+``_root_table``.  It takes the delays in blocks: one array pass lays out
+the scan grids of a block's delays and one drift call evaluates them.
+The sign-change brackets of all delays are then bisected together.
+``steady_states`` is its public call, on one delay or on a whole delay
+grid; ``nullcline`` makes one such call.  ``relax_to_steady``, the
+continuation step of sweeps, is a lookup in that table with no bisection
+of its own; sweeps build one table for all their delays and apply the
+same lookup (``_relax``).  Where no crossing shows stability, the sign of
+the closed-form drift slope (``_slope``) does.
 """
 
 from __future__ import annotations
@@ -96,70 +98,108 @@ def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.n
     return w, gw
 
 
-def _null_clusters(tau: float, p: ModelParams, w_max: float) -> np.ndarray:
-    """Extra scan points around fringe nulls, where drift roots are narrow.
+# Scan points per block of delays in ``_root_table``; each block takes one
+# drift call, whose kernel holds about 190 bytes per point.  Measured with
+# ``perfbench`` on a shared 2-core host: ``sweep-decades`` norm_wall_s is
+# 0.29-0.34 s with one drift call per delay, 0.26 s at 2**11, 0.22-0.25 s
+# at 2**12 and 0.21-0.22 s at 2**13; ``nullcline`` peak_rss_mb is
+# 41.5-41.7, 41.8-41.9, 42.0-42.3 and 43.0-43.2 MB.  One block of all
+# delays traced 28 MB on a 146-delay sweep and 138 MB on 726 delays.
+_SCAN_BLOCK = 2 ** 12
+_CLUSTER = 41  # scan points around each fringe null
 
-    Near a null of 1 - cos((omega0 + omega) tau) and weak pumping, the
-    trion term spikes over a window of angular width ~ sqrt(8 beta T), so
-    a uniform fringe-scale scan can step over the sign changes.  Each
-    null inside the bracket gets a cluster of points spanning a few such
-    widths: 41 points, built for all nulls in one ``linspace`` call.
-    Nulls where the pumping factor underflows carry no spike (the count
-    is identically zero there) and are skipped.
+
+def _scan_sizes(taus: np.ndarray, p: ModelParams,
+                mf: MeanFieldParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per delay: the points of the uniform scan, the index k of the first
+    fringe null 2 pi k/tau - omega0 in [-W, W] and the number of nulls there.
+
+    The uniform step is at most a twentieth of the fringe period 2 pi/tau
+    and sigma/8.  Nulls count only where a trion term can spike: at
+    tau > 0 with beta0 > 0 and alpha > 0.
     """
-    if tau <= 0.0 or p.beta0 <= 0.0:
-        return np.empty(0)
-    theta_lo = (p.omega0 - w_max) * tau
-    theta_hi = (p.omega0 + w_max) * tau
-    centres, halves = [], []
-    fringe = 2.0 * math.pi / tau
-    for k in range(int(math.ceil(theta_lo / (2 * math.pi))),
-                   int(math.floor(theta_hi / (2 * math.pi))) + 1):
-        omega_k = 2.0 * math.pi * k / tau - p.omega0
-        bt = p.beta0 * math.exp(-0.5 * (omega_k / p.sigma) ** 2) * p.T
-        if math.exp(-bt) == 1.0:
-            continue
-        centres.append(omega_k)
-        halves.append(min(4.0 * math.sqrt(8.0 * bt) / tau, 0.45 * fringe))
-    h = np.array(halves)
-    return (np.array(centres)[:, None] + np.linspace(-h, h, 41, axis=1)).ravel()
-
-
-def _scan_grid(tau: float, p: ModelParams, mf: MeanFieldParams) -> np.ndarray:
-    """Sorted scan points on [-W, W]: a step of at most a twentieth of the
-    fringe period 2 pi/tau and of sigma/8, enriched near fringe nulls."""
     w_max = mf.omega_bracket
-    step = p.sigma / 8.0
-    if tau > 0.0:
-        step = min(step, 2.0 * math.pi / (20.0 * tau))
-    n = max(int(math.ceil(2.0 * w_max / step)) + 1, 9)
-    parts = [np.linspace(-w_max, w_max, n)]
-    if mf.alpha > 0.0:
-        parts.append(_null_clusters(tau, p, w_max))
-    grid = np.unique(np.concatenate(parts))
-    return grid[(grid >= -w_max) & (grid <= w_max)]
+    on = taus > 0.0
+    step = np.full(taus.shape, p.sigma / 8.0)
+    step[on] = np.minimum(step[on], 2.0 * math.pi / (20.0 * taus[on]))
+    n = np.maximum(np.ceil(2.0 * w_max / step).astype(np.intp) + 1, 9)
+    first = np.zeros(taus.shape)
+    count = np.zeros(taus.shape, dtype=np.intp)
+    if p.beta0 > 0.0 and mf.alpha > 0.0:
+        first[on] = np.ceil((p.omega0 - w_max) * taus[on] / (2 * math.pi))
+        last = np.floor((p.omega0 + w_max) * taus[on] / (2 * math.pi))
+        count[on] = np.maximum(last - first[on] + 1.0, 0.0)
+    return n, first, count
+
+
+def _scan_grids(taus: np.ndarray, p: ModelParams,
+                mf: MeanFieldParams) -> tuple[np.ndarray, np.ndarray]:
+    """The scan grids of the delays ``taus``, concatenated in their order,
+    and the number of points of each.
+
+    Each grid is sorted on [-W, W], with no point twice: the uniform scan
+    of ``_scan_sizes``, enriched near fringe nulls.  Near a null of
+    1 - cos((omega0 + omega) tau) and weak pumping, the trion term spikes
+    over a window of angular width ~ sqrt(8 beta T), so a uniform
+    fringe-scale scan can step over the sign changes.  Each null gets a
+    cluster of 41 points spanning a few such widths.  Nulls where the
+    pumping factor underflows carry no spike (the count is identically
+    zero there) and get none.  All grids are built in one array pass:
+    one padded row per delay, with the ``np.linspace`` formula per delay
+    and one ``linspace`` call for all clusters, sorted along the rows.
+    """
+    w_max = mf.omega_bracket
+    n, first, count = _scan_sizes(taus, p, mf)
+    row = np.repeat(np.arange(taus.size), count)
+    k = first[row] + (np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
+    tau = taus[row]
+    centre = 2.0 * math.pi * k / tau - p.omega0
+    # Scalar math.exp: np.exp differs from it in the last bit on about 5% of arguments.
+    bt = [p.beta0 * math.exp(-0.5 * (w / p.sigma) ** 2) * p.T for w in centre.tolist()]
+    live = np.array([math.exp(-b) != 1.0 for b in bt], dtype=bool)
+    row, tau, centre, bt = row[live], tau[live], centre[live], np.array(bt)[live]
+    half = np.minimum(4.0 * np.sqrt(8.0 * bt) / tau, 0.45 * (2.0 * math.pi / tau))
+    count = np.bincount(row, minlength=taus.size)
+    cols = np.arange((n + _CLUSTER * count).max())
+    grid = cols * ((w_max - -w_max) / (n - 1))[:, None]  # np.linspace(-W, W, n) per row
+    grid += -w_max
+    grid[np.arange(taus.size), n - 1] = w_max
+    grid[cols >= n[:, None]] = np.inf  # the padding sorts to the row ends
+    rank = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    at = (row * cols.size + n[row] + _CLUSTER * rank)[:, None] + np.arange(_CLUSTER)
+    grid.reshape(-1)[at] = centre[:, None] + np.linspace(-half, half, _CLUSTER, axis=1)
+    grid.sort(axis=1)
+    keep = (grid >= -w_max) & (grid <= w_max)
+    keep[:, 1:] &= grid[:, 1:] != grid[:, :-1]
+    return grid[keep], np.count_nonzero(keep, axis=1)
 
 
 def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndarray, ...]]:
     """The roots of the drift the scan finds at each delay of ``taus`` (at
     least one): arrays (omega, stable, residual) per delay, sorted by omega.
 
-    Each ``_scan_grid`` takes one array drift call.  A sign change between
-    neighbouring points is a bracket, an exact zero a bracket of width
-    zero, and the brackets of all delays go through one
-    ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
+    The delays go in blocks of about ``_SCAN_BLOCK`` scan points, and the
+    ``_scan_grids`` of each block take one array drift call.  A sign change
+    between neighbouring points of one delay is a bracket, an exact zero
+    a bracket of width zero, and the brackets of all delays go through
+    one ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
     """
     taus = np.array(taus, dtype=float, ndmin=1)
     if not np.all(np.isfinite(taus)):
         raise ValueError(f"non-finite tau {float(taus[~np.isfinite(taus)][0])!r}")
+    n, _, count = _scan_sizes(taus, p, mf)
+    size = n + _CLUSTER * count  # the points of each grid, at most
+    block = (np.cumsum(size) - size) // _SCAN_BLOCK
+    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, taus.size].tolist()
     parts = []  # (delay, lo, hi, g_lo) of every bracket
-    for k, tau in enumerate(taus.tolist()):
-        grid = _scan_grid(tau, p, mf)
-        gvals = np.asarray(drift(grid, tau, p, mf))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        grid, points = _scan_grids(taus[start:stop], p, mf)
+        delay = np.repeat(np.arange(start, stop), points)
+        gvals = drift(grid, taus[delay], p, mf)
         zero = np.flatnonzero(gvals == 0.0)
-        change = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
+        change = np.flatnonzero((gvals[:-1] * gvals[1:] < 0.0) & (delay[:-1] == delay[1:]))
         lo, hi = np.r_[zero, change], np.r_[zero, change + 1]
-        parts.append((np.full(lo.size, k), grid[lo], grid[hi], gvals[lo]))
+        parts.append((delay[lo], grid[lo], grid[hi], gvals[lo]))
     delay, lo, hi, g_lo = (np.concatenate(c) for c in zip(*parts))
     w, gw = _bisect_brackets(taus[delay], lo, hi, g_lo, p, mf, _residual_tol(p, mf))
     stable = g_lo > 0.0  # a transversal crossing that falls through zero attracts

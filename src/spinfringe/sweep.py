@@ -38,8 +38,9 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
     point's omega_f (the first point uses s.omega_init), by the
     ``relax_to_steady`` lookup in one root table that both passes share.
     A sample is flagged ``jumped`` when omega_f moved by more than half a
-    fringe from its seed, which marks a branch switch.  Solver failures
-    propagate with the offending tau attached.
+    fringe from its seed, which marks a branch switch.  The count and
+    pumping rates of all samples take one array call each after the walk.
+    Solver failures propagate with the offending tau attached.
     """
     grid = s.grid()
     points = list(zip(grid.tolist(), _root_table(grid, p, mf)))
@@ -49,7 +50,7 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
     if s.direction in ("backward", "round-trip"):
         passes.append(("bwd", points[::-1]))
 
-    samples: list[TraceSample] = []
+    walk = []  # (tau, omega_f, stable, jumped, direction) per sample
     omega = float(s.omega_init)
     index = 0
     for direction, pts in passes:
@@ -58,18 +59,13 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
                 omega = float(s.omega_init)
             ss = _relax(roots, tau, omega, p, mf)
             jumped = index > 0 and abs(ss.omega_f - omega) > _jump_threshold(tau)
-            samples.append(TraceSample(
-                tau=tau,
-                omega_f=ss.omega_f,
-                count=count_rate(ss.omega_f, tau, p),
-                beta_f=pump_rate(ss.omega_f, p),
-                stable=ss.stable,
-                jumped=jumped,
-                direction=direction,
-            ))
+            walk.append((tau, ss.omega_f, ss.stable, jumped, direction))
             omega = ss.omega_f
             index += 1
-    return samples
+    tau, omega_f = np.array([sample[:2] for sample in walk]).T
+    count, beta_f = count_rate(omega_f, tau, p).tolist(), pump_rate(omega_f, p).tolist()
+    return [TraceSample(tau=t, omega_f=w, count=c, beta_f=b, stable=st, jumped=j, direction=d)
+            for (t, w, st, j, d), c, b in zip(walk, count, beta_f)]
 
 
 def fringe_map(omega_grid, tau_grid, p: ModelParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Mean-field drift: closed-form curvature, relaxation, steady-state scan."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import spinfringe as sf
 from spinfringe.errors import BracketEscapeError
 from spinfringe import meanfield
 from spinfringe.meanfield import (_BISECT_MAX_ITER, _bisect_brackets, _residual_tol,
-                                  _root_table, _scan_grid, _slope)
+                                  _root_table, _scan_grids, _slope)
 
 P = sf.ModelParams()
 
@@ -215,7 +216,7 @@ def test_relax_from_a_root_at_float_resolution(tau, seed, want):
 def _refined_sign_changes(tau, mf):
     """Drift sign changes on the scan grid merged with 200001 uniform points."""
     w = mf.omega_bracket
-    grid = np.union1d(_scan_grid(tau, P, mf), np.linspace(-w, w, 200_001))
+    grid = np.union1d(_scan_grids(np.array([tau]), P, mf)[0], np.linspace(-w, w, 200_001))
     g = np.asarray(sf.drift(grid, tau, P, mf))
     return int(np.count_nonzero(g[:-1] * g[1:] < 0.0) + np.count_nonzero(g == 0.0))
 
@@ -278,14 +279,18 @@ def _scan_grid_per_null(tau, p, mf):
 
 
 def test_scan_grid_matches_per_null_clusters():
+    # 300 random delays in one call per model, tau = 0 among them: the
+    # grids are the per-null reference grids concatenated, bit for bit.
     rng = np.random.default_rng(3)
     models = (P, sf.ModelParams(beta0=1e-6), sf.ModelParams(T=5.0, sigma=4.0),
               sf.ModelParams(beta0=0.0))
-    for _ in range(300):
-        p = models[rng.integers(len(models))]
+    for p in models:
         mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 10 ** rng.uniform(-4, 0))
-        tau = float(rng.choice([0.0, rng.uniform(0.02, 1.5)]))
-        assert np.array_equal(_scan_grid(tau, p, mf), _scan_grid_per_null(tau, p, mf))
+        taus = np.where(rng.random(300) < 0.5, 0.0, rng.uniform(0.02, 1.5, 300))
+        want = [_scan_grid_per_null(tau, p, mf) for tau in taus.tolist()]
+        grid, points = _scan_grids(taus, p, mf)
+        assert points.tolist() == [g.size for g in want]
+        assert grid.tobytes() == np.concatenate(want).tobytes()
 
 
 def _bisection_cases():
@@ -326,7 +331,7 @@ def test_bisect_brackets_equals_scalar_bisect():
     for tau, mf in _bisection_cases():
         def g(w):
             return sf.drift(w, tau, P, mf)
-        grid = _scan_grid(tau, P, mf)
+        grid, _ = _scan_grids(np.array([tau]), P, mf)
         gvals = np.asarray(g(grid))
         cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
         for tol_abs in (_residual_tol(P, mf), 0.0):
@@ -366,6 +371,51 @@ def test_pooled_root_table_equals_one_delay_calls(ratio, window):
         assert all(r.tau == tau for r in roots)
         one_delay_calls += roots
     assert sf.steady_states(taus[::-1], P, mf) == one_delay_calls
+
+
+@pytest.mark.parametrize("ratio, window", [(1e2, np.arange(0.70, 0.76, 0.002)),
+                                           (1e6, np.arange(1.07, 1.11, 0.002))])
+def test_root_table_is_the_same_for_any_block_budget(monkeypatch, ratio, window):
+    # One delay per block and one block of all delays find the roots,
+    # flags and residuals of the default blocks, bit for bit, whatever
+    # the order of the delays.
+    mf = _ps2(ratio)
+    taus = np.r_[0.0, window]
+    default = meanfield._SCAN_BLOCK
+    blocks = []  # the delays of each _scan_grids call
+    scan_grids = meanfield._scan_grids
+    monkeypatch.setattr(meanfield, "_scan_grids",
+                        lambda taus, *a: blocks.append(taus.size) or scan_grids(taus, *a))
+
+    def table(delays, budget):
+        blocks.clear()
+        monkeypatch.setattr(meanfield, "_SCAN_BLOCK", budget)
+        return [[c.tobytes() for c in roots] for roots in _root_table(delays, P, mf)]
+
+    for delays in (taus, taus[::-1]):
+        want = table(delays, default)
+        assert 1 < len(blocks) < delays.size
+        assert table(delays, 1) == want and blocks == [1] * delays.size
+        assert table(delays, 2 ** 30) == want and blocks == [delays.size]
+
+
+def test_root_table_scan_holds_one_block_in_memory(monkeypatch):
+    # With bisection stubbed out, the scan holds one block of delays at a
+    # time: four times the delays do not take four times the memory.
+    monkeypatch.setattr(meanfield, "_bisect_brackets", lambda tau, lo, hi, g_lo, *a: (lo, g_lo))
+    mf = _ps2(1e4)
+
+    def peak(n):
+        taus = np.linspace(0.5, 1.5, n)
+        tracemalloc.start()
+        try:
+            _root_table(taus, P, mf)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # first-call allocations
+    assert peak(120) < 1.5 * peak(30)
 
 
 def test_relax_to_steady_tags_its_delay():
