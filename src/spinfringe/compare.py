@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GridTooSmallError
 from .fokker_planck import GridSpec, MomentReport, auto_grid, fp_grid_solve
 from .langevin import evolve_trajectories
-from .meanfield import _relax, _root_table
+from .meanfield import _root_table, _walk
 from .params import Lattice, MeanFieldParams, ModelParams
 
 __all__ = ["CompareRow", "compare_meanfield"]
@@ -119,12 +119,9 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     if t_end is None:
         t_end = 10.0 / max(lat.d_bath, 1e-300)
 
-    # Pre-run the mean-field continuation, as a sweep does, to size the oracle grid.
-    mf_omegas: list[float] = []
-    w = float(omega_init)
-    for tau, roots in zip(taus, _root_table(taus, p, mf)):
-        w = _relax(roots, tau, w, p, mf).omega_f
-        mf_omegas.append(w)
+    # Pre-run the mean-field continuation, the walk of a sweep, to size the oracle grid.
+    mf_omegas = [ss.omega_f for ss in _walk(taus, _root_table(taus, p, mf),
+                                            float(omega_init), p, mf)]
     lo = min(min(mf_omegas), omega_init)
     hi = max(max(mf_omegas), omega_init)
 

@@ -9,13 +9,15 @@ walk whose rate follows the count rate C.  This module evaluates the
 right-hand side in closed form and finds its roots with one engine,
 ``_root_table``.  It takes the delays in blocks: one array pass lays out
 the scan grids of a block's delays and one drift call evaluates them.
-The sign-change brackets of all delays are then bisected together.
-``steady_states`` is its public call, on one delay or on a whole delay
-grid; ``nullcline`` makes one such call.  ``relax_to_steady``, the
-continuation step of sweeps, is a lookup in that table with no bisection
-of its own; sweeps build one table for all their delays and apply the
-same lookup (``_relax``).  Where no crossing shows stability, the sign of
-the closed-form drift slope (``_slope``) does.
+The sign-change brackets of all delays are then refined together by
+safeguarded secant steps from the scan's own end drifts
+(``_bisect_brackets``).  ``steady_states`` is its public call, on one
+delay or on a whole delay grid; ``nullcline`` makes one such call.
+``relax_to_steady``, the continuation step of sweeps, is a lookup in
+that table with no root search of its own; sweeps build one table for
+all their delays and walk it with the same lookup (``_walk``).  Where no
+crossing shows stability, the sign of the closed-form drift slope
+(``_slope``) does.
 """
 
 from __future__ import annotations
@@ -61,40 +63,68 @@ def _slope(omega, tau, p: ModelParams, mf: MeanFieldParams):
     return -mf.kappa + mf.alpha * (3.0 * c2 + omega * c3)
 
 
-_BISECT_MAX_ITER = 200
+# Steps per bracket at most.  The halving safeguard halves a bracket at
+# least once in every four steps.  On the criterion-3 draws and the ps2
+# decades a bracket takes 2-9 steps to the residual tolerance, 4.4 on
+# average, and 4-49 to float resolution.
+_REFINE_MAX_ITER = 200
 
 
 def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray,
-                     p: ModelParams, mf: MeanFieldParams,
+                     g_hi: np.ndarray, p: ModelParams, mf: MeanFieldParams,
                      tol_abs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect each sign-change bracket [lo, hi] of the drift at its delay
-    ``tau`` until |drift| <= tol_abs or float resolution; returns the roots
-    and their drifts.  One array drift call per step takes the midpoints
-    of the brackets still open; the end whose drift has the midpoint's
-    sign moves, so the two ends are treated alike.
+    """Narrow each sign-change bracket [lo, hi] of the drift at its delay
+    ``tau``, whose ends have the drifts g_lo and g_hi, until |drift| <=
+    tol_abs or float resolution (the midpoint equals an end); returns the
+    roots and their drifts.
+
+    One array drift call per step takes a trial point in each bracket
+    still open, and the end whose drift has the trial's sign moves there.
+    The trial is the secant point of the end drifts, where the end kept
+    twice in a row has its drift scaled by m = 1 - g_new/g_old (0.5 if
+    m <= 0), the Anderson-Bjorck rule (BIT 13, 1973).  It is the midpoint
+    instead where the secant point is not strictly inside the bracket or
+    the bracket has not halved in the last three steps.  A bracket at
+    float resolution, or still open after ``_REFINE_MAX_ITER`` steps,
+    ends at the end with the smaller |drift| (lo on a tie), which takes
+    no drift call.
     """
-    lo, hi, g_lo = (np.array(a, dtype=float) for a in (lo, hi, g_lo))
-    w, gw = np.empty_like(lo), np.empty_like(lo)
-    active = np.arange(lo.size)
-    resolved = []  # brackets that reached float resolution
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo[active] + hi[active])
-        flat = (mid == lo[active]) | (mid == hi[active])
-        resolved.append(active[flat])
-        active, mid = active[~flat], mid[~flat]
+    ends, g_ends = np.array([lo, hi], dtype=float), np.array([g_lo, g_hi], dtype=float)
+    scaled = g_ends.copy()  # the end drifts the secant point uses
+    last = np.full(ends.shape[1], -1)  # the end that moved in the last step
+    widths = np.full((3, ends.shape[1]), np.inf)  # row step % 3: the width three steps back
+    w, gw = np.empty(ends.shape[1]), np.empty(ends.shape[1])
+    active = np.arange(ends.shape[1])
+
+    def settle(idx):  # float resolution or the step cap: the better end
+        better = (np.abs(g_ends[1, idx]) < np.abs(g_ends[0, idx])).astype(np.intp)
+        w[idx], gw[idx] = ends[better, idx], g_ends[better, idx]
+
+    for step in range(_REFINE_MAX_ITER):
+        a, b = ends[0, active], ends[1, active]
+        mid = 0.5 * (a + b)
+        flat = (mid == a) | (mid == b)
+        settle(active[flat])
+        active, a, b, mid = active[~flat], a[~flat], b[~flat], mid[~flat]
         if not active.size:
             break
-        g_mid = drift(mid, tau[active], p, mf)
-        done = np.abs(g_mid) <= tol_abs
-        w[active[done]], gw[active[done]] = mid[done], g_mid[done]
-        active, mid, g_mid = active[~done], mid[~done], g_mid[~done]
-        same = (g_lo[active] < 0.0) == (g_mid < 0.0)
-        lo[active[same]], g_lo[active[same]] = mid[same], g_mid[same]
-        hi[active[~same]] = mid[~same]
-    rest = np.concatenate(resolved + [active])
-    if rest.size:
-        w[rest] = 0.5 * (lo[rest] + hi[rest])
-        gw[rest] = drift(w[rest], tau[rest], p, mf)
+        s_a, s_b = scaled[0, active], scaled[1, active]
+        x = a + (b - a) * (s_a / (s_a - s_b))
+        span = b - a
+        halved = span <= 0.5 * widths[step % 3, active]
+        widths[step % 3, active] = span
+        x = np.where((a < x) & (x < b) & halved, x, mid)
+        g = drift(x, tau[active], p, mf)
+        done = np.abs(g) <= tol_abs
+        w[active[done]], gw[active[done]] = x[done], g[done]
+        active, x, g = active[~done], x[~done], g[~done]
+        side = ((g_ends[0, active] < 0.0) != (g < 0.0)).astype(np.intp)  # 0: x replaces lo
+        again = last[active] == side
+        m = 1.0 - g[again] / g_ends[side[again], active[again]]
+        scaled[1 - side[again], active[again]] *= np.where(m > 0.0, m, 0.5)
+        ends[side, active], g_ends[side, active], scaled[side, active] = x, g, g
+        last[active] = side
+    settle(active)
     return w, gw
 
 
@@ -107,6 +137,20 @@ def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.n
 # delays traced 28 MB on a 146-delay sweep and 138 MB on 726 delays.
 _SCAN_BLOCK = 2 ** 12
 _CLUSTER = 41  # scan points around each fringe null
+# Points per drift call at most in the refinement and in a walk's seed
+# drifts, whose counts grow with the roots.  A refinement pass holds
+# about twice the bytes per point of a scan block.  Traced peaks of a
+# step-0.01 round-trip ``run_sweep`` at ps2 ratios 1e2-1e5: 1.4 MB at
+# 2**11, 1.9 MB at 2**12 and 1.9-2.6 MB at 2**13, where one bisection
+# pass of all brackets took 1.5-2.1 MB; the time did not move beyond
+# noise.  On the default 726-delay grid at 1e2 (28,446 roots) one call
+# for all took 13.7 MB, and 2**11 takes 3.0 MB.
+_POINT_BLOCK = 2 ** 11
+
+
+def _slices(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_POINT_BLOCK`` of n items; one if n = 0."""
+    return [slice(i, i + _POINT_BLOCK) for i in range(0, max(n, 1), _POINT_BLOCK)]
 
 
 def _scan_sizes(taus: np.ndarray, p: ModelParams,
@@ -181,8 +225,9 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
     The delays go in blocks of about ``_SCAN_BLOCK`` scan points, and the
     ``_scan_grids`` of each block take one array drift call.  A sign change
     between neighbouring points of one delay is a bracket, an exact zero
-    a bracket of width zero, and the brackets of all delays go through
-    one ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
+    a bracket of width zero.  The brackets of all delays are refined
+    together from the drifts at their ends, ``_POINT_BLOCK`` brackets per
+    ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
     """
     taus = np.array(taus, dtype=float, ndmin=1)
     if not np.all(np.isfinite(taus)):
@@ -191,7 +236,7 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
     size = n + _CLUSTER * count  # the points of each grid, at most
     block = (np.cumsum(size) - size) // _SCAN_BLOCK
     edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, taus.size].tolist()
-    parts = []  # (delay, lo, hi, g_lo) of every bracket
+    parts = []  # (delay, lo, hi, g_lo, g_hi) of every bracket
     for start, stop in zip(edges[:-1], edges[1:]):
         grid, points = _scan_grids(taus[start:stop], p, mf)
         delay = np.repeat(np.arange(start, stop), points)
@@ -199,9 +244,13 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
         zero = np.flatnonzero(gvals == 0.0)
         change = np.flatnonzero((gvals[:-1] * gvals[1:] < 0.0) & (delay[:-1] == delay[1:]))
         lo, hi = np.r_[zero, change], np.r_[zero, change + 1]
-        parts.append((delay[lo], grid[lo], grid[hi], gvals[lo]))
-    delay, lo, hi, g_lo = (np.concatenate(c) for c in zip(*parts))
-    w, gw = _bisect_brackets(taus[delay], lo, hi, g_lo, p, mf, _residual_tol(p, mf))
+        parts.append((delay[lo], grid[lo], grid[hi], gvals[lo], gvals[hi]))
+    delay, lo, hi, g_lo, g_hi = (np.concatenate(c) for c in zip(*parts))
+    del parts  # the per-block copies
+    tol = _residual_tol(p, mf)
+    w, gw = (np.concatenate(c) for c in zip(*(
+        _bisect_brackets(taus[delay[s]], lo[s], hi[s], g_lo[s], g_hi[s], p, mf, tol)
+        for s in _slices(delay.size))))
     stable = g_lo > 0.0  # a transversal crossing that falls through zero attracts
     if (zero := g_lo == 0.0).any():  # exact scan zeros: the slope's sign decides
         stable[zero] = _slope(w[zero], taus[delay[zero]], p, mf) <= 0.0
@@ -211,15 +260,19 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
 
 
 def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: ModelParams,
-           mf: MeanFieldParams) -> SteadyState:
-    """The lookup rule on one delay's ``_root_table`` entry: see ``relax_to_steady``."""
+           mf: MeanFieldParams, g0: float | None = None) -> SteadyState:
+    """The lookup rule on one delay's ``_root_table`` entry: see
+    ``relax_to_steady``.  ``g0`` is the seed's drift at ``tau``, None to
+    evaluate it here.
+    """
     if not math.isfinite(omega_init):
         raise ValueError(f"non-finite omega_init {omega_init!r}")
     if abs(omega_init) > mf.omega_bracket:
         raise BracketEscapeError(
             f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=tau)
     w0 = float(omega_init)
-    g0 = drift(w0, tau, p, mf)
+    if g0 is None:
+        g0 = drift(w0, tau, p, mf)
     if abs(g0) <= _residual_tol(p, mf):
         return SteadyState(tau=float(tau), omega_f=w0, stable=_slope(w0, tau, p, mf) <= 0.0,
                            residual=abs(g0), basin_seed=w0)
@@ -234,18 +287,50 @@ def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: Mode
                        residual=float(residual[j]), basin_seed=w0)
 
 
+def _walk(taus: list[float], tables: list[tuple[np.ndarray, ...]], omega_init: float,
+          p: ModelParams, mf: MeanFieldParams, reset_every: int = 0) -> list[SteadyState]:
+    """The continuation of a sweep along ``taus`` in their order: ``_relax``
+    on each delay's ``_root_table`` entry in ``tables``, seeded with the
+    previous delay's result, or with omega_init at the first delay and at
+    every ``reset_every``-th one (0: never).
+
+    Array drift calls before the walk, one per ``_POINT_BLOCK`` points,
+    take every root of each delay at the delay after it, so a seed that
+    is a root of the previous delay costs no drift call of its own.  Any
+    other seed, omega_init or a seed the previous delay kept, takes a
+    scalar call in ``_relax``.
+    """
+    omegas = [roots[0] for roots in tables[:-1]]
+    start = np.cumsum([0, *(w.size for w in omegas)]).tolist()  # of each delay's roots
+    seeds = np.concatenate([np.empty(0), *omegas])
+    at = np.repeat(taus[1:], np.diff(start))
+    ahead = np.concatenate([drift(seeds[s], at[s], p, mf) for s in _slices(seeds.size)])
+    states = []
+    for k, (tau, roots) in enumerate(zip(taus, tables)):
+        if k == 0 or (reset_every > 0 and k % reset_every == 0):
+            w0, g0 = omega_init, None
+        states.append(_relax(roots, tau, w0, p, mf, g0))
+        w0, g0 = states[-1].omega_f, None
+        if k < len(omegas):
+            j = start[k] + int(np.searchsorted(omegas[k], w0))  # the seed among the roots
+            if j < start[k + 1] and seeds[j] == w0:
+                g0 = float(ahead[j])
+    return states
+
+
 def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
     """All roots of the drift on [-W, W] the scan finds, with stability, at
     one delay or at each distinct delay of a 1-d array.
 
-    One ``_root_table`` call bisects the brackets of all delays together,
+    One ``_root_table`` call refines the brackets of all delays together,
     which changes no root against one call per delay.  The roots come as
     one flat list sorted by ``tau`` and then by ``omega_f``; each carries
     its delay in ``tau``, so callers group by that field, not by position.
     Each root's ``residual`` is <= relax_tol*kappa*sigma, or the root ends
-    at float resolution where the drift moves by more than that per ulp
-    (|drift| 4.25e-7 against 1.005e-7 at tau = 1.5, kappa = 0.01, alpha =
-    100).  ``basin_seed`` is the root itself; ``stable`` is as in ``SteadyState``.
+    at float resolution where the drift moves by more than that per ulp,
+    on the bracket end with the smaller |drift| (1.29e-7 against 1.005e-7
+    at tau = 1.5, kappa = 0.01, alpha = 100).  ``basin_seed`` is the root
+    itself; ``stable`` is as in ``SteadyState``.
     Where the drift points inward at both edges, as decay usually ensures
     at W >= 4 sigma, the count per delay is odd; a trion-term spike on an
     edge (tau = 1.42857 ns at the defaults) turns that edge outward, and a

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fringe import count_rate, pump_rate
-from .meanfield import _relax, _root_table, steady_states
+from .meanfield import _root_table, _walk, steady_states
 from .params import MeanFieldParams, ModelParams, SteadyState, SweepSchedule, TraceSample
 
 __all__ = ["run_sweep", "fringe_map", "nullcline", "NullclinePoint"]
@@ -36,36 +36,30 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
 
     Each point relaxes the mean-field drift seeded with the previous
     point's omega_f (the first point uses s.omega_init), by the
-    ``relax_to_steady`` lookup in one root table that both passes share.
+    ``relax_to_steady`` lookup in one root table that both passes share;
+    the seeds' drifts take array calls before the walk (``_walk``).
     A sample is flagged ``jumped`` when omega_f moved by more than half a
     fringe from its seed, which marks a branch switch.  The count and
     pumping rates of all samples take one array call each after the walk.
     Solver failures propagate with the offending tau attached.
     """
     grid = s.grid()
-    points = list(zip(grid.tolist(), _root_table(grid, p, mf)))
-    passes: list[tuple[str, list]] = []
+    table = _root_table(grid, p, mf)
+    passes = []  # (direction, grid indices in walk order)
     if s.direction in ("forward", "round-trip"):
-        passes.append(("fwd", points))
+        passes.append(("fwd", range(grid.size)))
     if s.direction in ("backward", "round-trip"):
-        passes.append(("bwd", points[::-1]))
-
-    walk = []  # (tau, omega_f, stable, jumped, direction) per sample
-    omega = float(s.omega_init)
-    index = 0
-    for direction, pts in passes:
-        for tau, roots in pts:
-            if s.reset_omega_every > 0 and index > 0 and index % s.reset_omega_every == 0:
-                omega = float(s.omega_init)
-            ss = _relax(roots, tau, omega, p, mf)
-            jumped = index > 0 and abs(ss.omega_f - omega) > _jump_threshold(tau)
-            walk.append((tau, ss.omega_f, ss.stable, jumped, direction))
-            omega = ss.omega_f
-            index += 1
-    tau, omega_f = np.array([sample[:2] for sample in walk]).T
+        passes.append(("bwd", range(grid.size - 1, -1, -1)))
+    at = [i for _, indices in passes for i in indices]
+    directions = [d for d, indices in passes for _ in indices]
+    states = _walk(grid[at].tolist(), [table[i] for i in at], float(s.omega_init), p, mf,
+                   s.reset_omega_every)
+    tau, omega_f = np.array([(ss.tau, ss.omega_f) for ss in states]).T
     count, beta_f = count_rate(omega_f, tau, p).tolist(), pump_rate(omega_f, p).tolist()
-    return [TraceSample(tau=t, omega_f=w, count=c, beta_f=b, stable=st, jumped=j, direction=d)
-            for (t, w, st, j, d), c, b in zip(walk, count, beta_f)]
+    return [TraceSample(tau=ss.tau, omega_f=ss.omega_f, count=c, beta_f=b, stable=ss.stable,
+                        jumped=k > 0 and abs(ss.omega_f - ss.basin_seed) > _jump_threshold(ss.tau),
+                        direction=d)
+            for k, (ss, d, c, b) in enumerate(zip(states, directions, count, beta_f))]
 
 
 def fringe_map(omega_grid, tau_grid, p: ModelParams) -> np.ndarray:

@@ -23,6 +23,14 @@ at most 1.0e-11 relative, CMP2 by at most 2.6e-5 (``oracle_mean``)
 and 1.6e-5 (``remainder``); doubling the earlier scheme's nominal cell
 count moves the same fields by 1.0e-5 (CMP1) and 6.6e-4 and 4.7e-2
 (CMP2), so every shift is well inside that scheme's own error.
+The three compare rows were re-recorded again when the mean-field roots
+began to end by safeguarded Anderson-Bjorck steps instead of bisection.
+``meanfield_omega`` moved by at most 7.5e-5 relative, and each value
+lies within relax_tol*kappa*sigma/|g'| (about 1e-5 rad/ns) of its
+float-resolution root: CMP1 5.1e-6 from it before, 1.1e-7 after.  The
+grid rows, whose grid is sized from that root, moved by at most 1.7e-8
+relative (``flatness_error``) and 9.3e-11 in ``oracle_mean``; CMP3's
+ensemble fields did not move.
 GRID1_BANDED is a 1-site grid run long enough to take the banded K-step
 blocks.  Cases: a 1-site grid run,
 the 2-site lattice of the benchmark's oracle workload on the grid, a
@@ -98,27 +106,27 @@ ENS2 = {
     "mass_err": 0.0,
 }
 CMP1 = {
-    "oracle_mean": -0.060313575636211626,
+    "oracle_mean": -0.0603135756416337,
     "oracle_se": 0.0,
-    "meanfield_omega": -0.070128864328523,
-    "flatness_error": 0.011437098555705606,
-    "trion_exact": -0.0013883236853039617,
-    "trion_meanfield": -0.0014043857839249432,
+    "meanfield_omega": -0.07012361083560381,
+    "flatness_error": 0.01143709867689099,
+    "trion_exact": -0.0013883236851327289,
+    "trion_meanfield": -0.0014043857839238893,
     "remainder": 0.0,
 }
 CMP2 = {
-    "oracle_mean": -0.0979450047761376,
+    "oracle_mean": -0.09794500476706931,
     "oracle_se": 0.0,
-    "meanfield_omega": -0.11428720833273172,
-    "flatness_error": 0.01099177245359682,
-    "trion_exact": -0.002265893838547994,
-    "trion_meanfield": -0.002291076833778595,
-    "remainder": -1.4404578042298378e-05,
+    "meanfield_omega": -0.11428649347638925,
+    "flatness_error": 0.010991772640006954,
+    "trion_exact": -0.002265893838123829,
+    "trion_meanfield": -0.002291076833781543,
+    "remainder": -1.4404578174250673e-05,
 }
 CMP3 = {
     "oracle_mean": -0.03282132661992589,
     "oracle_se": 0.033652631318664465,
-    "meanfield_omega": -0.0778100475384505,
+    "meanfield_omega": -0.07780471881823753,
     "flatness_error": 0.0063266534845701486,
     "trion_exact": -0.0015558726734152299,
     "trion_meanfield": -0.0015657788134011,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import spinfringe as sf
 from spinfringe import cli
 from spinfringe.config import config_to_text, parse_config
+from spinfringe.meanfield import _bisect_brackets, _residual_tol, _scan_grids
 
 P = sf.ModelParams()
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -50,12 +51,36 @@ def test_steady_states_sorted_converged_alternating(draw):
     assert omegas_f == sorted(omegas_f)
     for r in roots:
         # Where the drift moves by more than the tolerance per ulp, the
-        # bisection stops at float resolution: a sign change within one ulp.
+        # refinement stops at float resolution: a sign change within one ulp.
         g_prev, g, g_next = (sf.drift(np.nextafter(r.omega_f, d), tau, P, mf)
                              for d in (-np.inf, r.omega_f, np.inf))
         tol = mf.relax_tol * mf.kappa * P.sigma
         assert r.residual <= tol or g_prev * g <= 0.0 or g * g_next <= 0.0
     assert all(a.stable != b.stable for a, b in zip(roots, roots[1:]))
+
+
+@SETTINGS
+@given(meanfield_draws())
+def test_refinement_ends_in_its_cell_converged_or_at_the_better_end(draw):
+    # One root per scan bracket, inside the bracket's cell.  Each has
+    # |drift| <= tol, or it sits at float resolution, where it is the end
+    # with the smaller |drift|: the drift changes sign within one ulp and
+    # is no smaller in magnitude there.
+    tau, mf = draw
+    grid, _ = _scan_grids(np.array([tau]), P, mf)
+    gvals = np.asarray(sf.drift(grid, tau, P, mf))
+    cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
+    tol = _residual_tol(P, mf)
+    w, gw = _bisect_brackets(np.full(cells.size, tau), grid[cells], grid[cells + 1],
+                             gvals[cells], gvals[cells + 1], P, mf, tol)
+    assert w.size == gw.size == cells.size
+    assert np.all((grid[cells] <= w) & (w <= grid[cells + 1]))
+    assert gw.tolist() == [sf.drift(x, tau, P, mf) for x in w.tolist()]
+    for x, g in zip(w.tolist(), gw.tolist()):
+        if abs(g) <= tol:
+            continue
+        neighbours = [sf.drift(np.nextafter(x, d), tau, P, mf) for d in (-np.inf, np.inf)]
+        assert any(g * g_n <= 0.0 and abs(g) <= abs(g_n) for g_n in neighbours)
 
 
 @SETTINGS

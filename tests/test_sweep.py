@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import meanfield
+from spinfringe.meanfield import _root_table
 
 P = sf.ModelParams()
 
@@ -189,7 +191,7 @@ def test_nullcline_alpha_zero_single_branch():
     for pt in points:
         assert len(pt.roots) == 1
         assert pt.branch_ids == [0]
-        # Bisection stops at |drift| <= relax_tol*kappa*sigma, so the
+        # Refinement stops at |drift| <= relax_tol*kappa*sigma, so the
         # root of -kappa*omega is pinned to relax_tol*sigma.
         assert abs(pt.roots[0].omega_f) <= 1.5 * mf.relax_tol * P.sigma
 
@@ -320,23 +322,105 @@ def test_fringe_map_rejects_bad_grids():
         sf.fringe_map(np.array([0.0, 1.0]), np.array([0.2, 0.2]), P)
 
 
-# omega_f of every row of two short round trips, recorded before sweeps
-# became lookups in a pooled root table; the values must hold bit for bit.
-# At 1e2 the forward pass meets the narrow root pair near tau = 0.73 (see
+def _relax_walk(sched, mf):
+    """A sweep by one ``relax_to_steady`` call per sample, each with its own
+    one-delay root table: the rows ``run_sweep`` must give."""
+    grid = sched.grid().tolist()
+    order = []
+    if sched.direction in ("forward", "round-trip"):
+        order += [(tau, "fwd") for tau in grid]
+    if sched.direction in ("backward", "round-trip"):
+        order += [(tau, "bwd") for tau in grid[::-1]]
+    rows, omega = [], sched.omega_init
+    for k, (tau, direction) in enumerate(order):
+        if k == 0 or (sched.reset_omega_every and k % sched.reset_omega_every == 0):
+            omega = sched.omega_init
+        ss = sf.relax_to_steady(omega, tau, P, mf)
+        jumped = k > 0 and abs(ss.omega_f - omega) > (math.pi / tau if tau > 0 else math.inf)
+        rows.append(sf.TraceSample(tau=tau, omega_f=ss.omega_f,
+                                   count=sf.count_rate(ss.omega_f, tau, P),
+                                   beta_f=sf.pump_rate(ss.omega_f, P), stable=ss.stable,
+                                   jumped=jumped, direction=direction))
+        omega = ss.omega_f
+    return rows
+
+
+DECADE_TRIP = sf.SweepSchedule(tau_start=0.05, tau_end=1.5, tau_step=0.01)
+
+
+@pytest.mark.parametrize("ratio, sched", [
+    (1e2, DECADE_TRIP),
+    (1e6, DECADE_TRIP),
+    (1e4, sf.SweepSchedule(tau_start=0.05, tau_end=0.6, tau_step=0.01, omega_init=-3.0,
+                           reset_omega_every=17)),
+    (1e3, sf.SweepSchedule(tau_start=0.3, tau_end=0.9, tau_step=0.01, direction="backward")),
+], ids=["1e2", "1e6", "1e4-resets", "1e3-backward"])
+def test_sweep_equals_a_relax_to_steady_walk(ratio, sched):
+    assert run(sched, _ps2(ratio)) == _relax_walk(sched, _ps2(ratio))
+
+
+@pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6])
+def test_sweep_makes_no_drift_call_per_sample(monkeypatch, ratio):
+    # A 146-delay round trip (292 samples): one array drift call per scan
+    # block, one per refinement step, and one per ``_POINT_BLOCK`` seeds
+    # of the walk; a scalar call only for omega_init and a seed that is
+    # no root of the previous delay.
+    calls = {"blocks": 0, "scan": 0, "refine": 0, "walk": 0, "scalar": 0}
+    stage = ["scan"]
+    drift, scan_grids = meanfield.drift, meanfield._scan_grids
+
+    def counting(w, *args):
+        calls["scalar" if np.ndim(w) == 0 else stage[0]] += 1
+        return drift(w, *args)
+
+    def scan(*args):
+        calls["blocks"] += 1
+        return scan_grids(*args)
+
+    def staged(name, fn):
+        def call(*args):
+            stage[0] = name
+            try:
+                return fn(*args)
+            finally:
+                stage[0] = "scan"
+        return call
+
+    monkeypatch.setattr(meanfield, "drift", counting)
+    monkeypatch.setattr(meanfield, "_scan_grids", scan)
+    monkeypatch.setattr(meanfield, "_bisect_brackets",
+                        staged("refine", meanfield._bisect_brackets))
+    monkeypatch.setattr(sf.sweep, "_walk", staged("walk", meanfield._walk))
+    table = _root_table(DECADE_TRIP.grid(), P, _ps2(ratio))
+    seeds = 2 * sum(roots[0].size for roots in table)
+    for key in calls:
+        calls[key] = 0
+    assert len(run(DECADE_TRIP, _ps2(ratio))) == 292
+    assert calls["scan"] == calls["blocks"]
+    assert calls["refine"] <= 40
+    assert calls["walk"] == -(-seeds // meanfield._POINT_BLOCK)
+    assert calls["scalar"] <= 4
+
+
+# omega_f of every row of two short round trips, recorded when each root
+# began to end by safeguarded Anderson-Bjorck steps on the bracket end
+# with the smaller |drift|; the values must hold bit for bit.  Every
+# row lies within relax_tol*kappa*sigma/|g'| of its float-resolution
+# root, as the bisected values it replaced did.  At 1e2 the forward pass
+# meets the narrow root pair near tau = 0.73 (see
 # test_relax_stops_at_first_root_in_its_path); at 1e6 the backward pass
 # crosses tau = 1.09, where the scan misses a root pair.
 SWEEP_PINS = [
     (1e2, sf.SweepSchedule(tau_start=0.70, tau_end=0.76, tau_step=0.01, omega_init=-38.86),
-     [-38.84908762773733, -38.82204140768454, -38.760176875947884, -37.07435564086207,
-      -36.35378894152058, -36.711511442861095, -37.0544346811963, -37.0544346811963,
-      -36.711511442861095, -36.35378894152058, -35.981649304250226, -35.59515670073945,
-      -35.194154295296556, -34.77832224823331]),
+     [-38.84908807565421, -38.82204087685085, -38.76017582085124, -37.07435564086084,
+      -36.35378894613851, -36.7115114752903, -37.054434663514336, -37.054434663514336,
+      -36.7115114752903, -36.35378894613851, -35.98164934102091, -35.59515666272006,
+      -35.19415429641118, -34.77832224690582]),
     (1e6, sf.SweepSchedule(tau_start=1.05, tau_end=1.12, tau_step=0.01),
-     [0.0, -0.22826624784194954, -0.4551899183573119, -0.6806901304647658,
-      -0.9039351214595003, -1.1165462659822754, -1.241153428901005, 0.6795953086951865,
-      0.6795953086951865, 0.9059935831982111, 1.116546265982247, -0.9039351214595003,
-      -0.6806901304647658, -0.4551899183573119, -0.22826624784194954,
-      2.278189281833677e-06]),
+     [0.0, -0.2282609397879341, -0.455189390409379, -0.6806901274345045,
+      -0.9039408050236228, -1.1165478004113376, -1.2411645013099941, 0.6795926318628943,
+      0.6795926318628943, 0.9059973284934656, 1.1165478004113383, -0.9039408050236228,
+      -0.6806901274345045, -0.455189390409379, -0.2282609397879341, 2.2094012110773913e-15]),
 ]
 
 
@@ -347,50 +431,51 @@ def test_sweep_rows_pinned(ratio, sched, want):
 
 
 # (tau, omega_f, stable, residual, branch) of every row of two short
-# nullclines, recorded before nullcline took its roots from one pooled
-# steady_states call and threaded them with a windowed search; the values
-# must hold bit for bit.  At 1e2 two branches end at tau = 0.064 and two
-# new ones open at 0.068; at 1e6 a fold opens branches 1 and 2 at tau =
-# 1.10 and only branch 2 survives to 1.12.
+# nullclines, recorded when the roots began to end by safeguarded
+# Anderson-Bjorck steps; the values must hold bit for bit.  Against the
+# bisected values they replaced, no delay, root count, stable flag or
+# branch moved.  At 1e2 two branches end at tau = 0.064 and two new ones
+# open at 0.068; at 1e6 a fold opens branches 1 and 2 at tau = 1.10 and
+# only branch 2 survives to 1.12.
 NULLCLINE_PINS = [
     (1e2, 0.062 + 0.002 * np.arange(4), [
-        (0.062, -38.87889646704036, True, 5.678491309113465e-09, 0),
-        (0.062, -18.64858181810123, False, 5.063302242758194e-10, 1),
-        (0.062, -2.853554804045774, True, 1.3167260081749232e-09, 2),
-        (0.062, 19.230061953213138, False, 5.555026154346887e-09, 3),
-        (0.062, 36.161556953596666, True, 1.8503144016968065e-09, 4),
-        (0.062, 37.76069048275261, False, 5.219793597355249e-09, 5),
-        (0.062, 38.97053345747643, True, 3.28431865037615e-10, 6),
-        (0.064, -38.87989954666493, True, 3.981738300185e-09, 0),
-        (0.064, -18.683670430201627, False, 1.1642733582784004e-09, 1),
-        (0.064, -3.3140001848246396, True, 4.317068161285853e-10, 2),
-        (0.064, 19.059227726004156, False, 9.943658643013498e-09, 3),
-        (0.064, 36.08295879324842, True, 1.7899767293383384e-09, 4),
-        (0.066, -38.880805554067784, True, 4.742349270225876e-09, 0),
-        (0.066, -18.734862919419996, False, 3.2814657241475587e-11, 1),
-        (0.066, -3.7656868948314246, True, 4.593203361494963e-09, 2),
-        (0.066, 18.743791569172664, False, 2.579547752484812e-09, 3),
-        (0.066, 33.46146233881631, True, 4.738856231034649e-09, 4),
-        (0.068, -38.8816264734738, True, 9.804994094420039e-09, 0),
-        (0.068, -18.80157512969362, False, 2.9206727314434744e-10, 1),
-        (0.068, -4.209333463250612, True, 2.5823713349984456e-09, 2),
-        (0.068, 18.297227311271637, False, 6.435645016900082e-09, 3),
-        (0.068, 31.080632934155055, True, 7.013721176757359e-09, 4),
-        (0.068, 35.583932952474115, False, 2.2477556066435866e-09, 7),
-        (0.068, 38.65356630759279, True, 6.975848398926843e-09, 8)]),
+        (0.062, -38.878896837795146, True, 1.0723060703266007e-09, 0),
+        (0.062, -18.64858181604611, False, 5.138784883729208e-11, 1),
+        (0.062, -2.853554812462356, True, 3.3165414858871145e-12, 2),
+        (0.062, 19.230061789362033, False, 8.532178425585402e-09, 3),
+        (0.062, 36.161557005525495, True, 6.70065232466488e-10, 4),
+        (0.062, 37.760690486030136, False, 3.831644598828454e-09, 5),
+        (0.062, 38.97053345733748, True, 6.216131082092957e-11, 6),
+        (0.064, -38.87989914173366, True, 1.050904127608554e-09, 0),
+        (0.064, -18.683670435518138, False, 3.858355301922245e-11, 1),
+        (0.064, -3.3140001822426166, True, 1.8487624625640464e-12, 2),
+        (0.064, 19.059227848223948, False, 1.0076369148792619e-09, 3),
+        (0.064, 36.08295879193991, True, 6.230215648939108e-11, 4),
+        (0.066, -38.88080508964367, True, 1.0316101861640448e-09, 0),
+        (0.066, -18.734862919639887, False, 1.7904844273886056e-11, 1),
+        (0.066, -3.765686869374002, True, 6.947567521287112e-16, 2),
+        (0.066, 18.743791585590536, False, 1.5502603679939941e-09, 3),
+        (0.066, 33.46146234358601, True, 3.566591466608315e-15, 4),
+        (0.068, -38.88162560350219, True, 1.0141792752826895e-09, 0),
+        (0.068, -18.801575130946624, False, 1.912449365537583e-12, 1),
+        (0.068, -4.209333449755901, True, 2.693197921621593e-11, 2),
+        (0.068, 18.29722716820054, False, 1.381078862383589e-09, 3),
+        (0.068, 31.080632925359684, True, 2.634507195731217e-12, 4),
+        (0.068, 35.58393307670243, False, 1.933977582246893e-09, 7),
+        (0.068, 38.653565626927026, True, 7.148379110866188e-12, 8)]),
     (1e6, 1.05 + 0.01 * np.arange(8), [
-        (1.05, 2.278189281833677e-06, True, 5.3832531171720914e-09, 0),
-        (1.06, -0.22826624784194954, True, 6.500944806780984e-09, 0),
-        (1.07, -0.4551899183573119, True, 4.746670629251701e-11, 0),
-        (1.08, -0.6806901304647658, True, 6.169505284577513e-09, 0),
-        (1.09, -0.9039351214595003, True, 9.97837277334681e-09, 0),
-        (1.1, -1.1165462659822754, True, 1.9904334272371343e-09, 0),
-        (1.1, 7.844219924284799e-06, False, 6.393039232786355e-09, 1),
-        (1.1, 1.116546265982247, True, 1.9904334658347317e-09, 2),
-        (1.11, -1.241153428901005, True, 5.080725096716365e-09, 0),
-        (1.11, -0.8888105799357291, False, 4.868191276529224e-09, 1),
-        (1.11, 0.9059935831982111, True, 6.825291644797088e-09, 2),
-        (1.12, 0.6795953086951865, True, 1.725936697055154e-09, 2)]),
+        (1.05, 2.2094012110773913e-15, True, 4.068897038884429e-18, 0),
+        (1.06, -0.2282609397879341, True, 5.955748210876915e-09, 0),
+        (1.07, -0.455189390409379, True, 1.2328008294651242e-09, 0),
+        (1.08, -0.6806901274345045, True, 6.175727719688086e-09, 0),
+        (1.09, -0.9039408050236228, True, 1.4769511460198392e-11, 0),
+        (1.1, -1.1165478004113376, True, 2.899096544425883e-11, 0),
+        (1.1, -7.104526647471396e-15, False, 7.9733273215465e-18, 1),
+        (1.1, 1.1165478004113383, True, 2.8990969997907956e-11, 2),
+        (1.11, -1.2411645013099941, True, 1.3346010407921938e-10, 0),
+        (1.11, -0.888793647374273, False, 2.2438524810994634e-09, 1),
+        (1.11, 0.9059973284934656, True, 9.033616953438295e-12, 2),
+        (1.12, 0.6795926318628943, True, 4.0812620398034474e-09, 2)]),
 ]
 
 
