@@ -13,9 +13,13 @@ quantity is obtained independently by iterating the per-period pulse map
 to its fixed point (``pulse_map_fixed_point``), which is the validation
 route used by the tests.
 
-Everything here is a pure function of its arguments, safe to call from
-several threads at once.  ``count_rate`` and ``count_rate_curvature``
-accept scalars or numpy arrays with broadcasting.
+``count_rate`` and ``count_rate_curvature`` share one kernel
+(``_fringe_terms``): a single tan(theta/4) per point gives both
+1 - cos(theta) and sin(theta) by the half-angle identities, and every
+omega-derivative of C comes from the same quotient recurrence on
+C d = s_p n.  Both accept scalars or numpy arrays with broadcasting, and
+give each point the same bits in any shape.  Everything here is a pure
+function of its arguments, safe to call from several threads at once.
 """
 
 from __future__ import annotations
@@ -39,55 +43,100 @@ __all__ = [
 ]
 
 
+def _pumping(omega, p: ModelParams):
+    """omega/sigma and the pumping rate beta(omega) [1/ns] of ``pump_rate``."""
+    x = np.asarray(omega, dtype=float) / p.sigma
+    return x, p.beta0 * np.exp(-0.5 * x * x)
+
+
 def pump_rate(omega, p: ModelParams):
     """Optical pumping rate beta(omega) = beta0 * exp(-omega^2 / 2 sigma^2) [1/ns].
 
     Even in omega and monotone nonincreasing in |omega|; total function.
     """
-    x = np.asarray(omega, dtype=float) / p.sigma
-    out = p.beta0 * np.exp(-0.5 * x * x)
+    out = _pumping(omega, p)[1]
     return out if out.ndim else float(out)
 
 
-def _fringe_terms(omega, tau, p: ModelParams):
-    """Shared subexpressions of the count rate and its omega-derivatives.
+def _pumping_terms(omega, p: ModelParams, order: int):
+    """g = 1 - q (by expm1) and qs = [q, q', ...], q = exp(-beta T); see
+    ``_fringe_terms``."""
+    x, beta = _pumping(omega, p)
+    m = -p.T * beta
+    qs = [np.exp(m)]
+    if order:
+        w = x / -p.sigma
+        y = m * qs[0]
+        z, k = w * w, 1.0 / (p.sigma * p.sigma)
+        qs += [w * y, y * (z * (m + 1.0) - k)]
+        if order > 2:
+            qs.append(qs[1] * ((z * m + 3.0 * (z - k)) * m + (z - 3.0 * k)))
+    return -np.expm1(m), qs
 
-    Returns (bt, q, one_minus_q, theta, u, n_num, d_den) where
-    bt = beta(omega) T, q = exp(-bt), theta = (omega0 + omega) tau and
-    u = 1 - cos(theta) computed as 2 sin^2(theta/2) so that the numerator
-    and denominator
 
-        n_num = (1 - q) * u,      d_den = (1 - q) + q * u
-
-    are sums of nonnegative terms (no cancellation near fringe centers
-    or for weak pumping).  d_den == 0 only at the removable 0/0 point
-    where beta*T underflows to zero and theta is a multiple of 2 pi.
-    """
-    omega = np.asarray(omega, dtype=float)
+def _angle_terms(omega, tau, p: ModelParams, order: int):
+    """c = cos(theta) (None at order 0) and us = [u, u', ...], u = 1 - cos(theta),
+    from one tangent; see ``_fringe_terms``."""
     tau = np.asarray(tau, dtype=float)
-    bt = pump_rate(omega, p) * p.T
-    q = np.exp(-bt)
-    one_minus_q = -np.expm1(-bt)
-    theta = (p.omega0 + omega) * tau
-    sin_half = np.sin(0.5 * theta)
-    u = 2.0 * sin_half * sin_half
-    n_num = one_minus_q * u
-    d_den = one_minus_q + q * u
-    return bt, q, one_minus_q, theta, u, n_num, d_den
+    t = np.tan((p.omega0 + np.asarray(omega, dtype=float)) * (0.25 * tau))
+    tt = t * t
+    r2 = 1.0 + tt
+    r2 = r2 * r2  # not ** 2: numpy's scalar power can differ from x * x in the last bit
+    us = [8.0 * tt / r2]
+    if not order:
+        return None, us
+    c = 1.0 - us[0]
+    tau2 = tau * tau
+    us += [tau * (4.0 * t * (1.0 - tt) / r2), tau2 * c]
+    if order > 2:
+        us.append(-tau2 * us[1])
+    return c, us
+
+
+def _fringe_terms(omega, tau, p: ModelParams, order: int = 0):
+    """Shared terms of the count rate and of its omega-derivatives.
+
+    Returns (qs, us, g, c, n, d).  qs = [q, q', q'', ...] with q =
+    exp(-beta T), us = [u, u', u'', ...] with u = 1 - cos(theta) and theta
+    = (omega0 + omega) tau, up to the third derivative at ``order`` 3, the
+    second at 2 and none at 0.  g = 1 - q (by expm1), c = cos(theta) (None
+    at order 0), and
+
+        n = g u,      d = g + q u
+
+    are sums of nonnegative terms, with no cancellation near fringe nulls
+    or for weak pumping.  One tangent t = tan(theta/4) gives both angles:
+
+        u = 2 sin^2(theta/2) = 8 t^2 / (1 + t^2)^2,
+        sin(theta) = 2 sin(theta/2) cos(theta/2) = 4 t (1 - t^2) / (1 + t^2)^2,
+
+    and u' = tau sin(theta), u'' = tau^2 c, u''' = -tau^2 u'.  u is 0 only
+    where t^2 underflows (|theta| < 6.3e-162), in effect at theta = 0; a
+    fringe null theta = 2 pi k != 0 keeps its tiny u > 0 to a few ulps.
+    So d == 0 exactly where theta = 0 and the pumping has underflowed to
+    beta T = 0, not at every multiple of 2 pi.  With m = -beta T,
+    w = -omega/sigma^2 and y = m q the pumping derivatives are
+
+        q' = w y,     q'' = y (w^2 (m + 1) - 1/sigma^2),
+        q''' = q' ((w^2 m + 3 (w^2 - 1/sigma^2)) m + w^2 - 3/sigma^2).
+    """
+    g, qs = _pumping_terms(omega, p, order)
+    c, us = _angle_terms(omega, tau, p, order)
+    return qs, us, g, c, g * us[0], g + qs[0] * us[0]
 
 
 def count_rate(omega, tau, p: ModelParams):
     """Steady-state trion count rate C(omega, tau), dimensionless in [0, 2 s_p].
 
-    The removable 0/0 point (vanishing pumping at a fringe center)
+    The removable 0/0 point (theta = 0 with the pumping underflowed)
     evaluates to 0 by continuity; a NaN input gives NaN.
     """
     *_, n_num, d_den = _fringe_terms(omega, tau, p)
-    ok = d_den != 0.0  # only the removable point; NaN propagates
-    if ok.all():  # the masks would change no value
-        out = p.s_p * n_num / d_den
+    if d_den.all():  # no removable point (NaN is nonzero): a mask would change nothing
+        out = p.s_p * (n_num / d_den)
     else:
-        out = np.where(ok, p.s_p * n_num / np.where(ok, d_den, 1.0), 0.0)
+        ok = d_den != 0.0  # only the removable point; NaN propagates
+        out = np.where(ok, p.s_p * (n_num / np.where(ok, d_den, 1.0)), 0.0)
     return out if out.ndim else float(out)
 
 
@@ -95,50 +144,43 @@ def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
     """Count rate and its omega-derivatives, closed form.
 
     Returns (C, C', C''), and C''' too only with ``third=True``; C, C', C''
-    have the same bits either way.  Differentiating C d = s_p n (terms of
-    ``_fringe_terms``) gives C''' = (s_p n''' - 3 C'' d' - 3 C' d'' - C d''') / d.
+    have the same bits either way, and C has those of ``count_rate``.
+    Differentiating C d = s_p n (terms of ``_fringe_terms``) k times gives
+    one quotient recurrence for every derivative,
+
+        C^(k) = (s_p n^(k) - sum_{j=1..k} binom(k, j) C^(k-j) d^(j)) / d,
+
+    where Leibniz on n = g u and d = g + q u, with g' = -q', gives
+
+        n^(k) = g u^(k) - q^(k) u - r_k,     d^(k) = q u^(k) - q^(k) c + r_k,
+        r_k = sum_{j=1..k-1} binom(k, j) q^(j) u^(k-j)     (r_1 = 0).
+
     The tests check each derivative against five-point finite differences
-    of the one below.  At the removable 0/0 point all values are 0 (the
-    function is identically zero along the underflowed-pumping region); a
-    NaN input gives NaN.
+    of the one below.  At the removable 0/0 point (theta = 0 with the
+    pumping underflowed) all values are 0, as C is identically zero along
+    the underflowed-pumping region; a NaN input gives NaN.
     """
-    omega = np.asarray(omega, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
-    sig2 = p.sigma * p.sigma
-    bt, q, one_minus_q, theta, u, n0, d0 = _fringe_terms(omega, tau_arr, p)
-
-    bt1 = -(omega / sig2) * bt                    # d(beta T)/d omega
-    bt2 = (omega * omega / sig2 - 1.0) / sig2 * bt
-    q1 = -bt1 * q
-    q2 = (bt1 * bt1 - bt2) * q
-
-    c = 1.0 - u
-    u1 = tau_arr * np.sin(theta)
-    u2 = tau_arr * tau_arr * c
-
-    n1 = -q1 * u + one_minus_q * u1
-    n2 = -q2 * u - 2.0 * q1 * u1 + one_minus_q * u2
-
-    d1 = q1 * (u - 1.0) + q * u1
-    d2 = q2 * (u - 1.0) + 2.0 * q1 * u1 + q * u2
-
-    ok = d0 != 0.0  # only the removable point; NaN propagates
-    clean = ok.all()  # then the masks would change no value
-    d0s = d0 if clean else np.where(ok, d0, 1.0)
-    cval = p.s_p * n0 / d0s
-    cd1 = p.s_p * (n1 * d0 - n0 * d1) / (d0s * d0s)
-    cd2 = p.s_p * (n2 * d0 * d0 - 2.0 * n1 * d1 * d0 - n0 * d2 * d0 + 2.0 * n0 * d1 * d1) / (d0s * d0s * d0s)
-    out = (cval, cd1, cd2)
+    (q, q1, q2, *q3), (u, u1, u2, *u3), g, c, n, d = \
+        _fringe_terms(omega, tau, p, 3 if third else 2)
+    clean = d.all()  # no removable point (NaN is nonzero): masks would change nothing
+    if not clean:
+        ok = d != 0.0  # only the removable point; NaN propagates
+        d = np.where(ok, d, 1.0)
+    s_p = p.s_p
+    d1 = q * u1 - q1 * c
+    r2 = 2.0 * (q1 * u1)
+    d2 = q * u2 - q2 * c + r2
+    c0 = s_p * (n / d)
+    c1 = (s_p * (g * u1 - q1 * u) - c0 * d1) / d
+    out = (c0, c1, (s_p * (g * u2 - q2 * u - r2) - 2.0 * c1 * d1 - c0 * d2) / d)
     if third:
-        bt3 = -(omega / sig2) * bt2 - 2.0 * bt1 / sig2
-        q3 = (3.0 * bt1 * bt2 - bt3 - bt1 * bt1 * bt1) * q
-        u3 = -tau_arr * tau_arr * u1
-        n3 = -q3 * u - 3.0 * q2 * u1 - 3.0 * q1 * u2 + one_minus_q * u3
-        d3 = q3 * (u - 1.0) + 3.0 * q2 * u1 + 3.0 * q1 * u2 + q * u3
-        out += ((p.s_p * n3 - 3.0 * cd2 * d1 - 3.0 * cd1 * d2 - cval * d3) / d0s,)
+        (q3,), (u3,), c2 = q3, u3, out[2]
+        r3 = 3.0 * (q1 * u2 + q2 * u1)
+        d3 = q * u3 - q3 * c + r3
+        out += ((s_p * (g * u3 - q3 * u - r3) - 3.0 * (c2 * d1 + c1 * d2) - c0 * d3) / d,)
     if not clean:
         out = tuple(np.where(ok, x, 0.0) for x in out)
-    if cval.ndim:
+    if c0.ndim:
         return out
     return tuple(map(float, out))
 

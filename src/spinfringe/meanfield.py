@@ -129,18 +129,25 @@ def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.n
 
 
 # Scan points per block of delays in ``_root_table``; each block takes one
-# drift call, whose kernel holds about 190 bytes per point.  Measured with
-# ``perfbench`` on a shared 2-core host: ``sweep-decades`` norm_wall_s is
+# drift call, whose kernel holds about 153 bytes per point (10**4 points,
+# traced).  Measured with ``perfbench`` on a shared 2-core host, with the
+# two-sine kernel of 193 bytes a point: ``sweep-decades`` norm_wall_s is
 # 0.29-0.34 s with one drift call per delay, 0.26 s at 2**11, 0.22-0.25 s
 # at 2**12 and 0.21-0.22 s at 2**13; ``nullcline`` peak_rss_mb is
 # 41.5-41.7, 41.8-41.9, 42.0-42.3 and 43.0-43.2 MB.  One block of all
 # delays traced 28 MB on a 146-delay sweep and 138 MB on 726 delays.
+# With the one-tangent kernel, the five 146-delay tables of a step-0.01
+# sweep at ps2 ratios 1e2-1e6 took medians of 244, 184, 186 and 189 ms
+# in process at 2**11, 2**12, 2**13 and 2**14 (12 interleaved rounds),
+# and one table traced 0.97, 1.18, 1.80 and 3.32 MB: past 2**12 a larger
+# block buys no time.
 _SCAN_BLOCK = 2 ** 12
 _CLUSTER = 41  # scan points around each fringe null
 # Points per drift call at most in the refinement and in a walk's seed
 # drifts, whose counts grow with the roots.  A refinement pass holds
 # about twice the bytes per point of a scan block.  Traced peaks of a
-# step-0.01 round-trip ``run_sweep`` at ps2 ratios 1e2-1e5: 1.4 MB at
+# step-0.01 round-trip ``run_sweep`` at ps2 ratios 1e2-1e5, with the
+# two-sine kernel of 193 bytes a point: 1.4 MB at
 # 2**11, 1.9 MB at 2**12 and 1.9-2.6 MB at 2**13, where one bisection
 # pass of all brackets took 1.5-2.1 MB; the time did not move beyond
 # noise.  On the default 726-delay grid at 1e2 (28,446 roots) one call
@@ -176,10 +183,10 @@ def _scan_sizes(taus: np.ndarray, p: ModelParams,
     return n, first, count
 
 
-def _scan_grids(taus: np.ndarray, p: ModelParams,
-                mf: MeanFieldParams) -> tuple[np.ndarray, np.ndarray]:
+def _scan_grids(taus: np.ndarray, p: ModelParams, mf: MeanFieldParams,
+                sizes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The scan grids of the delays ``taus``, concatenated in their order,
-    and the number of points of each.
+    and the number of points of each; ``sizes`` is their ``_scan_sizes``.
 
     Each grid is sorted on [-W, W], with no point twice: the uniform scan
     of ``_scan_sizes``, enriched near fringe nulls.  Near a null of
@@ -193,7 +200,7 @@ def _scan_grids(taus: np.ndarray, p: ModelParams,
     and one ``linspace`` call for all clusters, sorted along the rows.
     """
     w_max = mf.omega_bracket
-    n, first, count = _scan_sizes(taus, p, mf)
+    n, first, count = sizes
     row = np.repeat(np.arange(taus.size), count)
     k = first[row] + (np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
     tau = taus[row]
@@ -222,23 +229,27 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
     """The roots of the drift the scan finds at each delay of ``taus`` (at
     least one): arrays (omega, stable, residual) per delay, sorted by omega.
 
-    The delays go in blocks of about ``_SCAN_BLOCK`` scan points, and the
-    ``_scan_grids`` of each block take one array drift call.  A sign change
-    between neighbouring points of one delay is a bracket, an exact zero
-    a bracket of width zero.  The brackets of all delays are refined
-    together from the drifts at their ends, ``_POINT_BLOCK`` brackets per
-    ``_bisect_brackets`` pass.  Raises ValueError for a non-finite tau.
+    One ``_scan_sizes`` call sizes the scans of all delays.  The delays go
+    in blocks of about ``_SCAN_BLOCK`` scan points, and the ``_scan_grids``
+    of each block, built from its slice of those sizes, take one array
+    drift call.  A sign change between neighbouring points of one delay
+    is a bracket, an exact zero a bracket of width zero.  The brackets of
+    all delays are refined together from the drifts at their ends,
+    ``_POINT_BLOCK`` brackets per ``_bisect_brackets`` pass.  Raises
+    ValueError for a non-finite tau.
     """
     taus = np.array(taus, dtype=float, ndmin=1)
     if not np.all(np.isfinite(taus)):
         raise ValueError(f"non-finite tau {float(taus[~np.isfinite(taus)][0])!r}")
-    n, _, count = _scan_sizes(taus, p, mf)
+    sizes = _scan_sizes(taus, p, mf)
+    n, _, count = sizes
     size = n + _CLUSTER * count  # the points of each grid, at most
     block = (np.cumsum(size) - size) // _SCAN_BLOCK
     edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, taus.size].tolist()
     parts = []  # (delay, lo, hi, g_lo, g_hi) of every bracket
     for start, stop in zip(edges[:-1], edges[1:]):
-        grid, points = _scan_grids(taus[start:stop], p, mf)
+        grid, points = _scan_grids(taus[start:stop], p, mf,
+                                   tuple(a[start:stop] for a in sizes))
         delay = np.repeat(np.arange(start, stop), points)
         gvals = drift(grid, taus[delay], p, mf)
         zero = np.flatnonzero(gvals == 0.0)

@@ -1,11 +1,13 @@
 """Pulse-period physics: count rate, pulse-map oracle, golden-rule rate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spinfringe as sf
+from spinfringe import fringe
 from spinfringe.fringe import _fringe_terms
 
 P = sf.ModelParams()
@@ -235,3 +237,130 @@ def test_third_derivative_matches_finite_differences_of_second(beta0):
     c3 = sf.count_rate_curvature(omega, tau, p, third=True)[3]
     rel = np.abs(c3 - fd) / np.maximum(np.maximum(np.abs(c3), np.abs(fd)), 1e-6)
     assert rel.max() <= 1e-4
+
+
+def _bits(x):
+    """The bytes of x, every NaN as numpy's one NaN (a NaN's sign bit
+    depends on the loop numpy takes)."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+_MF = sf.MeanFieldParams(kappa=1e-3, alpha=0.05)
+# Every kernel on the one-tangent terms, each returning a tuple of outputs.
+_KERNELS = {"count_rate": lambda w, t: (sf.count_rate(w, t, P),),
+            "curvature": lambda w, t: sf.count_rate_curvature(w, t, P),
+            "third": lambda w, t: sf.count_rate_curvature(w, t, P, third=True),
+            "drift": lambda w, t: (sf.drift(w, t, P, _MF),)}
+
+
+def test_kernels_give_the_same_bits_in_any_shape():
+    # Each point alone as scalars, in a 1-d array, and in broadcast shapes
+    # (omega column x tau row, scalar x array both ways), with the
+    # removable 0/0 point (tau = 0, pumping underflowed at omega = 1e3) and
+    # NaN among them.
+    rng = np.random.default_rng(10)
+    omega = np.r_[rng.uniform(-40.0, 40.0, 400), 0.0, 1e3, math.nan]
+    tau = np.r_[rng.uniform(0.02, 1.5, 7), 0.0, 2.0 * math.pi / P.omega0, math.nan]
+    assert _fringe_terms(1e3, 0.0, P)[-1] == 0.0
+    for name, kernel in _KERNELS.items():
+        single = [[kernel(w, t) for t in tau.tolist()] for w in omega.tolist()]
+        assert all(type(v) is float for row in single for vals in row for v in vals), name
+        grid = kernel(omega[:, None], tau[None, :])
+        flat = kernel(np.repeat(omega, tau.size), np.tile(tau, omega.size))
+        for k, (g, f) in enumerate(zip(grid, flat)):
+            want = np.array([[vals[k] for vals in row] for row in single])
+            assert _bits(g) == _bits(want) and _bits(f) == _bits(want.ravel()), name
+            for i, w in enumerate(omega.tolist()):
+                assert _bits(kernel(w, tau)[k]) == _bits(want[i]), name
+            for j, t in enumerate(tau.tolist()):
+                assert _bits(kernel(omega, t)[k]) == _bits(want[:, j]), name
+
+
+class _CountingNumpy:
+    """Stands in for ``numpy`` in ``fringe``, counting the trig calls."""
+
+    def __init__(self):
+        self.calls = {"tan": 0, "sin": 0, "cos": 0}
+
+    def __getattr__(self, name):
+        if name not in self.calls:
+            return getattr(np, name)
+
+        def call(*args, **kwargs):
+            self.calls[name] += 1
+            return getattr(np, name)(*args, **kwargs)
+        return call
+
+
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+def test_one_kernel_call_takes_one_tangent_and_no_sine(monkeypatch, kernel, shape):
+    w, t = (0.3, 0.17) if shape == "scalar" else (np.linspace(-40, 40, 1000), 0.17)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(fringe, "np", counting)
+    _KERNELS[kernel](w, t)
+    assert counting.calls == {"tan": 1, "sin": 0, "cos": 0}
+
+
+def _peak_bytes(fn):
+    fn()  # first-call allocations
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_hold_no_more_memory_than_the_sine_kernel():
+    # The two-sine kernel this one replaced traced 193 bytes a point in
+    # ``drift`` at 10^4 points and a 20.7 MB peak in the 601 x 751
+    # ``fringe_map``; the one-tangent kernel holds about 153 and 15.
+    rng = np.random.default_rng(11)
+    omega, tau = rng.uniform(-40.0, 40.0, 10_000), rng.uniform(0.05, 1.5, 10_000)
+    assert _peak_bytes(lambda: sf.drift(omega, tau, P, _MF)) / omega.size <= 193
+    grids = np.linspace(-40.0, 40.0, 601), np.linspace(0.0, 1.5, 751)
+    assert _peak_bytes(lambda: sf.fringe_map(*grids, P)) <= 20.7e6
+
+
+def _near(x, ulps):
+    """x and its neighbours up to ``ulps`` floats away on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_one_tangent_angles_match_sine_references():
+    # u = 1 - cos(theta) and tau sin(theta) from tan(theta/4) against
+    # math.sin, in units of the larger of the reference's ulp and theta's
+    # own rounding |theta| 2^-52: at theta = 0, near fringe nulls 2 pi k of
+    # both parities (theta/4 near a zero and near a pole of tan), near
+    # odd multiples of pi, and over |theta| <= 1e4.  Near the nulls u is a
+    # sum of nonnegative terms, so its error is also a few ulps of u.
+    p = sf.ModelParams(omega0=0.0)  # theta = omega at tau = 1, exactly
+    thetas, nulls = [0.0, 5e-324, 1e-300], []
+    for k in [*range(-40, 41), -1591, 1591]:
+        for centre, nullish in ((2.0 * math.pi * k, True), ((2 * k + 1) * math.pi, False)):
+            near = _near(centre, 4) + [centre * (1 + 1e-9), centre * (1 - 1e-9),
+                                       centre + 1e-6, centre - 1e-6]
+            thetas += near
+            nulls += near if nullish and k else []
+    rng = np.random.default_rng(12)
+    thetas += rng.uniform(-1e4, 1e4, 20_000).tolist() + rng.uniform(-7.0, 7.0, 20_000).tolist()
+    _, (u, sin_tau, *_), *_ = _fringe_terms(np.array(thetas), 1.0, p, 2)
+    worst_u = worst_sin = 0.0
+    for theta, u_k, s_k in zip(thetas, u.tolist(), sin_tau.tolist()):
+        half = math.sin(0.5 * theta)
+        u_ref, s_ref = 2.0 * half * half, math.sin(theta)
+        floor = abs(theta) * 2.0 ** -52
+        worst_u = max(worst_u, abs(u_k - u_ref) / max(math.ulp(u_ref), floor))
+        worst_sin = max(worst_sin, abs(s_k - s_ref) / max(math.ulp(s_ref), floor))
+    assert u[0] == 0.0 and sin_tau[0] == 0.0
+    assert worst_u <= 4.0 and worst_sin <= 4.0
+    _, (u_null, *_), *_ = _fringe_terms(np.array(nulls), 1.0, p, 2)
+    ref = np.array([2.0 * math.sin(0.5 * x) ** 2 for x in nulls])
+    assert np.all(u_null > 0.0)
+    assert np.max(np.abs(u_null - ref) / np.spacing(ref)) <= 8.0

@@ -10,7 +10,7 @@ import spinfringe as sf
 from spinfringe.errors import BracketEscapeError
 from spinfringe import meanfield
 from spinfringe.meanfield import (_REFINE_MAX_ITER, _bisect_brackets, _residual_tol,
-                                  _root_table, _scan_grids, _slope)
+                                  _root_table, _scan_grids, _scan_sizes, _slope)
 
 P = sf.ModelParams()
 
@@ -218,7 +218,9 @@ def test_relax_from_a_root_at_float_resolution(tau, seed, want):
 def _refined_sign_changes(tau, mf):
     """Drift sign changes on the scan grid merged with 200001 uniform points."""
     w = mf.omega_bracket
-    grid = np.union1d(_scan_grids(np.array([tau]), P, mf)[0], np.linspace(-w, w, 200_001))
+    taus = np.array([tau])
+    grid = np.union1d(_scan_grids(taus, P, mf, _scan_sizes(taus, P, mf))[0],
+                      np.linspace(-w, w, 200_001))
     g = np.asarray(sf.drift(grid, tau, P, mf))
     return int(np.count_nonzero(g[:-1] * g[1:] < 0.0) + np.count_nonzero(g == 0.0))
 
@@ -290,7 +292,7 @@ def test_scan_grid_matches_per_null_clusters():
         mf = sf.MeanFieldParams(kappa=1e-3, alpha=1e-3 / 10 ** rng.uniform(-4, 0))
         taus = np.where(rng.random(300) < 0.5, 0.0, rng.uniform(0.02, 1.5, 300))
         want = [_scan_grid_per_null(tau, p, mf) for tau in taus.tolist()]
-        grid, points = _scan_grids(taus, p, mf)
+        grid, points = _scan_grids(taus, p, mf, _scan_sizes(taus, p, mf))
         assert points.tolist() == [g.size for g in want]
         assert grid.tobytes() == np.concatenate(want).tobytes()
 
@@ -310,7 +312,8 @@ def _refinement_cases():
 
 def _scan_brackets(tau, mf):
     """The sign-change cells of one delay's scan: lo, hi, g_lo, g_hi."""
-    grid, _ = _scan_grids(np.array([tau]), P, mf)
+    taus = np.array([tau])
+    grid, _ = _scan_grids(taus, P, mf, _scan_sizes(taus, P, mf))
     gvals = np.asarray(sf.drift(grid, tau, P, mf))
     cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
     return grid[cells], grid[cells + 1], gvals[cells], gvals[cells + 1]
@@ -432,6 +435,19 @@ def test_root_table_is_the_same_for_any_block_budget(monkeypatch, ratio, window)
         monkeypatch.setattr(meanfield, "_POINT_BLOCK", 1)
         assert table(delays, default) == want
         monkeypatch.setattr(meanfield, "_POINT_BLOCK", point_default)
+
+
+def test_root_table_sizes_the_scans_once(monkeypatch):
+    # One _scan_sizes call for all delays; each scan block takes its slice.
+    sizes, grids = meanfield._scan_sizes, meanfield._scan_grids
+    calls, blocks = [], []
+    monkeypatch.setattr(meanfield, "_scan_sizes",
+                        lambda taus, *a: calls.append(taus.size) or sizes(taus, *a))
+    monkeypatch.setattr(meanfield, "_scan_grids",
+                        lambda taus, *a: blocks.append(taus.size) or grids(taus, *a))
+    taus = 0.05 + 0.01 * np.arange(146)
+    _root_table(taus, P, _ps2(1e4))
+    assert calls == [taus.size] and len(blocks) > 1 and sum(blocks) == taus.size
 
 
 def test_root_table_scan_holds_one_block_in_memory(monkeypatch):

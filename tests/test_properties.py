@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import spinfringe as sf
 from spinfringe import cli
 from spinfringe.config import config_to_text, parse_config
-from spinfringe.meanfield import _bisect_brackets, _residual_tol, _scan_grids
+from spinfringe.meanfield import _bisect_brackets, _residual_tol, _scan_grids, _scan_sizes
 
 P = sf.ModelParams()
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -67,7 +67,8 @@ def test_refinement_ends_in_its_cell_converged_or_at_the_better_end(draw):
     # with the smaller |drift|: the drift changes sign within one ulp and
     # is no smaller in magnitude there.
     tau, mf = draw
-    grid, _ = _scan_grids(np.array([tau]), P, mf)
+    taus = np.array([tau])
+    grid, _ = _scan_grids(taus, P, mf, _scan_sizes(taus, P, mf))
     gvals = np.asarray(sf.drift(grid, tau, P, mf))
     cells = np.flatnonzero(gvals[:-1] * gvals[1:] < 0.0)
     tol = _residual_tol(P, mf)

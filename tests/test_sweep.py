@@ -404,23 +404,25 @@ def test_sweep_makes_no_drift_call_per_sample(monkeypatch, ratio):
 
 # omega_f of every row of two short round trips, recorded when each root
 # began to end by safeguarded Anderson-Bjorck steps on the bracket end
-# with the smaller |drift|; the values must hold bit for bit.  Every
-# row lies within relax_tol*kappa*sigma/|g'| of its float-resolution
-# root, as the bisected values it replaced did.  At 1e2 the forward pass
+# with the smaller |drift|, and re-recorded when the fringe kernel took
+# its angles from one tangent (no row moved by more than 1.5e-14); the
+# values must hold bit for bit.  Every row lies within
+# relax_tol*kappa*sigma/|g'| of its float-resolution root, as the
+# bisected values it replaced did.  At 1e2 the forward pass
 # meets the narrow root pair near tau = 0.73 (see
 # test_relax_stops_at_first_root_in_its_path); at 1e6 the backward pass
 # crosses tau = 1.09, where the scan misses a root pair.
 SWEEP_PINS = [
     (1e2, sf.SweepSchedule(tau_start=0.70, tau_end=0.76, tau_step=0.01, omega_init=-38.86),
-     [-38.84908807565421, -38.82204087685085, -38.76017582085124, -37.07435564086084,
-      -36.35378894613851, -36.7115114752903, -37.054434663514336, -37.054434663514336,
-      -36.7115114752903, -36.35378894613851, -35.98164934102091, -35.59515666272006,
-      -35.19415429641118, -34.77832224690582]),
+     [-38.84908807565421, -38.82204087685085, -38.760175820851245, -37.07435564086084,
+      -36.35378894613851, -36.711511475290315, -37.05443466351432, -37.05443466351432,
+      -36.711511475290315, -36.35378894613851, -35.98164934102091, -35.595156662720065,
+      -35.19415429641117, -34.778322246905816]),
     (1e6, sf.SweepSchedule(tau_start=1.05, tau_end=1.12, tau_step=0.01),
-     [0.0, -0.2282609397879341, -0.455189390409379, -0.6806901274345045,
-      -0.9039408050236228, -1.1165478004113376, -1.2411645013099941, 0.6795926318628943,
-      0.6795926318628943, 0.9059973284934656, 1.1165478004113383, -0.9039408050236228,
-      -0.6806901274345045, -0.455189390409379, -0.2282609397879341, 2.2094012110773913e-15]),
+     [0.0, -0.22826093978793413, -0.455189390409379, -0.6806901274345044, -0.9039408050236226,
+      -1.1165478004113376, -1.2411645013099941, 0.6795926318628944, 0.6795926318628944,
+      0.9059973284934655, 1.1165478004113385, -0.9039408050236226, -0.6806901274345044,
+      -0.455189390409379, -0.22826093978793413, 2.243577814350375e-15]),
 ]
 
 
@@ -432,50 +434,51 @@ def test_sweep_rows_pinned(ratio, sched, want):
 
 # (tau, omega_f, stable, residual, branch) of every row of two short
 # nullclines, recorded when the roots began to end by safeguarded
-# Anderson-Bjorck steps; the values must hold bit for bit.  Against the
-# bisected values they replaced, no delay, root count, stable flag or
-# branch moved.  At 1e2 two branches end at tau = 0.064 and two new ones
+# Anderson-Bjorck steps, and re-recorded when the fringe kernel took its
+# angles from one tangent; the values must hold bit for bit.  Against
+# the values they replaced, no delay, root count, stable flag or branch
+# moved.  At 1e2 two branches end at tau = 0.064 and two new ones
 # open at 0.068; at 1e6 a fold opens branches 1 and 2 at tau = 1.10 and
 # only branch 2 survives to 1.12.
 NULLCLINE_PINS = [
     (1e2, 0.062 + 0.002 * np.arange(4), [
         (0.062, -38.878896837795146, True, 1.0723060703266007e-09, 0),
-        (0.062, -18.64858181604611, False, 5.138784883729208e-11, 1),
-        (0.062, -2.853554812462356, True, 3.3165414858871145e-12, 2),
-        (0.062, 19.230061789362033, False, 8.532178425585402e-09, 3),
-        (0.062, 36.161557005525495, True, 6.70065232466488e-10, 4),
-        (0.062, 37.760690486030136, False, 3.831644598828454e-09, 5),
-        (0.062, 38.97053345733748, True, 6.216131082092957e-11, 6),
+        (0.062, -18.64858181604611, False, 5.1387571281535926e-11, 1),
+        (0.062, -2.8535548124623547, True, 3.31664687033828e-12, 2),
+        (0.062, 19.230061789362033, False, 8.532178217418585e-09, 3),
+        (0.062, 36.16155700552549, True, 6.700651283830794e-10, 4),
+        (0.062, 37.760690486030136, False, 3.831644640461818e-09, 5),
+        (0.062, 38.97053345733748, True, 6.216138714876251e-11, 6),
         (0.064, -38.87989914173366, True, 1.050904127608554e-09, 0),
         (0.064, -18.683670435518138, False, 3.858355301922245e-11, 1),
-        (0.064, -3.3140001822426166, True, 1.8487624625640464e-12, 2),
-        (0.064, 19.059227848223948, False, 1.0076369148792619e-09, 3),
-        (0.064, 36.08295879193991, True, 6.230215648939108e-11, 4),
+        (0.064, -3.3140001822426175, True, 1.8489003730803866e-12, 2),
+        (0.064, 19.059227848223944, False, 1.007637119576632e-09, 3),
+        (0.064, 36.082958791939916, True, 6.2319420457424e-11, 4),
         (0.066, -38.88080508964367, True, 1.0316101861640448e-09, 0),
-        (0.066, -18.734862919639887, False, 1.7904844273886056e-11, 1),
-        (0.066, -3.765686869374002, True, 6.947567521287112e-16, 2),
-        (0.066, 18.743791585590536, False, 1.5502603679939941e-09, 3),
-        (0.066, 33.46146234358601, True, 3.566591466608315e-15, 4),
-        (0.068, -38.88162560350219, True, 1.0141792752826895e-09, 0),
+        (0.066, -18.734862919639887, False, 1.790526060752029e-11, 1),
+        (0.066, -3.765686869374001, True, 5.546778314435841e-16, 2),
+        (0.066, 18.743791585590525, False, 1.5502611902529218e-09, 3),
+        (0.066, 33.46146234358601, True, 3.490263633665336e-15, 4),
+        (0.068, -38.88162560350219, True, 1.0141792891604773e-09, 0),
         (0.068, -18.801575130946624, False, 1.912449365537583e-12, 1),
-        (0.068, -4.209333449755901, True, 2.693197921621593e-11, 2),
-        (0.068, 18.29722716820054, False, 1.381078862383589e-09, 3),
-        (0.068, 31.080632925359684, True, 2.634507195731217e-12, 4),
-        (0.068, 35.58393307670243, False, 1.933977582246893e-09, 7),
-        (0.068, 38.653565626927026, True, 7.148379110866188e-12, 8)]),
+        (0.068, -4.209333449755902, True, 2.6931770182037074e-11, 2),
+        (0.068, 18.297227168200532, False, 1.3810794799451465e-09, 3),
+        (0.068, 31.080632925359684, True, 2.634430867898274e-12, 4),
+        (0.068, 35.583933076702436, False, 1.9339779777638455e-09, 7),
+        (0.068, 38.653565626927026, True, 7.14836523307838e-12, 8)]),
     (1e6, 1.05 + 0.01 * np.arange(8), [
-        (1.05, 2.2094012110773913e-15, True, 4.068897038884429e-18, 0),
-        (1.06, -0.2282609397879341, True, 5.955748210876915e-09, 0),
-        (1.07, -0.455189390409379, True, 1.2328008294651242e-09, 0),
-        (1.08, -0.6806901274345045, True, 6.175727719688086e-09, 0),
-        (1.09, -0.9039408050236228, True, 1.4769511460198392e-11, 0),
-        (1.1, -1.1165478004113376, True, 2.899096544425883e-11, 0),
-        (1.1, -7.104526647471396e-15, False, 7.9733273215465e-18, 1),
-        (1.1, 1.1165478004113383, True, 2.8990969997907956e-11, 2),
-        (1.11, -1.2411645013099941, True, 1.3346010407921938e-10, 0),
-        (1.11, -0.888793647374273, False, 2.2438524810994634e-09, 1),
-        (1.11, 0.9059973284934656, True, 9.033616953438295e-12, 2),
-        (1.12, 0.6795926318628943, True, 4.0812620398034474e-09, 2)]),
+        (1.05, 2.243577814350375e-15, True, 4.038971854862546e-18, 0),
+        (1.06, -0.22826093978793413, True, 5.955748210605865e-09, 0),
+        (1.07, -0.455189390409379, True, 1.2328008294109141e-09, 0),
+        (1.08, -0.6806901274345044, True, 6.175727719688086e-09, 0),
+        (1.09, -0.9039408050236226, True, 1.476951070125687e-11, 0),
+        (1.1, -1.1165478004113376, True, 2.8990965661099266e-11, 0),
+        (1.1, -7.1045266474713996e-15, False, 7.973327321546498e-18, 1),
+        (1.1, 1.1165478004113385, True, 2.8990969997907956e-11, 2),
+        (1.11, -1.2411645013099941, True, 1.3346010386237894e-10, 0),
+        (1.11, -0.8887936473742728, False, 2.243852480882623e-09, 1),
+        (1.11, 0.9059973284934655, True, 9.033616953438295e-12, 2),
+        (1.12, 0.6795926318628944, True, 4.081262039911868e-09, 2)]),
 ]
 
 
