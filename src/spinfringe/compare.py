@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GridTooSmallError
 from .fokker_planck import GridSpec, MomentReport, auto_grid, fp_grid_solve
 from .langevin import evolve_trajectories
-from .meanfield import _root_table, _walk
+from .meanfield import relax_to_steady
 from .params import Lattice, MeanFieldParams, ModelParams
 
 __all__ = ["CompareRow", "compare_meanfield"]
@@ -120,8 +120,7 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
         t_end = 10.0 / max(lat.d_bath, 1e-300)
 
     # Pre-run the mean-field continuation, the walk of a sweep, to size the oracle grid.
-    mf_omegas = [ss.omega_f for ss in _walk(taus, _root_table(taus, p, mf),
-                                            float(omega_init), p, mf)]
+    mf_omegas = [ss.omega_f for ss in relax_to_steady(omega_init, taus, p, mf)]
     lo = min(min(mf_omegas), omega_init)
     hi = max(max(mf_omegas), omega_init)
 

@@ -13,11 +13,10 @@ The sign-change brackets of all delays are then refined together by
 safeguarded secant steps from the scan's own end drifts
 (``_bisect_brackets``).  ``steady_states`` is its public call, on one
 delay or on a whole delay grid; ``nullcline`` makes one such call.
-``relax_to_steady``, the continuation step of sweeps, is a lookup in
-that table with no root search of its own; sweeps build one table for
-all their delays and walk it with the same lookup (``_walk``).  Where no
-crossing shows stability, the sign of the closed-form drift slope
-(``_slope``) does.
+``relax_to_steady``, the continuation of sweeps, walks one delay or a
+path of delays by a lookup in one such table of all its distinct delays,
+with no root search of its own.  Where no crossing shows stability, the
+sign of the closed-form drift slope (``_slope``) does.
 """
 
 from __future__ import annotations
@@ -130,28 +129,16 @@ def _bisect_brackets(tau: np.ndarray, lo: np.ndarray, hi: np.ndarray, g_lo: np.n
 
 # Scan points per block of delays in ``_root_table``; each block takes one
 # drift call, whose kernel holds about 153 bytes per point (10**4 points,
-# traced).  Measured with ``perfbench`` on a shared 2-core host, with the
-# two-sine kernel of 193 bytes a point: ``sweep-decades`` norm_wall_s is
-# 0.29-0.34 s with one drift call per delay, 0.26 s at 2**11, 0.22-0.25 s
-# at 2**12 and 0.21-0.22 s at 2**13; ``nullcline`` peak_rss_mb is
-# 41.5-41.7, 41.8-41.9, 42.0-42.3 and 43.0-43.2 MB.  One block of all
-# delays traced 28 MB on a 146-delay sweep and 138 MB on 726 delays.
-# With the one-tangent kernel, the five 146-delay tables of a step-0.01
-# sweep at ps2 ratios 1e2-1e6 took medians of 244, 184, 186 and 189 ms
-# in process at 2**11, 2**12, 2**13 and 2**14 (12 interleaved rounds),
-# and one table traced 0.97, 1.18, 1.80 and 3.32 MB: past 2**12 a larger
-# block buys no time.
+# traced).  The five 146-delay tables of a step-0.01 sweep at ps2 ratios
+# 1e2-1e6 took medians of 244, 184, 186 and 189 ms in process at 2**11,
+# 2**12, 2**13 and 2**14 (12 interleaved rounds), and one table traced
+# 0.97, 1.18, 1.80 and 3.32 MB: past 2**12 a larger block buys no time.
 _SCAN_BLOCK = 2 ** 12
 _CLUSTER = 41  # scan points around each fringe null
 # Points per drift call at most in the refinement and in a walk's seed
-# drifts, whose counts grow with the roots.  A refinement pass holds
-# about twice the bytes per point of a scan block.  Traced peaks of a
-# step-0.01 round-trip ``run_sweep`` at ps2 ratios 1e2-1e5, with the
-# two-sine kernel of 193 bytes a point: 1.4 MB at
-# 2**11, 1.9 MB at 2**12 and 1.9-2.6 MB at 2**13, where one bisection
-# pass of all brackets took 1.5-2.1 MB; the time did not move beyond
-# noise.  On the default 726-delay grid at 1e2 (28,446 roots) one call
-# for all took 13.7 MB, and 2**11 takes 3.0 MB.
+# drifts, whose counts grow with the roots.  On the default 726-delay
+# grid at ps2 ratio 1e2 (28,446 roots) the root table traced 11.3 MB with
+# one refinement call for all brackets, and 3.0 MB at 2**11.
 _POINT_BLOCK = 2 ** 11
 
 
@@ -253,7 +240,8 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
         delay = np.repeat(np.arange(start, stop), points)
         gvals = drift(grid, taus[delay], p, mf)
         zero = np.flatnonzero(gvals == 0.0)
-        change = np.flatnonzero((gvals[:-1] * gvals[1:] < 0.0) & (delay[:-1] == delay[1:]))
+        sign = np.sign(gvals)  # a product of the drifts underflows below |g| ~ 1e-162
+        change = np.flatnonzero((sign[:-1] * sign[1:] < 0.0) & (delay[:-1] == delay[1:]))
         lo, hi = np.r_[zero, change], np.r_[zero, change + 1]
         parts.append((delay[lo], grid[lo], grid[hi], gvals[lo], gvals[hi]))
     delay, lo, hi, g_lo, g_hi = (np.concatenate(c) for c in zip(*parts))
@@ -270,65 +258,6 @@ def _root_table(taus, p: ModelParams, mf: MeanFieldParams) -> list[tuple[np.ndar
     return list(zip(*(np.split(c[order], cuts) for c in (w, stable, np.abs(gw)))))
 
 
-def _relax(roots: tuple[np.ndarray, ...], tau: float, omega_init: float, p: ModelParams,
-           mf: MeanFieldParams, g0: float | None = None) -> SteadyState:
-    """The lookup rule on one delay's ``_root_table`` entry: see
-    ``relax_to_steady``.  ``g0`` is the seed's drift at ``tau``, None to
-    evaluate it here.
-    """
-    if not math.isfinite(omega_init):
-        raise ValueError(f"non-finite omega_init {omega_init!r}")
-    if abs(omega_init) > mf.omega_bracket:
-        raise BracketEscapeError(
-            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=tau)
-    w0 = float(omega_init)
-    if g0 is None:
-        g0 = drift(w0, tau, p, mf)
-    if abs(g0) <= _residual_tol(p, mf):
-        return SteadyState(tau=float(tau), omega_f=w0, stable=_slope(w0, tau, p, mf) <= 0.0,
-                           residual=abs(g0), basin_seed=w0)
-    omega, stable, residual = roots
-    side = omega > w0 if g0 > 0.0 else omega < w0
-    ahead = np.flatnonzero(side | ((omega == w0) & stable))
-    if not ahead.size:
-        raise BracketEscapeError(f"no root between omega_init {w0!r} and the bracket edge",
-                                 tau=tau)
-    j = ahead[0] if g0 > 0.0 else ahead[-1]
-    return SteadyState(tau=float(tau), omega_f=float(omega[j]), stable=bool(stable[j]),
-                       residual=float(residual[j]), basin_seed=w0)
-
-
-def _walk(taus: list[float], tables: list[tuple[np.ndarray, ...]], omega_init: float,
-          p: ModelParams, mf: MeanFieldParams, reset_every: int = 0) -> list[SteadyState]:
-    """The continuation of a sweep along ``taus`` in their order: ``_relax``
-    on each delay's ``_root_table`` entry in ``tables``, seeded with the
-    previous delay's result, or with omega_init at the first delay and at
-    every ``reset_every``-th one (0: never).
-
-    Array drift calls before the walk, one per ``_POINT_BLOCK`` points,
-    take every root of each delay at the delay after it, so a seed that
-    is a root of the previous delay costs no drift call of its own.  Any
-    other seed, omega_init or a seed the previous delay kept, takes a
-    scalar call in ``_relax``.
-    """
-    omegas = [roots[0] for roots in tables[:-1]]
-    start = np.cumsum([0, *(w.size for w in omegas)]).tolist()  # of each delay's roots
-    seeds = np.concatenate([np.empty(0), *omegas])
-    at = np.repeat(taus[1:], np.diff(start))
-    ahead = np.concatenate([drift(seeds[s], at[s], p, mf) for s in _slices(seeds.size)])
-    states = []
-    for k, (tau, roots) in enumerate(zip(taus, tables)):
-        if k == 0 or (reset_every > 0 and k % reset_every == 0):
-            w0, g0 = omega_init, None
-        states.append(_relax(roots, tau, w0, p, mf, g0))
-        w0, g0 = states[-1].omega_f, None
-        if k < len(omegas):
-            j = start[k] + int(np.searchsorted(omegas[k], w0))  # the seed among the roots
-            if j < start[k + 1] and seeds[j] == w0:
-                g0 = float(ahead[j])
-    return states
-
-
 def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]:
     """All roots of the drift on [-W, W] the scan finds, with stability, at
     one delay or at each distinct delay of a 1-d array.
@@ -337,11 +266,8 @@ def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]
     which changes no root against one call per delay.  The roots come as
     one flat list sorted by ``tau`` and then by ``omega_f``; each carries
     its delay in ``tau``, so callers group by that field, not by position.
-    Each root's ``residual`` is <= relax_tol*kappa*sigma, or the root ends
-    at float resolution where the drift moves by more than that per ulp,
-    on the bracket end with the smaller |drift| (1.29e-7 against 1.005e-7
-    at tau = 1.5, kappa = 0.01, alpha = 100).  ``basin_seed`` is the root
-    itself; ``stable`` is as in ``SteadyState``.
+    ``residual`` and ``stable`` are as in ``SteadyState``; ``basin_seed``
+    is the root itself.
     Where the drift points inward at both edges, as decay usually ensures
     at W >= 4 sigma, the count per delay is odd; a trion-term spike on an
     edge (tau = 1.42857 ns at the defaults) turns that edge outward, and a
@@ -359,18 +285,75 @@ def steady_states(tau, p: ModelParams, mf: MeanFieldParams) -> list[SteadyState]
             for w, s, r in zip(omega.tolist(), stable.tolist(), residual.tolist())]
 
 
-def relax_to_steady(omega_init: float, tau: float, p: ModelParams,
-                    mf: MeanFieldParams) -> SteadyState:
-    """The root the drift carries omega_init to: a lookup in ``steady_states``.
+def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
+                    reset_every: int = 0) -> SteadyState | list[SteadyState]:
+    """The root the drift carries omega_init to at one delay, or the
+    continuation of a sweep along a 1-d array of delays: a lookup in the
+    roots ``steady_states`` finds.
 
     A seed within the residual tolerance is kept.  Otherwise the result
-    is the nearest of those roots on the side ``sign(drift(omega_init))``
+    is the nearest of those roots on the side ``sign(drift(seed))``
     points to, counting a stable root at the seed itself.  It lies in the
-    basin of omega_init, so sweeps keep branch memory.  ``residual`` is as
-    in ``steady_states``; ``basin_seed`` is omega_init and ``tau`` the delay.
+    basin of the seed, so sweeps keep branch memory.  ``residual`` is as
+    in ``steady_states``; ``basin_seed`` is the seed and ``tau`` the delay.
 
-    Raises ValueError for a non-finite omega_init or tau, and
-    BracketEscapeError (tau attached) for |omega_init| > omega_bracket or
-    no root between the seed and the bracket edge.
+    One delay gives one SteadyState.  A 1-d array gives one per delay,
+    walked in the array's order: each delay is seeded with the previous
+    delay's result, the first and every ``reset_every``-th one (0: never)
+    with omega_init.  One ``_root_table`` call takes every distinct delay.
+    Array drift calls before the walk, one per ``_POINT_BLOCK`` points,
+    take every root of each delay at the delay after it, so a seed that
+    is a root of the previous delay costs no drift call of its own; any
+    other seed, omega_init or a seed the previous delay kept, takes a
+    scalar call.
+
+    Raises ValueError for a non-finite omega_init or tau or an array of
+    more than one dimension, and BracketEscapeError (tau attached) for
+    |omega_init| > omega_bracket or no root between a seed and the
+    bracket edge.
     """
-    return _relax(_root_table(tau, p, mf)[0], tau, omega_init, p, mf)
+    if np.ndim(tau) > 1:
+        raise ValueError("tau must be one delay or a 1-d array of delays")
+    path = np.array(tau, dtype=float, ndmin=1)
+    if not path.size:
+        return []
+    distinct, which = np.unique(path, return_inverse=True)
+    table = _root_table(distinct, p, mf)
+    path, which = path.tolist(), which.tolist()
+    if not math.isfinite(omega_init):
+        raise ValueError(f"non-finite omega_init {omega_init!r}")
+    if abs(omega_init) > mf.omega_bracket:
+        raise BracketEscapeError(
+            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=path[0])
+    omegas = [table[j][0] for j in which[:-1]]
+    start = np.cumsum([0, *(w.size for w in omegas)]).tolist()  # of each delay's roots
+    seeds = np.concatenate([np.empty(0), *omegas])
+    at = np.repeat(path[1:], np.diff(start))
+    g_seeds = np.concatenate([drift(seeds[s], at[s], p, mf)
+                              for s in _slices(seeds.size)]) if seeds.size else seeds
+    tol = _residual_tol(p, mf)
+    states = []
+    for k, (t, j) in enumerate(zip(path, which)):
+        if k == 0 or (reset_every > 0 and k % reset_every == 0):
+            w0, g0 = float(omega_init), None
+        if g0 is None:
+            g0 = drift(w0, t, p, mf)
+        if abs(g0) <= tol:
+            states.append(SteadyState(tau=t, omega_f=w0, stable=_slope(w0, t, p, mf) <= 0.0,
+                                      residual=abs(g0), basin_seed=w0))
+        else:
+            omega, stable, residual = table[j]
+            side = omega > w0 if g0 > 0.0 else omega < w0
+            ahead = np.flatnonzero(side | ((omega == w0) & stable))
+            if not ahead.size:
+                raise BracketEscapeError(
+                    f"no root between omega_init {w0!r} and the bracket edge", tau=t)
+            i = ahead[0] if g0 > 0.0 else ahead[-1]
+            states.append(SteadyState(tau=t, omega_f=float(omega[i]), stable=bool(stable[i]),
+                                      residual=float(residual[i]), basin_seed=w0))
+        w0, g0 = states[-1].omega_f, None
+        if k < len(omegas):
+            i = start[k] + int(np.searchsorted(omegas[k], w0))  # the seed among the roots
+            if i < start[k + 1] and seeds[i] == w0:
+                g0 = float(g_seeds[i])
+    return states if np.ndim(tau) else states[0]

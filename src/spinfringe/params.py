@@ -20,9 +20,13 @@ _DEF_T = 26.0              # ns, optical pumping duration
 
 def _require_finite(obj) -> None:
     """Raise ValueError naming the first non-finite field of a dataclass
-    (a tuple field is finite when all its items are)."""
+    (a tuple field is finite when all its items are; text and integer
+    fields are skipped: an int is finite, and one past the float range
+    would make math.isfinite raise OverflowError)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
+        if isinstance(value, (str, int)):
+            continue
         if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise ValueError(f"{f.name} must be finite")
 
@@ -136,9 +140,10 @@ class SteadyState:
                 g' = -kappa + alpha (3 C'' + omega C''') is <= 0, so g' = 0
                 is stable (kappa = 0, tau = 0: the drift vanishes, every
                 scan point is a root, and all are stable)
-    residual    |drift(omega_f)| [rad/ns^2]: <= relax_tol*kappa*sigma, or
-                the root ends at float resolution on the bracket end with
-                the smaller |drift| (1.29e-7 against 1.005e-7 at tau = 1.5,
+    residual    |drift(omega_f)| [rad/ns^2]: <= relax_tol*kappa*sigma, or,
+                where the drift moves by more than that per ulp, the root
+                ends at float resolution on the bracket end with the
+                smaller |drift| (1.29e-7 against 1.005e-7 at tau = 1.5,
                 kappa = 0.01, alpha = 100)
     basin_seed  the seed for ``relax_to_steady``, the root itself for
                 ``steady_states`` [rad/ns]
@@ -170,6 +175,7 @@ class SweepSchedule:
     reset_omega_every: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.tau_step > 0:
             raise ValueError("tau_step > 0 required")
         if not self.tau_start < self.tau_end:

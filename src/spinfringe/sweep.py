@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fringe import count_rate, pump_rate
-from .meanfield import _root_table, _walk, steady_states
+from .meanfield import relax_to_steady, steady_states
 from .params import MeanFieldParams, ModelParams, SteadyState, SweepSchedule, TraceSample
 
 __all__ = ["run_sweep", "fringe_map", "nullcline", "NullclinePoint"]
@@ -35,16 +35,15 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
     """Scan tau with nuclear memory; round trips run forward then backward.
 
     Each point relaxes the mean-field drift seeded with the previous
-    point's omega_f (the first point uses s.omega_init), by the
-    ``relax_to_steady`` lookup in one root table that both passes share;
-    the seeds' drifts take array calls before the walk (``_walk``).
+    point's omega_f (the first point uses s.omega_init), by one
+    ``relax_to_steady`` call on the delays of both passes in walk order,
+    so both passes share one root table.
     A sample is flagged ``jumped`` when omega_f moved by more than half a
     fringe from its seed, which marks a branch switch.  The count and
     pumping rates of all samples take one array call each after the walk.
     Solver failures propagate with the offending tau attached.
     """
     grid = s.grid()
-    table = _root_table(grid, p, mf)
     passes = []  # (direction, grid indices in walk order)
     if s.direction in ("forward", "round-trip"):
         passes.append(("fwd", range(grid.size)))
@@ -52,8 +51,7 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
         passes.append(("bwd", range(grid.size - 1, -1, -1)))
     at = [i for _, indices in passes for i in indices]
     directions = [d for d, indices in passes for _ in indices]
-    states = _walk(grid[at].tolist(), [table[i] for i in at], float(s.omega_init), p, mf,
-                   s.reset_omega_every)
+    states = relax_to_steady(s.omega_init, grid[at], p, mf, s.reset_omega_every)
     tau, omega_f = np.array([(ss.tau, ss.omega_f) for ss in states]).T
     count, beta_f = count_rate(omega_f, tau, p).tolist(), pump_rate(omega_f, p).tolist()
     return [TraceSample(tau=ss.tau, omega_f=ss.omega_f, count=c, beta_f=b, stable=ss.stable,

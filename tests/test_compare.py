@@ -233,7 +233,7 @@ def test_multisite_ensemble_compare_rows():
         compare_meanfield(big, [0.17], P, mf, n_traj=200, seed=5)
 
 
-class _RootTableCalled(Exception):
+class _PreRunCalled(Exception):
     pass
 
 
@@ -248,13 +248,13 @@ def test_bad_input_is_rejected_before_the_meanfield_pre_run(monkeypatch, n_sites
     # The mean-field pre-run over every delay is the first work done; a
     # rejected call must never reach it.
     def fail(*args, **kwargs):
-        raise _RootTableCalled
+        raise _PreRunCalled
 
-    monkeypatch.setattr(compare, "_root_table", fail)
+    monkeypatch.setattr(compare, "relax_to_steady", fail)
     lat = sf.Lattice.chain(n=n_sites, a_peak=0.8, gamma_peak=0.01, d=0.01, f=2e-4,
                            d_bath=0.02)
     mf = sf.MeanFieldParams(kappa=0.02, alpha=sf.alpha_from_lattice(lat))
-    expected = ValueError if message else _RootTableCalled
+    expected = ValueError if message else _PreRunCalled
     with pytest.raises(expected, match=message):
         compare_meanfield(lat, [0.17, 0.23], P, mf, n_traj=n_traj)
 

@@ -181,6 +181,18 @@ def test_steady_states_scaling_invariance():
     r2 = np.array([r.omega_f for r in sf.steady_states(tau, P, mf2)])
     assert len(r1) == len(r2)
     assert np.allclose(r1, r2, atol=1e-7)
+    # Scaling both by 2**-k scales every drift value and the tolerance
+    # exactly while no drift value underflows: the roots and stable flags
+    # keep their bits and each residual scales by 2**-k.  The product of
+    # neighbouring drifts underflows from k = 520 at tau = 0.5, so the scan
+    # must compare their signs.
+    for tau in (0.5, 0.62):
+        ref = [(r.omega_f, r.stable, r.residual)
+               for r in sf.steady_states(tau, P, sf.MeanFieldParams(kappa=1e-3, alpha=0.1))]
+        for k in (1, 100, 520, 600, 900):
+            mf = sf.MeanFieldParams(kappa=math.ldexp(1e-3, -k), alpha=math.ldexp(0.1, -k))
+            assert [(r.omega_f, r.stable, math.ldexp(r.residual, k))
+                    for r in sf.steady_states(tau, P, mf)] == ref
 
 
 def _ps2(ratio):
@@ -473,6 +485,28 @@ def test_relax_to_steady_tags_its_delay():
     mf = _ps2(1e4)
     for tau in (0.0, 0.3, 1.1):
         assert sf.relax_to_steady(0.0, tau, P, mf).tau == tau
+
+
+def test_relax_to_steady_walks_a_path_of_delays(monkeypatch):
+    # Unsorted delays with repeats and a reset to omega_init every third
+    # delay: the array form gives the chained one-delay calls, from one
+    # root table of the distinct delays.
+    mf = _ps2(1e3)
+    path = [0.9, 0.62, 0.75, 0.62, 1.2, 0.3, 0.75, 0.62, 0.31]
+    omega_init, reset = -3.0, 3
+    want, omega = [], omega_init
+    for k, tau in enumerate(path):
+        want.append(sf.relax_to_steady(omega_init if k % reset == 0 else omega, tau, P, mf))
+        omega = want[-1].omega_f
+    tables, root_table = [], meanfield._root_table
+    monkeypatch.setattr(meanfield, "_root_table",
+                        lambda taus, *a: tables.append(taus.tolist()) or root_table(taus, *a))
+    assert sf.relax_to_steady(omega_init, np.array(path), P, mf, reset) == want
+    assert tables == [sorted(set(path))]
+    assert sf.relax_to_steady(omega_init, path, P, mf) != want  # the resets matter
+    assert sf.relax_to_steady(omega_init, np.empty(0), P, mf) == []
+    with pytest.raises(ValueError, match="1-d"):
+        sf.relax_to_steady(omega_init, np.array([path]), P, mf)
 
 
 def test_steady_states_rejects_bad_delay_arrays():

@@ -313,6 +313,18 @@ def test_nullcline_empty_grid():
     assert sf.nullcline([], P, MF_REPRO) == []
 
 
+@pytest.mark.parametrize("field", ["tau_start", "tau_end", "tau_step", "omega_init"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        sf.SweepSchedule(**{field: value})
+
+
+def test_schedule_takes_an_int_past_the_float_range():
+    # An int is finite; math.isfinite would raise OverflowError on it.
+    assert sf.SweepSchedule(reset_omega_every=10 ** 400).reset_omega_every == 10 ** 400
+
+
 def test_fringe_map_rejects_bad_grids():
     with pytest.raises(ValueError):
         sf.fringe_map(np.array([[0.0, 1.0]]), np.array([0.1, 0.2]), P)
@@ -379,18 +391,21 @@ def test_sweep_makes_no_drift_call_per_sample(monkeypatch, ratio):
 
     def staged(name, fn):
         def call(*args):
-            stage[0] = name
+            outer, stage[0] = stage[0], name
             try:
                 return fn(*args)
             finally:
-                stage[0] = "scan"
+                stage[0] = outer
         return call
 
     monkeypatch.setattr(meanfield, "drift", counting)
     monkeypatch.setattr(meanfield, "_scan_grids", scan)
+    monkeypatch.setattr(meanfield, "_root_table", staged("scan", meanfield._root_table))
     monkeypatch.setattr(meanfield, "_bisect_brackets",
                         staged("refine", meanfield._bisect_brackets))
-    monkeypatch.setattr(sf.sweep, "_walk", staged("walk", meanfield._walk))
+    # The walk is the rest of ``relax_to_steady``: the seeds' array calls.
+    monkeypatch.setattr(sf.sweep, "relax_to_steady",
+                        staged("walk", meanfield.relax_to_steady))
     table = _root_table(DECADE_TRIP.grid(), P, _ps2(ratio))
     seeds = 2 * sum(roots[0].size for roots in table)
     for key in calls:
