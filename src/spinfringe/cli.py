@@ -194,36 +194,26 @@ def _run_steady(cfg: RunConfig):
                        "branch"], [list(col) for col in zip(*rows)])
 
 
-def _oracle_grid_spec(cfg: RunConfig) -> GridSpec:
-    o = cfg.oracle
-    if o.m_min != o.m_max:
-        width = o.init_width if o.init_width > 0 else (o.m_max - o.m_min) / 40.0
-        return GridSpec(o.m_min, o.m_max, o.n_cells, o.init_mean, width,
-                        o.cfl, o.n_outputs)
-    # Auto-size around the mean-field quasi-equilibrium at this tau.
-    w_f = relax_to_steady(0.0, o.tau, cfg.model, cfg.meanfield).omega_f
-    spec = auto_grid(cfg.lattice, min(w_f, 0.0), max(w_f, 0.0), o.tau, cfg.model,
-                     o.n_cells)
-    width = o.init_width if o.init_width > 0 else spec.init_width
-    return replace(spec, init_mean=o.init_mean, init_width=width, cfl=o.cfl,
-                   n_outputs=o.n_outputs)
-
-
 def _run_oracle(cfg: RunConfig):
     o = cfg.oracle
     lat = cfg.lattice
     t_end = o.t_end if o.t_end > 0 else 10.0 / max(lat.d_bath, 1e-300)
-    if o.method == "auto" and lat.n == 1:
-        spec = _oracle_grid_spec(cfg)
-        if o.m_min < o.m_max:  # a grid set by hand fails loudly
-            _, reports = fp_grid_solve(lat, o.tau, t_end, spec, cfg.model)
-        else:
-            *_, reports = _solve_widening(lat, o.tau, t_end, spec, cfg.model)
-    else:
+    if o.method == "langevin" or lat.n > 1:
         reports = langevin_ensemble(lat, o.tau, t_end, o.n_traj, cfg.seed, cfg.model,
                                     dt=o.dt if o.dt > 0 else None,
                                     n_outputs=o.n_outputs, init_mean=o.init_mean,
                                     init_width=o.init_width)
+    elif o.m_min < o.m_max:  # a grid set by hand is solved once and fails loudly
+        width = o.init_width if o.init_width > 0 else (o.m_max - o.m_min) / 40.0
+        spec = GridSpec(o.m_min, o.m_max, o.n_cells, o.init_mean, width, o.cfl,
+                        o.n_outputs)
+        _, reports = fp_grid_solve(lat, o.tau, t_end, spec, cfg.model)
+    else:  # auto-sized around the mean-field quasi-equilibrium at this tau
+        w_f = relax_to_steady(0.0, o.tau, cfg.model, cfg.meanfield).omega_f
+        spec = auto_grid(lat, min(w_f, 0.0), max(w_f, 0.0), o.tau, cfg.model, o.n_cells)
+        spec = replace(spec, init_mean=o.init_mean, cfl=o.cfl, n_outputs=o.n_outputs,
+                       init_width=o.init_width if o.init_width > 0 else spec.init_width)
+        *_, reports = _solve_widening(lat, o.tau, t_end, spec, cfg.model)
     # Grid reports carry no standard errors: those columns are empty.
     attrs = ("t", "mean_omega", "var_omega", "trion_drift_exact",
              "trion_drift_meanfield", "flatness_error", "se_mean", "se_var", "mass_err")

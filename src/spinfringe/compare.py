@@ -128,10 +128,9 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     m_init = omega_init * a_vec / float(np.dot(a_vec, a_vec))
     finals: list[MomentReport] = []
     if lat.n <= 2:
-        spec = auto_grid(lat, lo, hi, taus[len(taus) // 2], p,
-                         n_cells if lat.n == 1 else min(n_cells, 160))
-        if omega_init != 0.0:
-            spec = replace(spec, init_mean=tuple(m_init.tolist()))
+        spec = replace(auto_grid(lat, lo, hi, taus[len(taus) // 2], p,
+                                 n_cells if lat.n == 1 else min(n_cells, 160)),
+                       init_mean=tuple(m_init.tolist()))
         density: np.ndarray | None = None
         for tau in taus:
             spec, density, reps = _solve_widening(lat, tau, t_end, spec, p, density)

@@ -18,6 +18,7 @@ from typing import Any
 
 from .constants import TWO_PI, ghz_to_rad_per_ns
 from .errors import ConfigParseError, ConfigValidationError
+from .fringe import trion_flip_rate
 from .params import (
     HoleNuclearParams,
     Lattice,
@@ -302,6 +303,9 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
         b0=get("hole.b0"), g_h=get("hole.g_h"),
         gamma_rad=ghz_to_rad_per_ns(get("hole.gamma_ghz")),
         inv_r3_avg=get("hole.inv_r3_avg")))
+    valid("hole", (math.isfinite(trion_flip_rate(hole)),
+                   "the trion flip rate of hole.b0, hole.g_h, hole.gamma_ghz and "
+                   "hole.inv_r3_avg is not finite"))
 
     oracle = build("oracle", OracleConfig)
     output = build("output", OutputConfig)

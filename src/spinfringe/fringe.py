@@ -283,8 +283,11 @@ def trion_flip_rate(h: HoleNuclearParams) -> float:
     """
     gamma_si = h.gamma_rad * NS_PER_S
     inv_r3_si = h.inv_r3_avg / M3_PER_NM3
+    moment = MU_B * h.g_h / h.b0
+    # Squares by multiplication: a float ** 2 past the float range raises
+    # OverflowError, where a product gives inf.
     rate_si = (9.0 * MU_0 ** 2 / (128.0 * math.pi)) \
-        * (MU_B * h.g_h / h.b0) ** 2 * gamma_si * inv_r3_si ** 2
+        * (moment * moment) * gamma_si * (inv_r3_si * inv_r3_si)
     return rate_si / NS_PER_S
 
 

@@ -34,11 +34,11 @@ starts there, so a run makes one call per step and one for its final
 state.
 
 Inside the time loop the state is held sites-major, as a C-contiguous
-(n, n_traj) array updated in place, so that every elementwise update
-runs over one long inner axis.  The normals are drawn as an (n_traj, n)
-block and read transposed, so each Philox draw goes to the same
-trajectory and site as for an (n_traj, n) state, and Omega is summed
-over a trajectory-major copy: the step has the same bits either way.
+(n, n_traj) array, so that every elementwise update runs over one long
+inner axis.  The normals are drawn as an (n_traj, n) block and read
+transposed, so each Philox draw goes to the same trajectory and site as
+for an (n_traj, n) state, and Omega is summed over a trajectory-major
+copy: the step has the same bits either way.
 
 Counter-based RNG (Philox) keyed by the seed, with all trajectories
 advanced in one vectorized stream, makes the moment series
@@ -138,7 +138,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return replace(r, se_mean=float(np.sqrt(r.var_omega / n_traj)),
                        se_var=float(r.var_omega * np.sqrt(2.0 / max(n_traj - 1, 1))))
 
-    def auto_step(t: float, c2, c3) -> float:
+    def auto_step(t: float, drift, c2, c3) -> float:
         # Row sums of the drift Jacobian J_jk = lin_jk + Gamma_j A_j A_k (2 C''
         # + A_j m_j C''') + delta_jk Gamma_j A_j^2 C'', one site at a time.
         row_sums = []
@@ -157,9 +157,6 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
         return step
 
     m_t = np.array(m.T, dtype=float, order="C")
-    # Step buffers, updated in place: at 10^4 trajectories a fresh array
-    # per operation costs more than its arithmetic.
-    drift, term, noise = (np.empty_like(m_t) for _ in range(3))
     rows = np.empty((n_traj, n))  # trajectory-major
     z = np.empty((n_traj, n))
     # ``rows`` and ``curv`` always describe the current state m_t.
@@ -169,25 +166,13 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     for t_next in np.linspace(0.0, t_end, n_outputs + 1)[1:]:
         while t < t_next - 1e-12 * t_end:
             cval, c1, c2, *c3 = curv
-            np.matmul(lin, m_t, out=drift)
-            np.multiply(a2_gamma, m_t, out=term)
-            np.multiply(term, c2, out=term)
-            np.multiply(two_a_gamma, c1, out=noise)
-            np.add(noise, term, out=noise)
-            drift += noise
+            drift = lin @ m_t + (two_a_gamma * c1 + a2_gamma * m_t * c2)
             if c3:  # C''' comes with the curvature where the auto step is retaken
-                step_max = auto_step(t, c2, c3[0])
+                step_max = auto_step(t, drift, c2, c3[0])
             step = min(step_max, t_next - t)
-            # noise = sqrt(2 (F + Gamma max(C, 0)) step) * z
-            np.multiply(gamma, np.maximum(cval, 0.0), out=noise)
-            np.add(f_const, noise, out=noise)
-            np.multiply(noise, 2.0 * step, out=noise)
-            np.sqrt(noise, out=noise)
             rng.standard_normal(out=z)
-            noise *= z.T
-            drift *= step
-            m_t += drift
-            m_t += noise
+            m_t = m_t + drift * step + np.sqrt(
+                (f_const + gamma * np.maximum(cval, 0.0)) * (2.0 * step)) * z.T
             t += step
             k += 1
             curv = curvature(k)

@@ -310,21 +310,23 @@ def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
     Raises ValueError for a non-finite omega_init or tau or an array of
     more than one dimension, and BracketEscapeError (tau attached) for
     |omega_init| > omega_bracket or no root between a seed and the
-    bracket edge.
+    bracket edge.  A bad omega_init (the first delay attached to a
+    BracketEscapeError) or array shape raises before any scan.
     """
     if np.ndim(tau) > 1:
         raise ValueError("tau must be one delay or a 1-d array of delays")
     path = np.array(tau, dtype=float, ndmin=1)
     if not path.size:
         return []
-    distinct, which = np.unique(path, return_inverse=True)
-    table = _root_table(distinct, p, mf)
-    path, which = path.tolist(), which.tolist()
     if not math.isfinite(omega_init):
         raise ValueError(f"non-finite omega_init {omega_init!r}")
     if abs(omega_init) > mf.omega_bracket:
         raise BracketEscapeError(
-            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}", tau=path[0])
+            f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}",
+            tau=float(path[0]))
+    distinct, which = np.unique(path, return_inverse=True)
+    table = _root_table(distinct, p, mf)
+    path, which = path.tolist(), which.tolist()
     omegas = [table[j][0] for j in which[:-1]]
     start = np.cumsum([0, *(w.size for w in omegas)]).tolist()  # of each delay's roots
     seeds = np.concatenate([np.empty(0), *omegas])

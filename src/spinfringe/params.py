@@ -56,6 +56,9 @@ class ModelParams:
             raise ValueError("beta0 >= 0 required")
         if not self.sigma > 0:
             raise ValueError("sigma > 0 required")
+        k = self.sigma * self.sigma
+        if not (k > 0.0 and math.isfinite(1.0 / k)):
+            raise ValueError("sigma is too small: 1 / sigma**2 is not finite")
         if not 0.0 < self.s_p <= 0.5:
             raise ValueError("0 < s_p <= 1/2 required")
 

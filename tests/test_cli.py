@@ -294,9 +294,14 @@ def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting, key", [
     ("lattice.a_peak = 1e-200", "lattice.a_peak"),   # a_peak**2 underflows
     ("meanfield.ratio = 1e-320", "meanfield.ratio"),  # the ps2 factor underflows
+    ("model.sigma_ghz = 1e-300", "model.sigma_ghz"),  # sigma**2 underflows
+    ("hole.b0 = 1e-300", "hole.b0"),                  # the golden-rule rate overflows
+    ("hole.g_h = 1e300", "hole.g_h"),
 ])
 def test_underflowing_derived_default_exits_2(tmp_path, capsys, setting, key):
-    # Both used to divide by zero inside parse_config: exit 1 and a traceback.
+    # The first two used to divide by zero inside parse_config: exit 1 and
+    # a traceback.  A tiny sigma passed parsing and divided by zero in the
+    # pumping terms; an overflowing hole rate raised OverflowError.
     assert main(["rate", "--out", str(tmp_path), "--set", setting]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigValidationError"

@@ -203,7 +203,7 @@ def test_widened_grid_goes_on_from_the_carried_density(monkeypatch):
     monkeypatch.setattr(compare, "fp_grid_solve", solve)
     rows = compare_meanfield(lat, [0.13, 0.17], P, mf, t_end=20.0)
     (_, first), (failed, _), (spec, retry) = solves
-    assert failed == narrow
+    assert failed == replace(narrow, init_mean=(0.0,))  # started at m_init
     assert (spec.m_min, spec.m_max) == pytest.approx((wide.m_min, wide.m_max))
     assert retry[0].mean_omega == pytest.approx(first[-1].mean_omega, abs=1e-6)
     assert retry[0].var_omega == pytest.approx(first[-1].var_omega, rel=1e-2)

@@ -509,6 +509,24 @@ def test_relax_to_steady_walks_a_path_of_delays(monkeypatch):
         sf.relax_to_steady(omega_init, np.array([path]), P, mf)
 
 
+def test_relax_to_steady_rejects_a_bad_start_before_any_scan(monkeypatch):
+    # The root table is the costly part of a walk: a bad omega_init is
+    # rejected before it is built, a bracket escape carrying the first
+    # delay of the path.
+    mf = _ps2(1e3)
+    path = sf.SweepSchedule().grid()[::-1]
+
+    def scanned(*args):
+        raise AssertionError("the root table was built")
+
+    monkeypatch.setattr(meanfield, "_root_table", scanned)
+    with pytest.raises(ValueError, match="non-finite omega_init"):
+        sf.relax_to_steady(math.nan, path, P, mf)
+    with pytest.raises(BracketEscapeError) as err:
+        sf.relax_to_steady(2.0 * mf.omega_bracket, path, P, mf)
+    assert err.value.tau == path[0]
+
+
 def test_steady_states_rejects_bad_delay_arrays():
     mf = _ps2(1e4)
     with pytest.raises(ValueError, match="non-finite"):
