@@ -250,13 +250,23 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
         return valid(group, lambda: cls(**{f.name: get(f"{group}.{f.name}")
                                            for f in fields(cls)}))
 
+    derived: dict[str, Any] = {}  # the value of each derived key, for the echo
+
+    def derive(key: str, default: Any, message: str = "") -> Any:
+        """The user's value of a derived key or ``default``, recorded for
+        the echo; with a ``message``, a value that is not finite fails at
+        the key's group."""
+        value = derived[key] = raw.get(key, default)
+        if message:
+            valid(key.partition(".")[0], (math.isfinite(value), message))
+        return value
+
     defaulted = tuple(sorted(k for k in _SCHEMA if k not in raw))
 
     # Model (GHz -> rad/ns here and nowhere else).
     t_pump = get("model.T")
-    beta0 = raw.get("model.beta0", 3.0 / t_pump if t_pump > 0 else 0.0)
-    valid("model", (math.isfinite(beta0),
-                    "model.T is too small: the model.beta0 default 3 / T is not finite"))
+    beta0 = derive("model.beta0", 3.0 / t_pump if t_pump > 0 else 0.0,
+                   "model.T is too small: the model.beta0 default 3 / T is not finite")
     sigma = ghz_to_rad_per_ns(get("model.sigma_ghz"))
     model = valid("model", lambda: ModelParams(
         omega0=ghz_to_rad_per_ns(get("model.omega0_ghz")),
@@ -269,10 +279,9 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     valid("meanfield", (ratio_internal > 0,
                         "meanfield.ratio > 0 required, also in ns^2/rad^2"))
     kappa = get("meanfield.kappa")
-    omega_bracket = raw.get("meanfield.omega_bracket", 6.0 * sigma)
-    valid("meanfield", (math.isfinite(omega_bracket),
-                        "model.sigma_ghz is too large: the meanfield.omega_bracket "
-                        "default 6 sigma is not finite"))
+    omega_bracket = derive("meanfield.omega_bracket", 6.0 * sigma,
+                           "model.sigma_ghz is too large: the meanfield.omega_bracket "
+                           "default 6 sigma is not finite")
     meanfield = valid("meanfield", lambda: MeanFieldParams(
         kappa=kappa, alpha=kappa / ratio_internal, omega_bracket=omega_bracket,
         relax_tol=get("meanfield.relax_tol")))
@@ -284,11 +293,10 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     a_peak = get("lattice.a_peak")
     denom = ratio_internal * a_peak * a_peak
     # A nonzero a_peak whose ratio * a_peak**2 underflows gives no finite default.
-    gamma_peak = raw.get("lattice.gamma_peak", kappa / denom if denom
-                         else (math.inf if a_peak else 0.0))
-    valid("lattice", (math.isfinite(gamma_peak),
-                      "lattice.a_peak is too small: the lattice.gamma_peak default "
-                      "kappa / (ratio * a_peak**2) is not finite"))
+    gamma_peak = derive("lattice.gamma_peak",
+                        kappa / denom if denom else (math.inf if a_peak else 0.0),
+                        "lattice.a_peak is too small: the lattice.gamma_peak default "
+                        "kappa / (ratio * a_peak**2) is not finite")
     envelope = get("lattice.envelope_width")
     valid("lattice", (envelope >= 0, "lattice.envelope_width >= 0 required (0 is auto)"))
     # Checked here because a one-site chain has no bond for Lattice to check.
@@ -296,7 +304,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     lattice = valid("lattice", lambda: Lattice.chain(
         n=get("lattice.n"), a_peak=a_peak, gamma_peak=gamma_peak,
         d=get("lattice.d"), f=get("lattice.f"),
-        d_bath=raw.get("lattice.d_bath", kappa),
+        d_bath=derive("lattice.d_bath", kappa),
         envelope_width=envelope or None))
 
     hole = valid("hole", lambda: HoleNuclearParams(
@@ -313,15 +321,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     seed = get("seed")
     valid("seed", (0 <= seed < 2 ** 128, "seed must be in [0, 2**128)"))
 
-    resolved = {
-        "model.beta0": beta0,
-        "meanfield.omega_bracket": omega_bracket,
-        "lattice.gamma_peak": gamma_peak,
-        "lattice.d_bath": lattice.d_bath,
-    }
-    effective = tuple(
-        (key, raw.get(key, resolved.get(key, _SCHEMA[key][1])))
-        for key in _SCHEMA)
+    effective = tuple((key, derived[key] if key in derived else get(key)) for key in _SCHEMA)
     return RunConfig(model=model, meanfield=meanfield, sweep=sweep,
                      lattice=lattice, hole=hole, oracle=oracle, output=output,
                      map=map_cfg, seed=seed, defaulted=defaulted,

@@ -66,7 +66,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CflViolationError, GridTooSmallError
 from .fringe import alpha_from_lattice, count_rate, count_rate_curvature
-from .params import Lattice, ModelParams, _require_finite
+from .meanfield import d2_omega_C
+from .params import Lattice, ModelParams, _require_finite, _require_finite_args
 
 __all__ = ["GridSpec", "MomentReport", "auto_grid", "fp_grid_solve"]
 
@@ -228,8 +229,9 @@ def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
     density values, trajectories pass 1 each.  ``ddof`` is taken off the
     total weight in the variance (1 gives the unbiased ensemble
     estimate).  ``curv`` gives C' and C'' at the points where they are
-    known (fixed grid cells); otherwise one curvature evaluation covers
-    the points and <Omega>.
+    known (fixed grid cells or the ensemble's step); otherwise one
+    curvature call on the points gives them.  The mean-field trion term
+    at <Omega> is ``alpha * meanfield.d2_omega_C``, the drift's own.
     """
     w_sum = float(w.sum())
 
@@ -241,15 +243,10 @@ def _weighted_moments(t: float, w: np.ndarray, m: np.ndarray, lat: Lattice,
     omega = m @ a
     mean = average(omega)
     var = average((omega - mean) ** 2, ddof)
-    if curv is None:
-        _, c1, c2 = count_rate_curvature(np.append(omega, mean), tau, p)
-        c1, c2, c1_mean, c2_mean = c1[:-1], c2[:-1], c1[-1], c2[-1]
-    else:
-        c1, c2 = curv
-        _, c1_mean, c2_mean = count_rate_curvature(mean, tau, p)
+    c1, c2 = count_rate_curvature(omega, tau, p)[1:] if curv is None else curv
     site = m @ (lat.gamma_array() * a ** 3)
     exact = average(2.0 * alpha * c1 + site * c2)
-    mean_field = alpha * float(2.0 * c1_mean + mean * c2_mean)
+    mean_field = alpha * d2_omega_C(mean, tau, p)
     remainder = average((site - alpha * omega) * c2)
     scale = max(abs(exact), abs(mean_field))
     return MomentReport(
@@ -412,15 +409,6 @@ def _check_step_floor(dt: float, t_end: float, tau: float, t: float = 0.0) -> No
             tau=tau, t=t)
 
 
-def _require_delay_and_span(tau: float, t_end: float) -> None:
-    """Raise ValueError naming a non-finite ``tau`` or ``t_end``, or a negative ``t_end``."""
-    for name, value in (("tau", tau), ("t_end", t_end)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {name} {float(value)!r}")
-    if t_end < 0.0:
-        raise ValueError(f"negative t_end {float(t_end)!r}")
-
-
 def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
                   p: ModelParams, init_values: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, list[MomentReport]]:
@@ -450,7 +438,7 @@ def fp_grid_solve(lat: Lattice, tau: float, t_end: float, spec: GridSpec,
     mass on the grid (at t = 0) or if mass reaches the edge cells (at
     the report time); either error carries ``tau`` and ``t``.
     """
-    _require_delay_and_span(tau, t_end)
+    _require_finite_args(("t_end",), tau=tau, t_end=t_end)
     n = lat.n
     if n not in (1, 2):
         raise ValueError("fp_grid_solve requires a one- or two-site lattice")

@@ -13,12 +13,13 @@ quantity is obtained independently by iterating the per-period pulse map
 to its fixed point (``pulse_map_fixed_point``), which is the validation
 route used by the tests.
 
-``count_rate`` and ``count_rate_curvature`` share one kernel
-(``_fringe_terms``): a single tan(theta/4) per point gives both
-1 - cos(theta) and sin(theta) by the half-angle identities, and every
-omega-derivative of C comes from the same quotient recurrence on
-C d = s_p n.  Both accept scalars or numpy arrays with broadcasting, and
-give each point the same bits in any shape.  Everything here is a pure
+``count_rate`` and ``count_rate_curvature`` share one quotient body,
+``_quotients`` of order 0, 2 or 3, on one kernel (``_fringe_terms``): a
+single tan(theta/4) per point gives both 1 - cos(theta) and sin(theta)
+by the half-angle identities, every omega-derivative of C comes from the
+same quotient recurrence on C d = s_p n, and one mask takes out the
+removable point.  Both accept scalars or numpy arrays with broadcasting,
+and give each point the same bits in any shape.  Everything here is a pure
 function of its arguments, safe to call from several threads at once.
 """
 
@@ -125,26 +126,9 @@ def _fringe_terms(omega, tau, p: ModelParams, order: int = 0):
     return qs, us, g, c, g * us[0], g + qs[0] * us[0]
 
 
-def count_rate(omega, tau, p: ModelParams):
-    """Steady-state trion count rate C(omega, tau), dimensionless in [0, 2 s_p].
+def _quotients(omega, tau, p: ModelParams, order: int) -> tuple:
+    """(C,) at ``order`` 0, (C, C', C'') at 2 and (C, C', C'', C''') at 3.
 
-    The removable 0/0 point (theta = 0 with the pumping underflowed)
-    evaluates to 0 by continuity; a NaN input gives NaN.
-    """
-    *_, n_num, d_den = _fringe_terms(omega, tau, p)
-    if d_den.all():  # no removable point (NaN is nonzero): a mask would change nothing
-        out = p.s_p * (n_num / d_den)
-    else:
-        ok = d_den != 0.0  # only the removable point; NaN propagates
-        out = np.where(ok, p.s_p * (n_num / np.where(ok, d_den, 1.0)), 0.0)
-    return out if out.ndim else float(out)
-
-
-def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
-    """Count rate and its omega-derivatives, closed form.
-
-    Returns (C, C', C''), and C''' too only with ``third=True``; C, C', C''
-    have the same bits either way, and C has those of ``count_rate``.
     Differentiating C d = s_p n (terms of ``_fringe_terms``) k times gives
     one quotient recurrence for every derivative,
 
@@ -155,34 +139,55 @@ def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
         n^(k) = g u^(k) - q^(k) u - r_k,     d^(k) = q u^(k) - q^(k) c + r_k,
         r_k = sum_{j=1..k-1} binom(k, j) q^(j) u^(k-j)     (r_1 = 0).
 
-    The tests check each derivative against five-point finite differences
-    of the one below.  At the removable 0/0 point (theta = 0 with the
-    pumping underflowed) all values are 0, as C is identically zero along
-    the underflowed-pumping region; a NaN input gives NaN.
+    Order 0 computes no derivative term.  At the removable 0/0 point
+    (theta = 0 with the pumping underflowed) all values are 0, as C is
+    identically zero along the underflowed-pumping region; a NaN input
+    gives NaN.  Scalar input gives floats.
     """
-    (q, q1, q2, *q3), (u, u1, u2, *u3), g, c, n, d = \
-        _fringe_terms(omega, tau, p, 3 if third else 2)
+    (q, *qs), (u, *us), g, c, n, d = _fringe_terms(omega, tau, p, order)
     clean = d.all()  # no removable point (NaN is nonzero): masks would change nothing
     if not clean:
         ok = d != 0.0  # only the removable point; NaN propagates
         d = np.where(ok, d, 1.0)
     s_p = p.s_p
-    d1 = q * u1 - q1 * c
-    r2 = 2.0 * (q1 * u1)
-    d2 = q * u2 - q2 * c + r2
     c0 = s_p * (n / d)
-    c1 = (s_p * (g * u1 - q1 * u) - c0 * d1) / d
-    out = (c0, c1, (s_p * (g * u2 - q2 * u - r2) - 2.0 * c1 * d1 - c0 * d2) / d)
-    if third:
-        (q3,), (u3,), c2 = q3, u3, out[2]
-        r3 = 3.0 * (q1 * u2 + q2 * u1)
-        d3 = q * u3 - q3 * c + r3
-        out += ((s_p * (g * u3 - q3 * u - r3) - 3.0 * (c2 * d1 + c1 * d2) - c0 * d3) / d,)
+    out = (c0,)
+    if order:
+        (q1, q2, *q3), (u1, u2, *u3) = qs, us
+        d1 = q * u1 - q1 * c
+        r2 = 2.0 * (q1 * u1)
+        d2 = q * u2 - q2 * c + r2
+        c1 = (s_p * (g * u1 - q1 * u) - c0 * d1) / d
+        c2 = (s_p * (g * u2 - q2 * u - r2) - 2.0 * c1 * d1 - c0 * d2) / d
+        out += (c1, c2)
+        if order > 2:
+            (q3,), (u3,) = q3, u3
+            r3 = 3.0 * (q1 * u2 + q2 * u1)
+            d3 = q * u3 - q3 * c + r3
+            out += ((s_p * (g * u3 - q3 * u - r3) - 3.0 * (c2 * d1 + c1 * d2) - c0 * d3) / d,)
     if not clean:
         out = tuple(np.where(ok, x, 0.0) for x in out)
-    if c0.ndim:
-        return out
-    return tuple(map(float, out))
+    return out if c0.ndim else tuple(map(float, out))
+
+
+def count_rate(omega, tau, p: ModelParams):
+    """Steady-state trion count rate C(omega, tau), dimensionless in [0, 2 s_p].
+
+    The removable 0/0 point (theta = 0 with the pumping underflowed)
+    evaluates to 0 by continuity; a NaN input gives NaN.
+    """
+    return _quotients(omega, tau, p, 0)[0]
+
+
+def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
+    """Count rate and its omega-derivatives, closed form (``_quotients``).
+
+    Returns (C, C', C''), and C''' too only with ``third=True``; C, C', C''
+    have the same bits either way, and C has those of ``count_rate``.
+    The tests check each derivative against five-point finite differences
+    of the one below.
+    """
+    return _quotients(omega, tau, p, 3 if third else 2)
 
 
 _PULSE_TOL = 1e-13

@@ -47,15 +47,13 @@ bit-reproducible for a fixed seed regardless of host parallelism.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
-from .fokker_planck import (MomentReport, _check_step_floor, _require_delay_and_span,
-                            _weighted_moments)
+from .fokker_planck import MomentReport, _check_step_floor, _weighted_moments
 from .fringe import count_rate_curvature
-from .params import Lattice, ModelParams
+from .params import Lattice, ModelParams, _require_finite_args
 
 __all__ = ["langevin_ensemble", "evolve_trajectories"]
 
@@ -104,7 +102,7 @@ def evolve_trajectories(lat: Lattice, tau: float, t_end: float, m: np.ndarray,
     (n_traj >= 1, lat.n) or for a non-finite entry of ``m``, whether the
     step is given or not.
     """
-    _require_delay_and_span(tau, t_end)
+    _require_finite_args(("t_end",), tau=tau, t_end=t_end)
     if n_outputs < 1:
         raise ValueError(f"n_outputs >= 1 required, got {n_outputs!r}")
     n = lat.n
@@ -195,11 +193,7 @@ def langevin_ensemble(lat: Lattice, tau: float, t_end: float, n_traj: int,
     """
     if n_traj < 100:
         raise ValueError("n_traj >= 100 required")
-    for name, value in (("init_mean", init_mean), ("init_width", init_width)):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite {name} {float(value)!r}")
-    if init_width < 0.0:
-        raise ValueError(f"negative init_width {float(init_width)!r}")
+    _require_finite_args(("init_width",), init_mean=init_mean, init_width=init_width)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m = np.full((n_traj, lat.n), float(init_mean))
     if init_width > 0.0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BracketEscapeError
 from .fringe import count_rate_curvature
-from .params import MeanFieldParams, ModelParams, SteadyState
+from .params import MeanFieldParams, ModelParams, SteadyState, _require_finite_args
 
 __all__ = ["d2_omega_C", "drift", "relax_to_steady", "steady_states"]
 
@@ -302,10 +302,10 @@ def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
     delay's result, the first and every ``reset_every``-th one (0: never)
     with omega_init.  One ``_root_table`` call takes every distinct delay.
     Array drift calls before the walk, one per ``_POINT_BLOCK`` points,
-    take every root of each delay at the delay after it, so a seed that
-    is a root of the previous delay costs no drift call of its own; any
-    other seed, omega_init or a seed the previous delay kept, takes a
-    scalar call.
+    take every root of each delay at the delay after it, split per delay:
+    the root the lookup picks at one delay reads its drift at the next by
+    its index, with no drift call of its own.  Any other seed, omega_init
+    or a seed the previous delay kept, takes a scalar call.
 
     Raises ValueError for a non-finite omega_init or tau or an array of
     more than one dimension, and BracketEscapeError (tau attached) for
@@ -318,8 +318,7 @@ def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
     path = np.array(tau, dtype=float, ndmin=1)
     if not path.size:
         return []
-    if not math.isfinite(omega_init):
-        raise ValueError(f"non-finite omega_init {omega_init!r}")
+    _require_finite_args(omega_init=omega_init)
     if abs(omega_init) > mf.omega_bracket:
         raise BracketEscapeError(
             f"omega_init {omega_init!r} outside bracket {mf.omega_bracket!r}",
@@ -327,12 +326,13 @@ def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
     distinct, which = np.unique(path, return_inverse=True)
     table = _root_table(distinct, p, mf)
     path, which = path.tolist(), which.tolist()
-    omegas = [table[j][0] for j in which[:-1]]
-    start = np.cumsum([0, *(w.size for w in omegas)]).tolist()  # of each delay's roots
-    seeds = np.concatenate([np.empty(0), *omegas])
-    at = np.repeat(path[1:], np.diff(start))
+    sizes = [table[j][0].size for j in which[:-1]]
+    seeds = np.concatenate([np.empty(0), *(table[j][0] for j in which[:-1])])
+    at = np.repeat(path[1:], sizes)
     g_seeds = np.concatenate([drift(seeds[s], at[s], p, mf)
                               for s in _slices(seeds.size)]) if seeds.size else seeds
+    # g_next[k][i]: root i of delay k at delay k + 1
+    g_next = np.split(g_seeds, np.cumsum(sizes[:-1], dtype=np.intp))
     tol = _residual_tol(p, mf)
     states = []
     for k, (t, j) in enumerate(zip(path, which)):
@@ -340,22 +340,20 @@ def relax_to_steady(omega_init: float, tau, p: ModelParams, mf: MeanFieldParams,
             w0, g0 = float(omega_init), None
         if g0 is None:
             g0 = drift(w0, t, p, mf)
-        if abs(g0) <= tol:
+        if abs(g0) <= tol:  # kept: the next delay drifts the seed with a scalar call
             states.append(SteadyState(tau=t, omega_f=w0, stable=_slope(w0, t, p, mf) <= 0.0,
                                       residual=abs(g0), basin_seed=w0))
-        else:
-            omega, stable, residual = table[j]
-            side = omega > w0 if g0 > 0.0 else omega < w0
-            ahead = np.flatnonzero(side | ((omega == w0) & stable))
-            if not ahead.size:
-                raise BracketEscapeError(
-                    f"no root between omega_init {w0!r} and the bracket edge", tau=t)
-            i = ahead[0] if g0 > 0.0 else ahead[-1]
-            states.append(SteadyState(tau=t, omega_f=float(omega[i]), stable=bool(stable[i]),
-                                      residual=float(residual[i]), basin_seed=w0))
-        w0, g0 = states[-1].omega_f, None
-        if k < len(omegas):
-            i = start[k] + int(np.searchsorted(omegas[k], w0))  # the seed among the roots
-            if i < start[k + 1] and seeds[i] == w0:
-                g0 = float(g_seeds[i])
+            g0 = None
+            continue
+        omega, stable, residual = table[j]
+        side = omega > w0 if g0 > 0.0 else omega < w0
+        ahead = np.flatnonzero(side | ((omega == w0) & stable))
+        if not ahead.size:
+            raise BracketEscapeError(
+                f"no root between omega_init {w0!r} and the bracket edge", tau=t)
+        i = ahead[0] if g0 > 0.0 else ahead[-1]
+        states.append(SteadyState(tau=t, omega_f=float(omega[i]), stable=bool(stable[i]),
+                                  residual=float(residual[i]), basin_seed=w0))
+        w0 = states[-1].omega_f
+        g0 = float(g_next[k][i]) if k < len(sizes) else None
     return states if np.ndim(tau) else states[0]

@@ -31,6 +31,18 @@ def _require_finite(obj) -> None:
             raise ValueError(f"{f.name} must be finite")
 
 
+def _require_finite_args(nonnegative: tuple[str, ...] = (), /, **values: float) -> None:
+    """Raise ValueError naming the first non-finite one of the scalar
+    arguments ``values``, in their order, and then the first negative one
+    of those named in ``nonnegative``."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} {float(value)!r}")
+    for name in nonnegative:
+        if values[name] < 0.0:
+            raise ValueError(f"negative {name} {float(values[name])!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Pulse-sequence and optical-pumping constants.

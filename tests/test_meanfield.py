@@ -509,6 +509,36 @@ def test_relax_to_steady_walks_a_path_of_delays(monkeypatch):
         sf.relax_to_steady(omega_init, np.array([path]), P, mf)
 
 
+def test_relax_to_steady_walks_on_from_a_kept_seed(monkeypatch):
+    # One ulp off a stable root of tau1 the seed is within the residual
+    # tolerance and kept.  At tau2 it is no root: the walk looks one up,
+    # and tau3 reads that root's drift by its index in the batched seed
+    # drifts.  Only omega_init at tau1 and the kept seed at tau2 take a
+    # scalar drift call.
+    mf = _ps2(1e3)
+    path = [0.62, 0.71, 0.83]
+    root = min((r for r in sf.steady_states(path[0], P, mf) if r.stable),
+               key=lambda r: abs(r.omega_f))
+    seed = float(np.nextafter(root.omega_f, np.inf))
+    assert abs(sf.drift(seed, path[0], P, mf)) <= _residual_tol(P, mf)
+    want, omega = [], seed
+    for tau in path:
+        want.append(sf.relax_to_steady(omega, tau, P, mf))
+        omega = want[-1].omega_f
+    assert want[0].omega_f == seed
+    assert want[1].omega_f != seed and want[2].basin_seed == want[1].omega_f
+    scalar, drift = [], meanfield.drift
+
+    def counting(w, tau, *args):
+        if np.ndim(w) == 0:
+            scalar.append((w, tau))
+        return drift(w, tau, *args)
+
+    monkeypatch.setattr(meanfield, "drift", counting)
+    assert sf.relax_to_steady(seed, np.array(path), P, mf) == want
+    assert scalar == [(seed, path[0]), (seed, path[1])]
+
+
 def test_relax_to_steady_rejects_a_bad_start_before_any_scan(monkeypatch):
     # The root table is the costly part of a walk: a bad omega_init is
     # rejected before it is built, a bracket escape carrying the first

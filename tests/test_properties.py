@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import spinfringe as sf
 from spinfringe import cli
 from spinfringe.config import config_to_text, parse_config
-from spinfringe.meanfield import _bisect_brackets, _residual_tol, _scan_grids, _scan_sizes
+from spinfringe.meanfield import (_bisect_brackets, _residual_tol, _root_table, _scan_grids,
+                                  _scan_sizes)
 
 P = sf.ModelParams()
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=40)
@@ -94,6 +95,21 @@ def test_root_count_parity_follows_edge_drift(draw):
     assume(g_lo != 0.0 and g_hi != 0.0)
     n_roots = len(sf.steady_states(tau, P, mf))
     assert (n_roots % 2 == 1) == ((g_lo > 0.0) != (g_hi > 0.0))
+
+
+@SETTINGS
+@given(meanfield_draws(), st.integers(1, 900))
+def test_root_table_is_invariant_under_scaling_kappa_and_alpha(draw, k):
+    # Scaling kappa and alpha by 2**-k scales every drift value and the
+    # residual tolerance exactly: the roots and stable flags keep their
+    # bits, and each residual scales by exactly 2**-k.
+    tau, mf = draw
+    scaled = sf.MeanFieldParams(kappa=math.ldexp(mf.kappa, -k), alpha=math.ldexp(mf.alpha, -k))
+    (omega, stable, residual), = _root_table([tau], P, mf)
+    (omega_k, stable_k, residual_k), = _root_table([tau], P, scaled)
+    assert omega_k.tobytes() == omega.tobytes()
+    assert stable_k.tobytes() == stable.tobytes()
+    assert residual_k.tobytes() == np.ldexp(residual, -k).tobytes()
 
 
 config_values = st.fixed_dictionaries({}, optional={

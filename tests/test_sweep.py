@@ -375,8 +375,8 @@ def test_sweep_equals_a_relax_to_steady_walk(ratio, sched):
 def test_sweep_makes_no_drift_call_per_sample(monkeypatch, ratio):
     # A 146-delay round trip (292 samples): one array drift call per scan
     # block, one per refinement step, and one per ``_POINT_BLOCK`` seeds
-    # of the walk; a scalar call only for omega_init and a seed that is
-    # no root of the previous delay.
+    # of the walk; a scalar call only for omega_init and a seed the
+    # previous delay kept (the repeated delay at the turn of the trip).
     calls = {"blocks": 0, "scan": 0, "refine": 0, "walk": 0, "scalar": 0}
     stage = ["scan"]
     drift, scan_grids = meanfield.drift, meanfield._scan_grids
