@@ -16,10 +16,10 @@ zero-gradient second difference, and applies its neighbour weights to
 neighbour differences.  The stencil sees the grid as one flat row of
 cells, in which axis j is a shift by its stride n_cells^(n-1-j); two
 cells that a shift pairs across the end of a grid row share a face of
-weight 0.  So every pass reads and writes contiguous slices, into work
-arrays kept for the solve.  The trion/fluctuation term keeps its
-coefficient outside the second derivative, exactly as the mean-field
-reduction requires: integrating its first moment by parts gives
+weight 0.  So every pass reads and writes contiguous slices.  The
+trion/fluctuation term keeps its coefficient outside the second
+derivative, exactly as the mean-field reduction requires: integrating
+its first moment by parts gives
 d<Omega>/dt = Gamma A^2 <d^2/dOmega^2 [Omega C]>, the bracket that the
 flatness assumption later collapses to the mean.  In that form the
 operator does not conserve total probability when C varies (the density
@@ -37,15 +37,14 @@ cells keep the width of the nominal grid, so a solve takes no more
 steps on fewer cells.
 
 The time stepping is explicit Heun with a constant operator, so a step
-is one linear map M; its stages reuse work arrays, and a step allocates
-only the new density.  Each of the equal output intervals takes the same
-number of equal steps, fixed before the loop, so every report lands
-exactly on its output time.  A one-site grid with enough steps to pay
-for it rounds that number up to a multiple of K = ``_BLOCK``, builds
-the band of M^K once per solve by stepping comb probes
-(``_block_stepper``) and takes each K steps as one banded product,
-renormalized once; the density and ``mass_err`` differ from a
-step-at-a-time loop on the same schedule only by rounding.  Other
+is one linear map M, taken in plain array expressions.  Each of the
+equal output intervals takes the same number of equal steps, fixed
+before the loop, so every report lands exactly on its output time.  A
+one-site grid with enough steps to pay for it rounds that number up to a
+multiple of K = ``_BLOCK``, builds the band of M^K once per solve by
+stepping comb probes (``_block_stepper``) and takes each K steps as one
+banded product, renormalized once; the density and ``mass_err`` differ
+from a step-at-a-time loop on the same schedule only by rounding.  Other
 grids take the steps one at a time.
 
 Moments of the grid cells and of the Langevin trajectories come from one
@@ -268,7 +267,7 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
     ``up = v_{i+1/2}/(2 dm) + g_i/dm^2`` and to its lower one with
     ``lo = g_i/dm^2 - v_{i-1/2}/(2 dm)``.  Returns
 
-        rhs(f, out=None) = s f + sum_j [up_j (f_{i+1} - f_i) + lo_j (f_{i-1} - f_i)]
+        rhs(f) = s f + sum_j [up_j (f_{i+1} - f_i) + lo_j (f_{i-1} - f_i)]
 
     where s, the row sum of the stencil, is the discrete divergence of v
     summed over the axes.  Weighting the neighbour differences keeps the
@@ -282,8 +281,7 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
     next) shares a face of weight 0.  The axes are applied in order, as
     on the grid, so every cell sums the same terms in the same order.
     ``f`` may carry leading axes: a stack of densities is applied at once.
-    The result goes to ``out`` (f's shape) or a new array; the neighbour
-    differences and products go to work arrays kept per stack shape.
+    The result is a new array of f's shape.
     """
     shape = (vel[0].shape[0] + 1,) * len(vel)  # n_cells - 1 faces along each axis
     size = math.prod(shape)
@@ -303,25 +301,15 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
         stride = math.prod(shape[j + 1:])
         faces.append((stride, up.ravel()[:size - stride], lo.ravel()[stride:]))
     row_sum = row_sum.ravel()
-    work = {}
 
-    def rhs(f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        lead = f.shape[:f.ndim - len(shape)]
-        if out is None:
-            out = np.empty(f.shape)
-        if lead not in work:
-            work[lead] = np.empty((2, *lead, size))
-        diff, prod = work[lead]
-        flat, acc = f.reshape(*lead, size), out.reshape(*lead, size)
-        np.multiply(row_sum, flat, out=acc)
+    def rhs(f: np.ndarray) -> np.ndarray:
+        flat = f.reshape(*f.shape[:f.ndim - len(shape)], size)
+        out = row_sum * flat
         for stride, up, lo in faces:
-            df = np.subtract(flat[..., stride:], flat[..., :-stride],
-                             out=diff[..., stride:])
-            w = prod[..., stride:]
-            below, above = acc[..., :-stride], acc[..., stride:]
-            np.add(below, np.multiply(up, df, out=w), out=below)
-            np.subtract(above, np.multiply(lo, df, out=w), out=above)
-        return out
+            df = flat[..., stride:] - flat[..., :-stride]
+            out[..., :-stride] += up * df
+            out[..., stride:] -= lo * df
+        return out.reshape(f.shape)
 
     return rhs
 
@@ -329,21 +317,13 @@ def _stencil(vel: list[np.ndarray], g_diff: list[np.ndarray], dm: float):
 def _heun(rhs):
     """One explicit Heun step of ``rhs`` as a function of (f, dt).
 
-    The stages k1, f + dt k1 and k2 go to work arrays kept per state
-    shape, so a step allocates only its result, a new array that shares
-    memory with nothing the caller holds.
+    The step returns a new array that shares memory with nothing the
+    caller holds.
     """
-    work = {}
-
     def step(f: np.ndarray, dt: float) -> np.ndarray:
-        if f.shape not in work:
-            work[f.shape] = np.empty((3, *f.shape))
-        k1, stage, k2 = work[f.shape]
-        rhs(f, out=k1)
-        np.add(f, np.multiply(dt, k1, out=stage), out=stage)
-        rhs(stage, out=k2)
-        np.multiply(0.5 * dt, np.add(k1, k2, out=k1), out=k1)
-        return f + k1
+        k1 = rhs(f)
+        k2 = rhs(f + dt * k1)
+        return f + 0.5 * dt * (k1 + k2)
 
     return step
 

@@ -293,6 +293,7 @@ def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("setting, key", [
     ("lattice.a_peak = 1e-200", "lattice.a_peak"),   # a_peak**2 underflows
+    ("lattice.a_peak = 1e300", "lattice.a_peak"),    # a_peak**2 overflows
     ("meanfield.ratio = 1e-320", "meanfield.ratio"),  # the ps2 factor underflows
     ("model.sigma_ghz = 1e-300", "model.sigma_ghz"),  # sigma**2 underflows
     ("hole.b0 = 1e-300", "hole.b0"),                  # the golden-rule rate overflows

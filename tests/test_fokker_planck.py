@@ -318,39 +318,44 @@ def test_a_solved_density_is_not_written_by_the_next_solve():
     assert not np.shares_memory(first, second)
 
 
-def test_grid_steps_allocate_no_per_step_temporaries(monkeypatch):
-    # The benchmark's two-site lattice at 96^2 cells.  After one warm-up
-    # step, 50 steps with their renormalization peak at most two densities
-    # above their start.  A step needs one: the new state beside the old.
+@pytest.mark.parametrize("t_end", [30.0, 120.0])
+def test_grid_stepping_peaks_within_five_and_a_half_densities(monkeypatch, t_end):
+    # The benchmark's two-site lattice at 96^2 cells.  From just before
+    # the first step to the last, the steps with their renormalization
+    # peak less than five and a half densities above the start, whatever
+    # their number: at most five densities live at once within a Heun
+    # step (k1, the state k2 is taken at, the stencil's sum, neighbour
+    # difference and product), and nothing is kept from one step to the
+    # next.
     lat = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,),
                      f=(5e-5, 5e-5), d_bath=0.02)
     spec = sf.GridSpec(m_min=-4.0, m_max=4.0, n_cells=96, init_mean=0.5,
                        init_width=0.4, n_outputs=1, cfl=0.8)
     real_heun = fokker_planck._heun
-    calls, traced = [], {}
+    traced = {"steps": 0}
 
     def heun(rhs):
         step = real_heun(rhs)
 
         def traced_step(f, dt):
-            if len(calls) == 1:
+            if not traced["steps"]:
                 tracemalloc.reset_peak()
                 traced["start"] = tracemalloc.get_traced_memory()[0]
                 traced["nbytes"] = f.nbytes
-            elif len(calls) == 51:
-                traced["peak"] = tracemalloc.get_traced_memory()[1]
-            calls.append(1)
-            return step(f, dt)
+            f = step(f, dt)
+            traced["steps"] += 1
+            traced["peak"] = tracemalloc.get_traced_memory()[1]
+            return f
         return traced_step
 
     monkeypatch.setattr(fokker_planck, "_heun", heun)
     tracemalloc.start()
     try:
-        sf.fp_grid_solve(lat, 0.17, 30.0, spec, P)
+        sf.fp_grid_solve(lat, 0.17, t_end, spec, P)
     finally:
         tracemalloc.stop()
-    assert len(calls) > 51
-    assert traced["peak"] - traced["start"] <= 2 * traced["nbytes"]
+    assert traced["steps"] > 50
+    assert traced["peak"] - traced["start"] < 5.5 * traced["nbytes"]
 
 
 def test_reports_use_the_cells_curvature_taken_once():
