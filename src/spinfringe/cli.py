@@ -10,14 +10,17 @@ versions, so runs sharing an output directory keep their provenance.
 ``--seed N`` is the override ``seed = N``, applied after the ``--set``
 items: the echo shows it, and ``--seed`` with ``--set seed=...`` is a
 duplicate key.  A seed lies in [0, 2**128).  Data files are formatted
-and written in chunks of ``_CHUNK`` rows, so a run holds one chunk's
-text at a time.  A chunk's text is one ``%`` operation on a row template
-made once per file; the fringe map's omega and tau axes are formatted
-once per grid value.  Identical configuration and seed give
-byte-identical data files.  Exit codes: 0 ok, 2 configuration or I/O
-error, 3 numeric failure (a machine-readable JSON error record, with the
-delay ``tau_ns`` and time ``t_ns`` of the failure where known, goes to
-stderr and partial outputs are removed).
+and written in chunks of at most ``_CHUNK`` rows, so a run holds one
+chunk's text at a time.  A chunk's text is one ``%`` operation on a row
+template made once per file.  The fringe map's omega and tau axes are
+formatted once per grid value and written into the templates of its
+chunks, which hold whole grid rows (or pieces of a row longer than a
+chunk), so each map row formats only its count.  Identical
+configuration and seed give byte-identical data files.
+Exit codes: 0 ok, 2 configuration or I/O error, 3 numeric failure (a
+machine-readable JSON error record, with the delay ``tau_ns`` and time
+``t_ns`` of the failure where known, goes to stderr and partial outputs
+are removed).
 """
 
 from __future__ import annotations
@@ -43,18 +46,18 @@ from .meanfield import relax_to_steady
 from .sweep import fringe_map, nullcline, run_sweep
 
 
-# Rows per chunk of a data file.  Chunks of 2**12 to 2**17 rows format the
-# 451k-row 601 x 751 map equally fast within a shared 2-core host's noise
-# (medians 0.22-0.34 s over three rounds), and 5-25% faster than one chunk of
-# the whole table, whose text and cells take 60 MB of traced memory against
-# 2.4 MB at 2**14 rows; a write holds one chunk's text in memory.
+# Most rows in a chunk of a data file.  Chunks of 2**10 to 2**16 rows format
+# the 451k-row 601 x 751 map equally fast within a shared 2-core host's noise
+# (medians 0.16-0.22 s over six rounds), and 5-25% faster than one chunk of
+# the whole table, whose text and cells take 52 MB of traced memory against
+# 2.0 MB at 2**14 rows; a write holds one chunk's text in memory.
 _CHUNK = 1 << 14
 
 
 def _table(name: str, header: list[str], columns: list,
            precision: int) -> Iterator[str]:
-    """The text of data file ``name`` in chunks of ``_CHUNK`` rows: CSV, or
-    NDJSON for a ``.ndjson`` name.
+    """The text of data file ``name`` in chunks of at most ``_CHUNK`` rows:
+    CSV, or NDJSON for a ``.ndjson`` name.
 
     The CSV header is a chunk of its own.  Each chunk is one ``%``
     operation, ``(row * n) % cells``, on a row template that holds one
@@ -68,22 +71,33 @@ def _table(name: str, header: list[str], columns: list,
     ``%`` escaped as ``%%``, and a float or text cell comes encoded, as
     ``%s``.
 
-    A column is an array of values, or a factor ``(values, codes)`` whose
-    row i holds ``values[codes[i]]``: each of its values is formatted (and
-    encoded) once per file, and a chunk takes its texts by code.  Every
-    other cell is formatted from its own value.
+    A column is an array of values, one per row, except in a table whose
+    last column is 2-D: ``[x, y, grid]`` is the table of rows ``(x[i],
+    y[k], grid[i, k])``, ``k`` fastest.  Each axis value is formatted (and
+    encoded) once per file, into ``pre[i]``, the text of row ``i`` up to
+    its y cell, and ``parts[k]``, the rest of the row, whose one spec is
+    the count's; only the counts are formatted per row (see
+    ``_grid_chunks``).
     """
     ndjson = name.endswith(".ndjson")
+    if ndjson:
+        keys = [json.dumps(h).replace("%", "%%") + ": " for h in header]
+        opening, sep, closing = "{", ", ", "}\n"
+    else:
+        keys, opening, sep, closing = [""] * len(header), "", ",", "\n"
+        yield ",".join(header) + "\n"
+    if np.ndim(columns[-1]) == 2:
+        spec, fill = _column(np.ravel(columns[-1]), precision, ndjson)
+        pre = [opening + keys[0] + text + sep
+               for text in _cell_texts(columns[0], precision, ndjson)]
+        parts = [keys[1] + text + sep + keys[2] + spec + closing
+                 for text in _cell_texts(columns[1], precision, ndjson)]
+        yield from _grid_chunks(pre, parts, fill, ndjson)
+        return
     specs, fills = zip(*(_column(col, precision, ndjson) for col in columns))
     fills = [fill for fill in fills if fill is not None]
-    if ndjson:
-        keys = [json.dumps(h).replace("%", "%%") for h in header]
-        row = "{" + ", ".join(f"{k}: {s}" for k, s in zip(keys, specs)) + "}\n"
-    else:
-        row = ",".join(specs) + "\n"
-        yield ",".join(header) + "\n"
-    first = columns[0]
-    n_rows = len(first[1] if isinstance(first, tuple) else first)
+    row = opening + sep.join(k + s for k, s in zip(keys, specs)) + closing
+    n_rows = len(columns[0])
     for start in range(0, n_rows, _CHUNK):
         stop = min(start + _CHUNK, n_rows)
         cells = np.empty((stop - start, len(fills)), dtype=object)
@@ -92,17 +106,39 @@ def _table(name: str, header: list[str], columns: list,
         yield (row * (stop - start)) % tuple(cells.ravel().tolist())
 
 
+def _grid_chunks(pre: list[str], parts: list[str], fill, ndjson: bool) -> Iterator[str]:
+    """The chunks of a grid table's rows: grid row ``i``'s template is
+    ``pre[i] + pre[i].join(parts)``, and ``fill`` gives the counts of the
+    flattened grid.  One ``%`` fills a block of whole grid rows, at most
+    ``_CHUNK`` table rows; a grid row longer than ``_CHUNK`` is split by
+    columns into blocks of at most ``_CHUNK`` cells.
+    """
+    n_y = len(parts)
+    rows_per_block, cells_per_block = max(_CHUNK // n_y, 1), min(n_y, _CHUNK)
+    for i in range(0, len(pre), rows_per_block):
+        j = min(i + rows_per_block, len(pre))
+        for c in range(0, n_y, cells_per_block):
+            d = min(c + cells_per_block, n_y)
+            tail = ["", *parts[c:d]]  # p.join(tail) is p + p.join(parts[c:d])
+            cells = fill(i * n_y + c, (j - 1) * n_y + d)
+            yield "".join([p.join(tail) for p in pre[i:j]]) % tuple(
+                cells if ndjson else cells.tolist())
+
+
+def _cell_texts(col, precision: int, ndjson: bool) -> list[str]:
+    """The text of each cell of ``_table`` column ``col``, with ``%``
+    escaped as ``%%`` for a row template."""
+    spec, fill = _column(col, precision, ndjson)
+    cells = np.asarray(fill(0, len(col)), dtype=object)
+    return [(spec % v).replace("%", "%%") for v in cells]
+
+
 def _column(col, precision: int, ndjson: bool):
     """``(spec, fill)`` of one ``_table`` column: its spec in the row
     template, and ``fill(start, stop)`` giving its cells for rows
-    [start, stop), or None for a column of None.
+    [start, stop), or None for a column of None.  The cells of an NDJSON
+    float or text column are their encoded JSON texts, in a list.
     """
-    if isinstance(col, tuple):
-        values, codes = col[0], np.asarray(col[1])
-        spec, fill = _column(values, precision, ndjson)
-        cells = np.asarray(fill(0, len(values)), dtype=object)
-        texts = np.array([spec % v for v in cells], dtype=object)
-        return "%s", lambda start, stop: texts[codes[start:stop]]
     col = np.asarray(col)
     kind = col.dtype.kind
     if kind == "O":
@@ -174,8 +210,7 @@ def _run_fringe_map(cfg: RunConfig):
     tau = np.linspace(cfg.sweep.tau_start, cfg.sweep.tau_end, cfg.map.n_tau)
     grid = fringe_map(omega, tau, cfg.model)
     return ("fringe_map", ["omega_rad_per_ns", "tau_ns", "count"],
-            [(omega, np.repeat(np.arange(omega.size), tau.size)),
-             (tau, np.tile(np.arange(tau.size), omega.size)), grid.ravel()])
+            [omega, tau, grid])
 
 
 def _run_sweep(cfg: RunConfig):

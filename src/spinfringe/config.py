@@ -293,6 +293,9 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     a_peak = get("lattice.a_peak")
     valid("lattice", (math.isfinite(a_peak * a_peak),
                       "lattice.a_peak is too large: a_peak**2 is not finite"))
+    # The density oracles' moments take a_peak**3.
+    valid("lattice", (math.isfinite(a_peak * a_peak * a_peak),
+                      "lattice.a_peak is too large: a_peak**3 is not finite"))
     denom = ratio_internal * a_peak * a_peak
     # A nonzero a_peak whose ratio * a_peak**2 underflows gives no finite default.
     gamma_peak = derive("lattice.gamma_peak",

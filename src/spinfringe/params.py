@@ -197,6 +197,11 @@ class SweepSchedule:
             raise ValueError("tau_start < tau_end required")
         if self.tau_start < 0:
             raise ValueError("tau_start >= 0 required")
+        # grid() lays out a float64 per delay; numpy's arrays hold at most
+        # intp-max bytes.
+        if not (self.tau_end - self.tau_start) / self.tau_step < np.iinfo(np.intp).max // 8:
+            raise ValueError("tau_step is too small for tau_end: (tau_end - tau_start) "
+                             "/ tau_step delays do not fit in an array")
         if self.direction not in ("forward", "backward", "round-trip"):
             raise ValueError("direction must be forward|backward|round-trip")
         if self.reset_omega_every < 0:

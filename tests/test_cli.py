@@ -156,9 +156,12 @@ def test_numeric_error_exits_3_and_removes_partial_outputs(tmp_path, capsys):
 
 
 def test_module_entrypoint_runs(tmp_path):
+    # The child imports spinfringe from where this process found it.
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spinfringe.cli", "rate", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert (tmp_path / "rate.csv").exists()
 
@@ -294,6 +297,7 @@ def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
 @pytest.mark.parametrize("setting, key", [
     ("lattice.a_peak = 1e-200", "lattice.a_peak"),   # a_peak**2 underflows
     ("lattice.a_peak = 1e300", "lattice.a_peak"),    # a_peak**2 overflows
+    ("lattice.a_peak = 1e150", "lattice.a_peak"),    # a_peak**3 overflows
     ("meanfield.ratio = 1e-320", "meanfield.ratio"),  # the ps2 factor underflows
     ("model.sigma_ghz = 1e-300", "model.sigma_ghz"),  # sigma**2 underflows
     ("hole.b0 = 1e-300", "hole.b0"),                  # the golden-rule rate overflows
@@ -307,6 +311,36 @@ def test_underflowing_derived_default_exits_2(tmp_path, capsys, setting, key):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigValidationError"
     assert f"(key '{key}', line 1)" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oracle_with_a_peak_whose_cube_overflows_exits_2(tmp_path, capsys):
+    # It used to exit 0 with nan in trion_drift_exact: a**3 overflowed in
+    # the density moments.
+    assert main(["oracle", "--out", str(tmp_path), "--set", "lattice.a_peak = 1e150"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert "a_peak**3 is not finite (key 'lattice.a_peak', line 1)" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["sweep", "steady"])
+@pytest.mark.parametrize("setting, key, line", [
+    (["sweep.tau_step = 1e-300"], "sweep.tau_step", 1),
+    (["sweep.tau_end = 1e300", "sweep.tau_step = 1e-300"], "sweep.tau_step", 2),
+    (["sweep.tau_end = 1e300"], "sweep.tau_end", 1),
+])
+def test_delay_count_beyond_an_array_exits_2(tmp_path, capsys, sub, setting, key, line):
+    # These used to exit 1 in SweepSchedule.grid: "Maximum allowed size
+    # exceeded", or OverflowError for an infinite count.
+    argv = [sub, "--out", str(tmp_path)]
+    for item in setting:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert "tau_step is too small for tau_end" in record["message"]
+    assert f"(key '{key}', line {line})" in record["message"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -537,13 +571,27 @@ def test_percent_in_cells_and_header_is_written_verbatim(name):
     codes = np.array([0, 1, 1, 0])
     text = "".join(cli._table(name, header, [np.array([0.5, 1.0, 2.0, -0.0]),
                                              np.arange(4), np.array(names),
-                                             (words, codes)], 12))
+                                             words[codes]], 12))
     records = zip([0.5, 1.0, 2.0, -0.0], range(4), names, words[codes].tolist())
     if name.endswith(".ndjson"):
         want = "".join(json.dumps(dict(zip(header, rec))) + "\n" for rec in records)
     else:
         want = "share_%,%s,name,word\n" + "".join(
             f"{x:.12g},{i},{t},{w}\n" for x, i, t, w in records)
+    assert text == want
+    # The grid form writes its axis texts and keys into the row templates.
+    header = ["%s_omega", "tau_%", "%(count)d"]
+    x, y = np.array([-0.5, 2.0]), np.array([0.25, 1.0, 1e300])
+    grid = np.array([[1.0, -0.0, 1 / 3], [np.inf, 7.0, 0.5]])
+    text = "".join(cli._table(name, header, [x, y, grid], 12))
+    records = [(a, b, grid[i, k]) for i, a in enumerate(x.tolist())
+               for k, b in enumerate(y.tolist())]
+    if name.endswith(".ndjson"):
+        want = "".join(json.dumps(dict(zip(header, (float(f"{v:.12g}") for v in rec))))
+                       + "\n" for rec in records)
+    else:
+        want = "%s_omega,tau_%,%(count)d\n" + "".join(
+            f"{a:.12g},{b:.12g},{c:.12g}\n" for a, b, c in records)
     assert text == want
 
 
@@ -552,19 +600,22 @@ def test_percent_in_cells_and_header_is_written_verbatim(name):
 @pytest.mark.parametrize("precision", [3, 17])
 def test_factor_column_writes_the_bytes_of_its_plain_column(monkeypatch, name, chunk,
                                                             precision):
+    # The grid form [x, y, grid] writes each axis as a factor of the rows:
+    # its bytes are those of the row-expanded plain columns.  (2, 9) has
+    # rows longer than a chunk, (8, 1) one column.
     monkeypatch.setattr(cli, "_CHUNK", chunk)
-    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1 / 3, -2e-300, 1e300])
-    codes = np.array([1, 0, 2, 2, 8, 3, 4, 5, 6, 5, 1])  # value 7 unused
-    words, word_codes = np.array(["a,b", "", "%s"]), np.array([2, 1, 0] * 3 + [1, 1])
-    flags, flag_codes = np.array([True, False]), np.arange(11) % 2
-    header = ["x", "word", "flag", "y"]
-    y = np.linspace(-1.0, 1.0, 11)
-    factor = "".join(cli._table(name, header, [(values, codes), (words, word_codes),
-                                               (flags, flag_codes), y], precision))
-    plain = "".join(cli._table(name, header, [values[codes], words[word_codes],
-                                              flags[flag_codes], y], precision))
-    assert factor == plain
-    assert len(factor.splitlines()) == 11 + (name == "t.csv")
+    counts = [0.0, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 1e300, -1e300, 0.1]
+    header = ["x", "y", "count"]
+    for n, m in [(6, 2), (8, 1), (2, 9)]:
+        grid = np.resize(np.array(counts), (n, m))
+        x = np.resize(np.array([-0.0, 1 / 3, -2e-300, 1e300, 0.0]), n)
+        y = np.resize(np.array([0.05, -0.0, 1 / 3, 1e300]), m)
+        chunks = list(cli._table(name, header, [x, y, grid], precision))
+        plain = "".join(cli._table(name, header, [np.repeat(x, m), np.tile(y, n),
+                                                  grid.ravel()], precision))
+        assert "".join(chunks) == plain
+        assert len(plain.splitlines()) == n * m + (name == "t.csv")
+        assert max(text.count("\n") for text in chunks) <= cli._CHUNK
 
 
 def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
@@ -572,13 +623,12 @@ def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     writer = cli._RunWriter(str(tmp_path))
 
-    def peak(n, factor=False):
-        omega, tau = np.linspace(-3, 3, n // 64), np.linspace(0.05, 1.5, 64)
-        if factor:  # the fringe map's form: both axes as (values, codes)
-            columns = [(omega, np.repeat(np.arange(omega.size), 64)),
-                       (tau, np.tile(np.arange(64), omega.size)), rng.random(n)]
+    def peak(n, grid=False, n_tau=64):
+        omega, tau = np.linspace(-3, 3, n // n_tau), np.linspace(0.05, 1.5, n_tau)
+        if grid:  # the fringe map's form: both axes and the 2-D count grid
+            columns = [omega, tau, rng.random((omega.size, n_tau))]
         else:
-            columns = [np.repeat(omega, 64), np.tile(tau, n // 64), rng.random(n)]
+            columns = [np.repeat(omega, n_tau), np.tile(tau, n // n_tau), rng.random(n)]
         tracemalloc.start()
         try:
             writer.write_text("t.csv", cli._table("t.csv", ["omega", "tau", "count"],
@@ -589,7 +639,10 @@ def test_writing_a_table_holds_one_chunk_in_memory(tmp_path, monkeypatch):
 
     peak(2048)  # first-call allocations
     assert peak(8192) < 1.5 * peak(2048)
-    assert peak(8192, factor=True) < 1.5 * peak(2048, factor=True)
+    small_grid = peak(2048, grid=True)
+    assert peak(8192, grid=True) < 1.5 * small_grid
+    # Grid rows of 300 cells, longer than a chunk, are written in pieces.
+    assert peak(2400, grid=True, n_tau=300) < 1.5 * small_grid
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

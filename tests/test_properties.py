@@ -153,12 +153,19 @@ float_cells = st.one_of(
 @SETTINGS
 @given(st.lists(float_cells, min_size=1, max_size=40), st.integers(3, 17))
 def test_table_float_cells_are_their_own_format(values, precision):
-    # The same values as a plain column and as a factor over their reversal.
+    # The same values in two plain columns, the second a negative-stride view.
     col = np.array(values)
-    columns = [col, (col[::-1].copy(), np.arange(col.size)[::-1])]
+    columns = [col, col[::-1].copy()[::-1]]
     texts = [format(v, f".{precision}g") for v in values]
     csv = "".join(cli._table("t.csv", ["x", "y"], columns, precision))
     assert csv == "x,y\n" + "".join(f"{t},{t}\n" for t in texts)
     ndjson = "".join(cli._table("t.ndjson", ["x", "y"], columns, precision))
     assert ndjson.splitlines() == [json.dumps({"x": float(t), "y": float(t)})
                                    for t in texts]
+    # The grid form: each value as the x axis, the y axis and a count.
+    grid = np.broadcast_to(col, (col.size, col.size))
+    csv = "".join(cli._table("t.csv", ["x", "y", "c"], [col, col, grid], precision))
+    assert csv == "x,y,c\n" + "".join(f"{s},{t},{t}\n" for s in texts for t in texts)
+    ndjson = "".join(cli._table("t.ndjson", ["x", "y", "c"], [col, col, grid], precision))
+    assert ndjson.splitlines() == [json.dumps({"x": float(s), "y": float(t), "c": float(t)})
+                                   for s in texts for t in texts]
