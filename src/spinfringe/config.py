@@ -19,7 +19,9 @@ from typing import Any
 from .constants import TWO_PI, ghz_to_rad_per_ns
 from .errors import ConfigParseError, ConfigValidationError
 from .fringe import trion_flip_rate
+from .meanfield import _scan_step
 from .params import (
+    _MAX_FLOATS,
     HoleNuclearParams,
     Lattice,
     MeanFieldParams,
@@ -291,9 +293,7 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
     sweep = build("sweep", SweepSchedule)
 
     a_peak = get("lattice.a_peak")
-    valid("lattice", (math.isfinite(a_peak * a_peak),
-                      "lattice.a_peak is too large: a_peak**2 is not finite"))
-    # The density oracles' moments take a_peak**3.
+    # The density oracles' moments take a_peak**3, which overflows first.
     valid("lattice", (math.isfinite(a_peak * a_peak * a_peak),
                       "lattice.a_peak is too large: a_peak**3 is not finite"))
     denom = ratio_internal * a_peak * a_peak
@@ -321,6 +321,14 @@ def _build(raw: dict[str, Any], where: dict[str, int]) -> RunConfig:
                    "hole.inv_r3_avg is not finite"))
 
     oracle = build("oracle", OracleConfig)
+    # The root scan lays out 2 W / step float64 points at a delay, the most
+    # at the largest delay a run scans.  Its fringe nulls, about W tau / pi,
+    # are at most a twentieth as many.
+    step = float(_scan_step(max(sweep.tau_end, oracle.tau), sigma))
+    valid("meanfield", (2.0 * omega_bracket < _MAX_FLOATS * step,
+                        "meanfield.omega_bracket, model.sigma_ghz and the largest delay, "
+                        "sweep.tau_end or oracle.tau, give a root scan of 2 omega_bracket "
+                        "/ step points that do not fit in an array"))
     output = build("output", OutputConfig)
     map_cfg = build("map", MapConfig)
     seed = get("seed")

@@ -10,8 +10,10 @@ separated by a delay ``tau``, is in steady state
 with ``q = exp(-beta(omega) T)`` and ``theta = (omega0 + omega) * tau``.
 ``omega`` is the Overhauser shift of the Larmor frequency.  The same
 quantity is obtained independently by iterating the per-period pulse map
-to its fixed point (``pulse_map_fixed_point``), which is the validation
-route used by the tests.
+to its fixed point (``pulse_map_fixed_point``, ``pulse_map_count``), which
+is the validation route used by the tests: one period-doubling loop,
+stopped per point once an error bound puts the count within
+``_PULSE_TOL`` of the fixed point.
 
 ``count_rate`` and ``count_rate_curvature`` share one quotient body,
 ``_quotients`` of order 0, 2 or 3, on one kernel (``_fringe_terms``): a
@@ -190,11 +192,10 @@ def count_rate_curvature(omega, tau, p: ModelParams, third: bool = False):
     return _quotients(omega, tau, p, 3 if third else 2)
 
 
-_PULSE_TOL = 1e-13
-_PLAIN_ITER_CAP = 20000
+_PULSE_TOL = 1e-13  # the largest |count - its fixed point| a pulse-map point ends at
 
 
-def _pulse_map(omega, tau, p: ModelParams, tol: float):
+def _pulse_map(omega, tau, p: ModelParams):
     """Pulse-map fixed point over broadcastable inputs; returns (s_f, count).
 
     One period maps the post-pumping polarization s through
@@ -202,17 +203,20 @@ def _pulse_map(omega, tau, p: ModelParams, tol: float):
         pump:               s -> s_p + (s_prev - s_p) * exp(-beta T)
         rotate-precess-rotate:  s_i = s_f * cos((omega0 + omega) * tau)
 
-    and the count per period is s_f - s_i = s_f * (1 - cos(theta)).  The
-    iteration runs on every point at once with per-point convergence
-    control: points whose residual bound is below ``tol`` drop out of the
-    active set.  If plain iteration converges too slowly (contraction
-    factor near 1), the map is composed with itself (period doubling),
-    which is still an iteration of the same physical per-period map.  The
-    degenerate non-contractive point (pumping underflowed to zero and
-    |cos| = 1) gives s_f = 0 and count 0 by continuity.
+    that is s -> a s + b with a = q cos(theta), b = s_p (1 - q), and the
+    count per period is s_f - s_i = s_f * (1 - cos(theta)).  From s = 0,
+    each round composes the map with itself, (a, b) -> (a^2, a b + b), and
+    applies it, so s sums ever more powers of a; b / (1 - a) is never
+    formed.  After the step s -> A s + B of a round, with A >= 0 the
+    composed a, the count is within u |Delta s| A / (1 - A) of its fixed
+    point, and a point stops once that bound is at most ``_PULSE_TOL``.
+    Every point runs the rounds of its own inputs, so a scalar and an
+    array call give it the same bits.  The non-contractive point, |a| = 1
+    in floating point (pumping underflowed and |cos| = 1), gives s_f = 0
+    and count 0 by continuity; a NaN input gives NaN.
 
-    Raises NonConvergedError if the residual bound cannot be brought
-    below ``tol`` (unreachable for finite inputs; kept as a guard).
+    Raises NonConvergedError if a point is still open after 64 rounds
+    (unreachable for finite inputs; kept as a guard).
     """
     omega = np.asarray(omega, dtype=float)
     tau_arr = np.asarray(tau, dtype=float)
@@ -223,58 +227,40 @@ def _pulse_map(omega, tau, p: ModelParams, tol: float):
     theta = np.broadcast_to((p.omega0 + omega) * tau_arr, shape).ravel()
     sh = np.sin(0.5 * theta)
     u = 2.0 * sh * sh
-    c = 1.0 - u
-
-    a = c * q
-    one_minus_a = 1.0 - a
-    degenerate = (q == 1.0) & (np.abs(c) >= 1.0)
+    a = (1.0 - u) * q
 
     s = np.zeros_like(u)
-    active = np.flatnonzero(~degenerate)
-    for _ in range(_PLAIN_ITER_CAP):
-        if active.size == 0:
+    active = np.flatnonzero(np.abs(a) != 1.0)
+    a, b = a[active], b[active]
+    for _ in range(64):
+        if not active.size:
             break
-        aa = a[active]
-        s_next = aa * s[active] + b[active]
-        delta = s_next - s[active]
+        b = a * b + b
+        a = a * a
+        s_next = a * s[active] + b
+        open_ = u[active] * np.abs(s_next - s[active]) * a > _PULSE_TOL * (1.0 - a)
         s[active] = s_next
-        keep = u[active] * np.abs(aa * delta) > tol * one_minus_a[active]
-        active = active[keep]
+        active, a, b = active[open_], a[open_], b[open_]
     if active.size:
-        # Finish stragglers by period doubling.
-        ak, bk = a[active].copy(), b[active].copy()
-        sv, uv = s[active].copy(), u[active]
-        live = np.ones(active.size, dtype=bool)
-        for _ in range(64):
-            if not live.any():
-                break
-            bk[live] = ak[live] * bk[live] + bk[live]
-            ak[live] = ak[live] * ak[live]
-            s_next = ak[live] * sv[live] + bk[live]
-            delta = s_next - sv[live]
-            sv[live] = s_next
-            sub = np.flatnonzero(live)
-            live[sub[uv[live] * np.abs(delta) <= tol * 0.5]] = False
-        if live.any():
-            raise NonConvergedError("pulse-map iteration did not converge")
-        s[active] = sv
+        raise NonConvergedError("pulse-map iteration did not converge")
     return s.reshape(shape), (u * s).reshape(shape)
 
 
-def pulse_map_fixed_point(omega: float, tau: float, p: ModelParams,
-                          tol: float = _PULSE_TOL) -> tuple[PulseMapState, float]:
-    """Iterate the per-period pulse map to its fixed point; count = s_f - s_i.
+def pulse_map_fixed_point(omega: float, tau: float, p: ModelParams) -> tuple[PulseMapState, float]:
+    """Iterate the per-period pulse map to its fixed point; count = s_f - s_i,
+    within ``_PULSE_TOL`` of the fixed point's count.
 
     This is the independent validation route for ``count_rate`` and
     shares no algebra with it beyond the map itself (see ``_pulse_map``).
     """
-    s_f, count = (float(x) for x in _pulse_map(omega, tau, p, tol))
+    s_f, count = (float(x) for x in _pulse_map(omega, tau, p))
     return PulseMapState(s_f=s_f, s_i=s_f - count), count
 
 
-def pulse_map_count(omega, tau, p: ModelParams, tol: float = _PULSE_TOL) -> np.ndarray:
-    """Pulse-map fixed-point count over broadcastable inputs (``_pulse_map``)."""
-    return _pulse_map(omega, tau, p, tol)[1]
+def pulse_map_count(omega, tau, p: ModelParams) -> np.ndarray:
+    """Pulse-map fixed-point count over broadcastable inputs, within
+    ``_PULSE_TOL`` of the fixed point (``_pulse_map``)."""
+    return _pulse_map(omega, tau, p)[1]
 
 
 def trion_flip_rate(h: HoleNuclearParams) -> float:

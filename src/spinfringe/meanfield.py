@@ -147,19 +147,25 @@ def _slices(n: int) -> list[slice]:
     return [slice(i, i + _POINT_BLOCK) for i in range(0, max(n, 1), _POINT_BLOCK)]
 
 
+def _scan_step(tau, sigma: float):
+    """The uniform scan step at delays tau > 0: at most sigma/8 and a
+    twentieth of the fringe period 2 pi/tau."""
+    return np.minimum(sigma / 8.0, 2.0 * math.pi / (20.0 * tau))
+
+
 def _scan_sizes(taus: np.ndarray, p: ModelParams,
                 mf: MeanFieldParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per delay: the points of the uniform scan, the index k of the first
     fringe null 2 pi k/tau - omega0 in [-W, W] and the number of nulls there.
 
-    The uniform step is at most a twentieth of the fringe period 2 pi/tau
-    and sigma/8.  Nulls count only where a trion term can spike: at
-    tau > 0 with beta0 > 0 and alpha > 0.
+    The uniform step is ``_scan_step``, and sigma/8 at tau = 0.  Nulls
+    count only where a trion term can spike: at tau > 0 with beta0 > 0
+    and alpha > 0.
     """
     w_max = mf.omega_bracket
     on = taus > 0.0
     step = np.full(taus.shape, p.sigma / 8.0)
-    step[on] = np.minimum(step[on], 2.0 * math.pi / (20.0 * taus[on]))
+    step[on] = _scan_step(taus[on], p.sigma)
     n = np.maximum(np.ceil(2.0 * w_max / step).astype(np.intp) + 1, 9)
     first = np.zeros(taus.shape)
     count = np.zeros(taus.shape, dtype=np.intp)
@@ -192,6 +198,11 @@ def _scan_grids(taus: np.ndarray, p: ModelParams, mf: MeanFieldParams,
     k = first[row] + (np.arange(row.size) - np.repeat(np.cumsum(count) - count, count))
     tau = taus[row]
     centre = 2.0 * math.pi * k / tau - p.omega0
+    # Past 40 sigma exp(-(w/sigma)**2 / 2) underflows to 0, so those nulls
+    # get no pumping and no cluster; their square is not taken, as it can
+    # overflow.
+    near = np.abs(centre) < 40.0 * p.sigma
+    row, tau, centre = row[near], tau[near], centre[near]
     # Scalar math.exp: np.exp differs from it in the last bit on about 5% of arguments.
     bt = [p.beta0 * math.exp(-0.5 * (w / p.sigma) ** 2) * p.T for w in centre.tolist()]
     live = np.array([math.exp(-b) != 1.0 for b in bt], dtype=bool)

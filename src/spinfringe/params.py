@@ -16,6 +16,9 @@ from .constants import TWO_PI
 
 _DEF_SIGMA = TWO_PI * 1.6  # rad/ns, Gaussian pumping-profile width
 _DEF_T = 26.0              # ns, optical pumping duration
+# The most float64 values one array holds: numpy's arrays hold at most
+# intp-max bytes.  A delay grid or a root scan must count fewer.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
 
 
 def _require_finite(obj) -> None:
@@ -197,9 +200,8 @@ class SweepSchedule:
             raise ValueError("tau_start < tau_end required")
         if self.tau_start < 0:
             raise ValueError("tau_start >= 0 required")
-        # grid() lays out a float64 per delay; numpy's arrays hold at most
-        # intp-max bytes.
-        if not (self.tau_end - self.tau_start) / self.tau_step < np.iinfo(np.intp).max // 8:
+        # grid() lays out a float64 per delay.
+        if not (self.tau_end - self.tau_start) / self.tau_step < _MAX_FLOATS:
             raise ValueError("tau_step is too small for tau_end: (tau_end - tau_start) "
                              "/ tau_step delays do not fit in an array")
         if self.direction not in ("forward", "backward", "round-trip"):
@@ -219,7 +221,9 @@ class TraceSample:
 
     count equals count_rate(omega_f, tau) exactly and beta_f equals
     pump_rate(omega_f); ``jumped`` marks a branch switch at this step
-    (|omega_f - previous omega_f| > pi/tau, half a fringe).
+    (|omega_f - seed| > pi/tau, half a fringe).  The seed is the previous
+    sample's omega_f, or omega_init at a reset; the first sample is never
+    flagged.
     """
 
     tau: float

@@ -35,7 +35,8 @@ def run_sweep(s: SweepSchedule, p: ModelParams, mf: MeanFieldParams) -> list[Tra
     """Scan tau with nuclear memory; round trips run forward then backward.
 
     Each point relaxes the mean-field drift seeded with the previous
-    point's omega_f (the first point uses s.omega_init), by one
+    point's omega_f (the first point, and every ``reset_omega_every``-th,
+    uses s.omega_init), by one
     ``relax_to_steady`` call on the delays of both passes in walk order,
     so both passes share one root table.
     A sample is flagged ``jumped`` when omega_f moved by more than half a

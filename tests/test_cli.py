@@ -296,7 +296,7 @@ def test_oracle_grid_settings_rejected_at_parse(tmp_path, capsys, setting):
 
 @pytest.mark.parametrize("setting, key", [
     ("lattice.a_peak = 1e-200", "lattice.a_peak"),   # a_peak**2 underflows
-    ("lattice.a_peak = 1e300", "lattice.a_peak"),    # a_peak**2 overflows
+    ("lattice.a_peak = 1e300", "lattice.a_peak"),    # a_peak**2 and a_peak**3 overflow
     ("lattice.a_peak = 1e150", "lattice.a_peak"),    # a_peak**3 overflows
     ("meanfield.ratio = 1e-320", "meanfield.ratio"),  # the ps2 factor underflows
     ("model.sigma_ghz = 1e-300", "model.sigma_ghz"),  # sigma**2 underflows
@@ -342,6 +342,41 @@ def test_delay_count_beyond_an_array_exits_2(tmp_path, capsys, sub, setting, key
     assert "tau_step is too small for tau_end" in record["message"]
     assert f"(key '{key}', line {line})" in record["message"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, setting, key", [
+    ("steady", ["meanfield.omega_bracket = 1e300", "sweep.tau_end = 0.1"],
+     "meanfield.omega_bracket"),
+    ("steady", ["model.sigma_ghz = 1e300", "sweep.tau_end = 0.1"], "model.sigma_ghz"),
+    ("oracle", ["oracle.tau = 1e300"], "oracle.tau"),
+])
+def test_root_scan_beyond_an_array_exits_2(tmp_path, capsys, sub, setting, key):
+    # These used to exit 1 in meanfield._scan_grids, "negative dimensions
+    # are not allowed": the scan size 2 W / step overflowed intp.
+    argv = [sub, "--out", str(tmp_path)]
+    for item in setting:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigValidationError"
+    assert "do not fit in an array" in record["message"]
+    assert f"(key '{key}', line 1)" in record["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub", ["steady", "sweep"])
+def test_fringe_null_far_off_the_pumping_profile_runs(tmp_path, capsys, sub):
+    # At omega0 = 2 pi 1e300 the null centres 2 pi k / tau - omega0 are
+    # multiples of omega0's ulp, about 1e284, where (w / sigma)**2 used to
+    # raise OverflowError (exit 1).
+    code = main([sub, "--out", str(tmp_path), "--set", "model.omega0_ghz = 1e300",
+                 "--set", "sweep.tau_end = 0.1"])
+    err = capsys.readouterr().err.strip()
+    assert code in (0, 2, 3)
+    if code:
+        assert "error" in json.loads(err)
+    else:
+        assert (tmp_path / f"{sub}.csv").exists()
 
 
 def test_seed_flag_is_the_seed_override_and_is_echoed(tmp_path):

@@ -127,6 +127,26 @@ def test_pulse_map_state_invariants():
         assert count == pytest.approx(state.s_f - state.s_i, abs=1e-15)
 
 
+def test_pulse_map_meets_its_own_tolerance():
+    # The stop bound is the count's distance to the fixed point, so the
+    # reference lies within _PULSE_TOL of C, up to C's own rounding.  A
+    # stop on the last step alone (u |Delta s| <= tol / 2) ended up to
+    # 5e-8 away on these draws and grids, where contraction is slow.
+    bound = 2 * fringe._PULSE_TOL
+    rng = np.random.default_rng(8)
+    omega = rng.uniform(-6 * P.sigma, 6 * P.sigma, 100_000)
+    tau = rng.uniform(0.0, 2.0, 100_000)
+    assert np.max(np.abs(sf.pulse_map_count(omega, tau, P) - sf.count_rate(omega, tau, P))) <= bound
+    omega = np.linspace(-6 * P.sigma, 6 * P.sigma, 300)[:, None]
+    tau = np.linspace(0.0, 2.0, 300)[None, :]
+    for slow in (sf.ModelParams(beta0=1e-9), sf.ModelParams(T=1e-6)):
+        worst = np.max(np.abs(sf.pulse_map_count(omega, tau, slow) - sf.count_rate(omega, tau, slow)))
+        assert worst <= bound
+    assert math.isnan(sf.pulse_map_count(math.nan, 0.3, P))
+    # |a| rounds to 1 here: the non-contractive point counts 0 by continuity.
+    assert sf.pulse_map_count(0.0, 1e-10, sf.ModelParams(beta0=1e-18)) == 0.0
+
+
 def test_trion_flip_rate_matches_expected_scale():
     h = sf.HoleNuclearParams()  # B0 = 4 T, gamma/2pi = 0.1 GHz, documented defaults
     rate = sf.trion_flip_rate(h)

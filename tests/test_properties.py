@@ -3,6 +3,10 @@ text, data-file cells."""
 
 import json
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -169,3 +173,26 @@ def test_table_float_cells_are_their_own_format(values, precision):
     ndjson = "".join(cli._table("t.ndjson", ["x", "y", "c"], [col, col, grid], precision))
     assert ndjson.splitlines() == [json.dumps({"x": float(s), "y": float(t), "c": float(t)})
                                    for s in texts for t in texts]
+
+
+def test_a_failing_property_reports_its_failure(tmp_path):
+    # hypothesis reports a failing example through libcst, whose import
+    # warns with a DeprecationWarning.  Under the suite's own warning
+    # filters that must not stop the run: the other test still runs.
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(pyproject),
+         str(tmp_path / "test_two.py")],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
