@@ -17,6 +17,8 @@ formatted once per grid value and written into the templates of its
 chunks, which hold whole grid rows (or pieces of a row longer than a
 chunk), so each map row formats only its count.  Identical
 configuration and seed give byte-identical data files.
+A configuration file is UTF-8 text; its first byte that does not decode
+is a parse error at that byte's line and column.
 Exit codes: 0 ok, 2 configuration or I/O error, 3 numeric failure (a
 machine-readable JSON error record, with the delay ``tau_ns`` and time
 ``t_ns`` of the failure where known, goes to stderr and partial outputs
@@ -297,8 +299,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = ""
         if args.config is not None:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.config, "rb") as fh:
+                data = fh.read()
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                # The text before the bad byte, and one character for it, splits
+                # into lines as parse_config splits the file: the last is its own.
+                head = (data[:exc.start].decode("utf-8") + "?").splitlines()
+                raise ConfigParseError(f"byte {data[exc.start]:#04x} is not UTF-8",
+                                       len(head), len(head[-1])) from None
         seed = [] if args.seed is None else [f"seed = {args.seed}"]
         cfg = parse_config(text, overrides=[*args.set, *seed])
         stem, header, columns = _RUNNERS[args.subcommand](cfg)

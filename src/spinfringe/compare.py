@@ -107,7 +107,10 @@ def compare_meanfield(lat: Lattice, tau_grid, p: ModelParams, mf: MeanFieldParam
     t = 0.  A grid solve whose density reaches the edge cells is retried
     on a wider grid from the carried density (``_solve_widening``), so
     the branch is kept.  Raises ValueError, before any work, for more
-    than eight sites or, on three or more, for ``n_traj`` < 100.
+    than eight sites or, on three or more, for ``n_traj`` < 100, and
+    GridTooSmallError, before any solve, for one or two sites whose
+    linear-noise balance gives no grid width (``auto_grid``), as with
+    no bath (``d_bath`` = 0).
     """
     if lat.n > 8:
         raise ValueError("ensemble oracle limited to n <= 8 sites")

@@ -31,10 +31,11 @@ conservative to roundoff.
 ``centers()``) and the initial profile.  ``fp_grid_solve`` returns the
 density as a plain array on those cells together with its moment
 reports, as the trajectory ensemble returns its state array.
-``auto_grid`` sizes a grid around a mean-field window and solves only
-the cells within six deviations of the linear-noise covariance.  The
-cells keep the width of the nominal grid, so a solve takes no more
-steps on fewer cells.
+``auto_grid`` sizes a grid around a mean-field window from one
+linear-noise balance at two count rates, and raises GridTooSmallError
+where it gives no width.  Only the cells within six of its deviations
+are solved; they keep the width of the nominal grid, so a solve takes
+no more steps on fewer cells.
 
 The time stepping is explicit Heun with a constant operator, so a step
 is one linear map M, taken in plain array expressions.  Each of the
@@ -123,24 +124,22 @@ class GridSpec:
         return self.m_min + self.dm * (np.arange(self.n_cells) + 0.5)
 
 
-def _stationary_covariance(lat: Lattice, p: ModelParams) -> np.ndarray:
+def _stationary_covariance(lat: Lattice, c: float) -> np.ndarray:
     """Stationary covariance of the site magnetizations in the linear-noise balance.
 
     Returns the (n, n) matrix Sigma that solves
 
-        L Sigma + Sigma L^T + 2 diag(F + 2 s_p Gamma) = 0,
+        L Sigma + Sigma L^T + 2 diag(F + C Gamma) = 0,
 
     L = ``lat.rates()``: the magnetizations relax under L and diffuse with
-    the grid solver's coefficients F_j + Gamma_j C at the largest count
-    rate C = 2 s_p (van Kampen, Stochastic Processes in Physics and
-    Chemistry, ch. X).  The balance is one linear solve on
-    kron(I, L) + kron(L, I), n^2 unknowns.  Raises
-    ``np.linalg.LinAlgError`` where that matrix is singular: without a
-    bath the density has no stationary state.
+    the grid solver's coefficients F_j + Gamma_j C at count rate C = ``c``
+    (van Kampen, Stochastic Processes in Physics and Chemistry, ch. X).
+    The balance is one linear solve on kron(I, L) + kron(L, I), n^2
+    unknowns, nonsingular for one or two sites with a bath.
     """
     n = lat.n
     lin = lat.rates()
-    noise = np.diag(lat.f_array() + 2.0 * p.s_p * lat.gamma_array())
+    noise = np.diag(lat.f_array() + c * lat.gamma_array())
     sigma = np.linalg.solve(np.kron(np.eye(n), lin) + np.kron(lin, np.eye(n)),
                             -2.0 * noise.ravel()).reshape(n, n)
     return 0.5 * (sigma + sigma.T)
@@ -151,32 +150,33 @@ def auto_grid(lat: Lattice, omega_lo: float, omega_hi: float, tau_ref: float,
     """Size the magnetization grid to hold the expected sweep excursions.
 
     The nominal domain covers omega_lo..omega_hi, in magnetization units
-    of the largest hyperfine weight, padded by nine stationary widths of
-    the fluctuation balance at the count rate of the window's centre, in
-    ``n_cells`` cells; the cell width and ``init_width`` come from it.
-    The grid returned keeps the run of those whole cells that covers the
-    window padded by ``_TAIL_DEVIATIONS`` deviations sigma = sqrt(max_j
-    Sigma_jj) of the linear-noise covariance (``_stationary_covariance``),
-    clipped to the nominal domain, and at least 16 cells.  So
-    ``n_cells`` is the nominal count: the solved grid has at most that
-    many cells, centred where the nominal grid's are, to rounding.  A
-    lattice with no stationary covariance (no bath) keeps every cell.
+    of the largest hyperfine weight |A|_max, padded by nine widths
+    sqrt(A^T Sigma A) / |A|_max of the linear-noise balance
+    (``_stationary_covariance``) at the window centre's count rate,
+    floored at 0.05, in ``n_cells`` cells; the cell width and
+    ``init_width`` come from it.  The grid returned keeps the run of
+    those whole cells that covers the window padded by
+    ``_TAIL_DEVIATIONS`` deviations sqrt(max_j Sigma_jj) of the balance
+    at the largest count rate 2 s_p, clipped to the nominal domain, and
+    at least 16 cells: at most ``n_cells``, centred where the nominal
+    grid's are, to rounding.  Raises GridTooSmallError with ``tau_ref``
+    and t = 0 where the balance gives no positive, finite width: no
+    bath, no hyperfine weight, no noise, or a spread that overflows.
     """
-    a_scale = max(abs(max(lat.a, key=abs)), 1e-300)
-    c_ref = max(count_rate(0.5 * (omega_lo + omega_hi), tau_ref, p), 0.05)
-    var_omega = (float(np.dot(lat.f_array(), lat.a_array() ** 2))
-                 + alpha_from_lattice(lat) * c_ref) / max(lat.d_bath, 1e-300)
-    width_m = math.sqrt(var_omega) / a_scale
+    a_scale = abs(max(lat.a, key=abs))
+    width_m = var = 0.0
+    if lat.d_bath > 0.0 and a_scale > 0.0:  # else no stationary state or no window
+        a = lat.a_array()
+        c_ref = max(count_rate(0.5 * (omega_lo + omega_hi), tau_ref, p), 0.05)
+        width_m = math.sqrt(float(a @ _stationary_covariance(lat, c_ref) @ a)) / a_scale
+        var = float(_stationary_covariance(lat, 2.0 * p.s_p).diagonal().max())
+    if not (0.0 < width_m < math.inf and var < math.inf):
+        raise GridTooSmallError(f"no stationary width to size the grid: d_bath {lat.d_bath!r}, "
+                                f"max |A_j| {a_scale!r}, width {width_m!r}", tau=tau_ref, t=0.0)
     lo, hi = omega_lo / a_scale, omega_hi / a_scale
     nominal = GridSpec(m_min=lo - 9.0 * width_m, m_max=hi + 9.0 * width_m,
                        n_cells=n_cells, init_mean=0.0,
                        init_width=max(width_m / 2.0, 1e-3), cfl=0.8, n_outputs=8)
-    try:
-        var = float(np.max(np.diag(_stationary_covariance(lat, p))))
-    except np.linalg.LinAlgError:
-        var = math.inf
-    if not 0.0 <= var < math.inf:
-        return nominal
     reach, dm = _TAIL_DEVIATIONS * math.sqrt(var), nominal.dm
     first = max(math.floor((lo - reach - nominal.m_min) / dm), 0)
     last = min(math.ceil((hi + reach - nominal.m_min) / dm), n_cells)

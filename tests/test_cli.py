@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,63 @@ def test_langevin_oracle_without_bath_exits_3(tmp_path, capsys):
     assert record["tau_ns"] == 0.17  # the oracle.tau default
     assert record["t_ns"] == 0.0
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("settings, tau", [
+    (["lattice.d_bath = 0"], 0.17),
+    (["lattice.a_peak = 0", "lattice.gamma_peak = 0.01"], 0.17),
+    (["lattice.f = 0", "lattice.gamma_peak = 0", "oracle.tau = 0"], 0.0),
+], ids=["no-bath", "no-hyperfine-weight", "no-noise-no-window"])
+def test_auto_sized_grid_without_a_stationary_width_exits_3(tmp_path, capsys, settings, tau):
+    # No linear-noise balance sizes the grid: the run stops before any
+    # solve, with one record and no warning, where it used to write a
+    # grid 1.4e150 wide, trip on an initial profile that underflows, or
+    # raise ValueError for a grid of zero span.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["oracle", "--out", str(tmp_path),
+                     *(arg for s in settings for arg in ("--set", s))])
+    assert code == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "GridTooSmallError"
+    assert "no stationary width" in record["message"]
+    assert (record["tau_ns"], record["t_ns"]) == (tau, 0.0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_file_writes_the_bytes_of_the_same_overrides(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# hole parameters\nhole.b0 = 5.0\n\nhole.g_h = 0.5\n"
+                    "output.precision = 15\n", encoding="utf-8")
+    assert main(["rate", "--out", str(tmp_path / "file"), "--config", str(path)]) == 0
+    assert main(["rate", "--out", str(tmp_path / "set"), "--set", "hole.b0 = 5.0",
+                 "--set", "hole.g_h = 0.5", "--set", "output.precision = 15"]) == 0
+    for name in ("rate.csv", "rate_meta.txt"):
+        assert ((tmp_path / "file" / name).read_bytes()
+                == (tmp_path / "set" / name).read_bytes())
+    assert "hole.b0 = 5.0\n" in (tmp_path / "file" / "rate_meta.txt").read_text()
+
+
+@pytest.mark.parametrize("data, error, message", [
+    (None, "IOError", "No such file or directory"),
+    ("directory", "IOError", "Is a directory"),
+    (b"\xff\xfe x\n", "ConfigParseError", "line 1, column 1: byte 0xff is not UTF-8"),
+    (b"model.T = 26\r\n# caf\xc3\xa9\nseed = 1\xff\n", "ConfigParseError",
+     "line 3, column 9: byte 0xff is not UTF-8"),
+], ids=["missing", "directory", "not-utf8", "not-utf8-after-a-multibyte-character"])
+def test_bad_config_file_exits_2_and_writes_nothing(tmp_path, capsys, data, error, message):
+    path = tmp_path / "run.cfg"
+    if data == "directory":
+        path.mkdir()
+    elif data is not None:
+        path.write_bytes(data)
+    code = main(["rate", "--out", str(tmp_path / "out"), "--config", str(path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == error
+    assert message in record["message"]
+    assert not (tmp_path / "out").exists()
 
 
 # Small runs of each subcommand; "langevin" is the oracle on a 2-site

@@ -294,3 +294,14 @@ def test_trimmed_grid_takes_one_solve_per_delay(grid_solves, lat, taus, kwargs):
     mf = sf.MeanFieldParams(kappa=lat.d_bath, alpha=sf.alpha_from_lattice(lat))
     compare_meanfield(lat, taus, P, mf, **kwargs)
     assert [(tau, error) for tau, _, error in grid_solves] == [(tau, None) for tau in taus]
+
+
+@pytest.mark.parametrize("lat", [ONE_SITE, TWO_SITE], ids=["one-site", "two-site"])
+def test_grid_oracle_without_bath_raises(grid_solves, lat):
+    # Without a bath the density has no stationary state to size its grid:
+    # the comparison fails before any solve instead of returning a row.
+    mf = sf.MeanFieldParams(kappa=0.02, alpha=sf.alpha_from_lattice(lat))
+    with pytest.raises(sf.GridTooSmallError, match="no stationary width") as raised:
+        compare_meanfield(replace(lat, d_bath=0.0), [0.17, 0.23], P, mf)
+    assert (raised.value.tau, raised.value.t) == (0.23, 0.0)  # the middle delay sizes the grid
+    assert grid_solves == []

@@ -82,6 +82,9 @@ def test_parse_error_carries_line_and_column():
         parse_config("model.T = abc\n")
     with pytest.raises(sf.ConfigParseError):
         parse_config("model.T =\n")
+    with pytest.raises(sf.ConfigParseError) as err:
+        parse_config("seed = 1\nbad-key = 1\n")
+    assert (err.value.line, err.value.column) == (2, 1)
 
 
 def test_round_trip_is_lossless():
@@ -151,6 +154,16 @@ def test_negative_oracle_auto_keys_rejected(key):
     (("seed = 1", "lattice.n = 2"), "lattice.d = -1"),
     (("seed = 1",), "model.T = 1e-320"),               # the beta0 default overflows
     (("seed = 1",), "model.sigma_ghz = 1e307"),        # the omega_bracket default overflows
+    (("seed = 1",), "oracle.tau = -1"),
+    (("seed = 1",), "oracle.n_traj = 99"),
+    (("seed = 1",), "oracle.n_outputs = 0"),
+    (("seed = 1",), "sweep.tau_start = -0.5"),
+    (("seed = 1",), "sweep.reset_omega_every = -1"),
+    (("seed = 1",), "lattice.n = 0"),
+    (("seed = 1",), "lattice.d_bath = -1"),
+    (("seed = 1",), "meanfield.omega_bracket = 0"),
+    (("seed = 1",), "meanfield.kappa = 0"),            # alpha = kappa / ratio is 0 too
+    (("seed = 1",), "model.T = nan"),                  # '<key>' must be finite
 ])
 def test_invariant_error_at_offending_key_and_line(before, setting):
     with pytest.raises(sf.ConfigValidationError) as err:

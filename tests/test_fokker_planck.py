@@ -583,13 +583,13 @@ TWO = sf.Lattice(n=2, a=(1.0, 0.8), gamma=(0.01, 0.01), d=(1e-3,), f=(5e-5, 5e-5
 
 def test_one_site_covariance_is_the_balance_variance():
     lat = single_site(gamma=0.03, f_const=2e-4, d_bath=0.02)
-    ((var,),) = fokker_planck._stationary_covariance(lat, P)
+    ((var,),) = fokker_planck._stationary_covariance(lat, 2.0 * P.s_p)
     assert var == (2e-4 + 2.0 * P.s_p * 0.03) / 0.02
 
 
 @pytest.mark.parametrize("lat", [TWO, replace(TWO, d=(0.0,))], ids=["bonded", "d-zero"])
 def test_two_site_covariance_solves_the_lyapunov_balance(lat):
-    sigma = fokker_planck._stationary_covariance(lat, P)
+    sigma = fokker_planck._stationary_covariance(lat, 2.0 * P.s_p)
     lin = lat.rates()
     noise = 2.0 * np.diag(lat.f_array() + 2.0 * P.s_p * lat.gamma_array())
     residual = lin @ sigma + sigma @ lin.T + noise
@@ -603,7 +603,7 @@ def test_covariance_matches_an_ornstein_uhlenbeck_ensemble():
     # is an Ornstein-Uhlenbeck process whose stationary covariance is Sigma.
     # After 12 relaxation times the start at the origin is forgotten to 6e-6.
     lat = replace(TWO, gamma=(0.0, 0.0), d=(0.01,), f=(5e-5, 1e-4))
-    sigma = fokker_planck._stationary_covariance(lat, P)
+    sigma = fokker_planck._stationary_covariance(lat, 2.0 * P.s_p)
     rng = np.random.Generator(np.random.Philox(key=11))
     state, _ = evolve_trajectories(lat, 0.17, 300.0, np.zeros((4000, 2)), rng, P,
                                    n_outputs=1)
@@ -613,12 +613,12 @@ def test_covariance_matches_an_ornstein_uhlenbeck_ensemble():
 
 
 def _nominal_grid(monkeypatch, *args) -> sf.GridSpec:
-    """The grid auto_grid sizes for ``args`` before it drops the tail cells."""
-    def no_covariance(*_):
-        raise np.linalg.LinAlgError
+    """The grid auto_grid sizes for ``args`` before it drops the tail cells.
 
+    A reach of 1e100 deviations keeps every nominal cell.
+    """
     with monkeypatch.context() as patch:
-        patch.setattr(fokker_planck, "_stationary_covariance", no_covariance)
+        patch.setattr(fokker_planck, "_TAIL_DEVIATIONS", 1e100)
         return fokker_planck.auto_grid(*args)
 
 
@@ -663,7 +663,8 @@ def test_auto_grid_keeps_the_nominal_cells_within_six_deviations(monkeypatch, ca
     np.testing.assert_allclose(spec.centers(), nominal.centers()[first:first + spec.n_cells],
                                rtol=0.0, atol=1e-12 * (nominal.m_max - nominal.m_min))
     a_scale = max(map(abs, lat.a))
-    reach = 6.0 * math.sqrt(fokker_planck._stationary_covariance(lat, p).diagonal().max())
+    sigma = fokker_planck._stationary_covariance(lat, 2.0 * p.s_p)
+    reach = 6.0 * math.sqrt(sigma.diagonal().max())
     assert spec.m_min <= lo / a_scale - reach and spec.m_max >= hi / a_scale + reach
     if case == "tiny-sigma":
         assert spec.n_cells == 16
@@ -674,8 +675,39 @@ def test_auto_grid_keeps_the_nominal_cells_within_six_deviations(monkeypatch, ca
         assert spec.n_cells <= 66
 
 
-def test_auto_grid_without_bath_keeps_every_cell():
-    lat = single_site(gamma=0.01, f_const=5e-5, d_bath=0.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        fokker_planck._stationary_covariance(lat, P)
-    assert fokker_planck.auto_grid(lat, -0.1, 0.0, 0.17, P, 64).n_cells == 64
+@pytest.mark.parametrize("lat", [
+    single_site(gamma=0.01, f_const=5e-5, d_bath=0.0), replace(TWO, d_bath=0.0),
+    single_site(gamma=0.01, f_const=5e-5, a=0.0), replace(TWO, a=(0.0, 0.0)),
+    single_site(d_bath=0.02), single_site(gamma=0.01, f_const=5e-5, d_bath=1e-320),
+], ids=["one-site-no-bath", "two-site-no-bath", "one-site-no-weight", "two-site-no-weight",
+        "no-noise", "spread-overflows"])
+def test_auto_grid_without_a_stationary_width_raises(lat):
+    # Without a bath the density has no stationary state; with every A_j = 0
+    # there is no Overhauser window; without noise the stationary density is
+    # a point, and a spread of F / d_bath = 5e315 overflows.  No balance
+    # sizes the grid.
+    with pytest.raises(GridTooSmallError, match="no stationary width") as raised:
+        fokker_planck.auto_grid(lat, -0.1, 0.0, 0.17, P, 64)
+    assert (raised.value.tau, raised.value.t) == (0.17, 0.0)
+
+
+@pytest.mark.parametrize("lat", [single_site(gamma=0.01, f_const=5e-5, d_bath=0.02), TWO],
+                         ids=["one-site", "two-site"])
+def test_auto_grid_nominal_width_is_the_spread_of_omega_at_the_window_count_rate(
+        monkeypatch, lat):
+    # Nine widths sqrt(A^T Sigma A) / max|A_j| pad the window, Sigma the balance
+    # at the count rate of the window's centre.  The bond narrows the two-site
+    # width below that of sites that each relax to the bath alone.
+    c_ref = sf.count_rate(-0.05, 0.17, P)
+    a = lat.a_array()
+    spread = a @ fokker_planck._stationary_covariance(lat, c_ref) @ a
+    width = math.sqrt(spread) / abs(a).max()  # max|A_j| = 1: m_min is -0.1 - 9 width
+    nominal = _nominal_grid(monkeypatch, lat, -0.1, 0.0, 0.17, P, 64)
+    assert nominal.m_min == pytest.approx(-0.1 - 9.0 * width, rel=1e-12)
+    assert nominal.m_max == pytest.approx(9.0 * width, rel=1e-12)
+    assert nominal.init_width == pytest.approx(width / 2.0, rel=1e-12)
+    alone = (lat.f_array() + c_ref * lat.gamma_array()) @ a ** 2 / lat.d_bath
+    if lat.n == 1:
+        assert spread == pytest.approx(alone, rel=1e-12)
+    else:
+        assert spread < alone

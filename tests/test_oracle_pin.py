@@ -31,6 +31,16 @@ float-resolution root: CMP1 5.1e-6 from it before, 1.1e-7 after.  The
 grid rows, whose grid is sized from that root, moved by at most 1.7e-8
 relative (``flatness_error``) and 9.3e-11 in ``oracle_mean``; CMP3's
 ensemble fields did not move.
+CMP2 was re-recorded when ``auto_grid`` took its nominal width from the
+linear-noise covariance of the bonded sites, sqrt(A^T Sigma A) / max|A_j|,
+instead of a variance that let each site relax to the bath alone: its
+nominal m_min moved from -6.539417 to -6.535855, its cells narrowed
+with it and the trimmed grid went from 26 to 28 cells per axis.
+``oracle_mean`` moved by 9.8e-6 relative, ``flatness_error`` by 1.2e-4
+and ``remainder`` by 6.8e-5; doubling the nominal cell count of the
+earlier scheme moves the same fields by 6.4e-4, 8.6e-2 and 4.7e-2, so
+every shift is well inside that scheme's own error.  On one site the
+two widths agree, and CMP1 did not move.
 GRID1_BANDED is a 1-site grid run long enough to take the banded K-step
 blocks.  Cases: a 1-site grid run,
 the 2-site lattice of the benchmark's oracle workload on the grid, a
@@ -115,13 +125,13 @@ CMP1 = {
     "remainder": 0.0,
 }
 CMP2 = {
-    "oracle_mean": -0.09794500476706931,
+    "oracle_mean": -0.09794596168314852,
     "oracle_se": 0.0,
     "meanfield_omega": -0.11428649347638925,
-    "flatness_error": 0.010991772640006954,
-    "trion_exact": -0.002265893838123829,
-    "trion_meanfield": -0.002291076833781543,
-    "remainder": -1.4404578174250673e-05,
+    "flatness_error": 0.010993055019449485,
+    "trion_exact": -0.002265890592264944,
+    "trion_meanfield": -0.0022910765225308953,
+    "remainder": -1.4405556838555729e-05,
 }
 CMP3 = {
     "oracle_mean": -0.03282132661992589,
